@@ -55,6 +55,6 @@ from .elimination import (
     kernel,
     verify_la_lb_combination,
 )
-from .oeis import BFile, compare_prefix, fetch_bfile, find_offset_shift, load_fixture
+from .oeis import BFile, compare_prefix, find_offset_shift, load_fixture
 
 __version__ = "0.1.0"

@@ -9,6 +9,9 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
 
+from .closedforms import fib
+from .recurrences import eval_system, tiling_system
+
 
 class TileKind(IntEnum):
     SQUARE = 0
@@ -95,47 +98,27 @@ class EdgeId:
     y: int
 
 
-ALL_KINDS = (TileKind.SQUARE, TileKind.HDOMINO, TileKind.VDOMINO)
-DOMINO_KINDS = (TileKind.HDOMINO, TileKind.VDOMINO)
+def _raw_tilings(board, squares_allowed=True, partial=None):
+    """Cover stream in canonical order; yields a live tile list, consume at once.
 
-
-def _cover_region(cells, rows, kinds):
-    """Yield every exact cover of `cells` as a sorted tuple of tile triples.
-
-    Recursion always fills the smallest uncovered cell in (col, row) order
-    and tries kinds in enum order, so the output stream is already
-    lexicographic over canonical tile lists.
-    """
-    if not cells:
-        yield ()
-        return
-    j, r = min(cells)
-    rest = cells - {(j, r)}
-    for kind in kinds:
-        if kind == TileKind.SQUARE:
-            for tail in _cover_region(rest, rows, kinds):
-                yield ((kind, j, r),) + tail
-        elif kind == TileKind.HDOMINO:
-            if (j + 1, r) in rest:
-                for tail in _cover_region(rest - {(j + 1, r)}, rows, kinds):
-                    yield ((kind, j, r),) + tail
-        else:
-            if rows == 2 and r == 1 and (j, 2) in rest:
-                for tail in _cover_region(rest - {(j, 2)}, rows, kinds):
-                    yield ((kind, j, r),) + tail
-
-
-def _raw_tilings(board, squares_allowed=True):
-    """Fast full-board cover stream; yields a live tile list, consume at once.
-
-    Same lexicographic order as _cover_region, but with an in-place
-    occupancy array so large brute-force sweeps stay affordable.
+    The DFS fills the first free cell in column-major order and tries
+    square, horizontal domino, vertical domino, so the stream is
+    lexicographic over sorted tile lists. A `partial` shape starts with its
+    removed and forced cells occupied and its forced tiles in the list; a
+    shape that does not fit the board yields nothing.
     """
     n, rows = board.cols, board.rows
     squares = squares_allowed
     total = n * rows
     occ = bytearray(total + rows)  # slack for HDomino spill past the last column
     tiles = []
+    if partial is not None:
+        if n < (1 if partial == PartialKind.C else 2):
+            return
+        removed, forced = _partial_setup(board, partial)
+        tiles.extend(forced)
+        for j, r in removed.union(*(TilePlacement(*t).covered_cells() for t in forced)):
+            occ[(j - 1) * rows + r - 1] = 1
 
     def dfs(pos):
         while pos < total and occ[pos]:
@@ -180,23 +163,11 @@ def enumerate_tilings(board, squares_allowed=True):
 
 @lru_cache(maxsize=None)
 def count_tilings(board):
-    """Tiling count without materializing tilings.
-
-    1xn boards have F(n+1) tilings; 2xn counts follow
-    r(n) = 3r(n-1) + r(n-2) - r(n-3) with 1, 2, 7.
-    """
+    """Tiling count without enumerating: F(n+1) for 1xn, r(n) for 2xn."""
     n = board.cols
     if board.rows == 1:
-        a, b = 0, 1  # F(0), F(1)
-        for _ in range(n + 1):
-            a, b = b, a + b
-        return a
-    vals = [1, 2, 7]
-    if n < 3:
-        return vals[n]
-    for _ in range(3, n + 1):
-        vals.append(3 * vals[-1] + vals[-2] - vals[-3])
-    return vals[n]
+        return fib(n + 1)
+    return eval_system(tiling_system(), n)["r"][n]
 
 
 def forbidden_edges(tiling):
@@ -227,17 +198,7 @@ def enumerate_partial_tilings(board, kind):
     """Exact covers of a truncated 2xn board of shape A, C, or D."""
     if board.rows != 2:
         raise ValueError("partial tilings are defined for 2xn boards only")
-    n = board.cols
-    if n < 1:
+    if board.cols < 1:
         raise ValueError("partial tilings need n >= 1")
-    if kind in (PartialKind.A, PartialKind.D) and n < 2:
-        return []
-    removed, forced = _partial_setup(board, kind)
-    free = board.cells - removed
-    for k, j, r in forced:
-        free = free - set(TilePlacement(k, j, r).covered_cells())
-    out = []
-    for raw in _cover_region(free, board.rows, ALL_KINDS):
-        out.append(_to_tiling(board, forced + raw, removed))
-    out.sort(key=lambda t: tuple(tile.sort_key() for tile in t.tiles))
-    return out
+    removed = _partial_setup(board, kind)[0]
+    return [_to_tiling(board, raw, removed) for raw in _raw_tilings(board, partial=kind)]

@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import closedforms, elimination, oeis, recurrences, walks
-from .boards import Board, PartialKind, enumerate_partial_tilings, enumerate_tilings
+from .boards import Board, PartialKind, enumerate_tilings
 from .errors import TileWalksError, UnknownSequence
 from .qsqrt5 import ALPHA, BETA, SQRT5
 from .render import svg_for_tiling
@@ -49,16 +49,12 @@ class RunReport:
 
 
 def _brute_fib(n, budget):
-    if n == 0:
-        return 0
-    return len(enumerate_tilings(Board(1, n - 1)))
+    return walks.brute_tiling_count(Board(1, n - 1), budget) if n else 0
 
 
 def _brute_partial(kind):
     def inner(n, budget):
-        if n == 0:
-            return 0
-        return len(enumerate_partial_tilings(Board(2, n), kind))
+        return walks.brute_tiling_count(Board(2, n), budget, kind)
 
     return inner
 
@@ -99,7 +95,7 @@ SEQUENCES = {
         "closed": closedforms.w_domino_fibonacci_form,
     },
     "r": {
-        "brute": lambda n, budget: len(enumerate_tilings(Board(2, n))),
+        "brute": lambda n, budget: walks.brute_tiling_count(Board(2, n), budget),
         "recurrence": _system_column(recurrences.tiling_system, "r"),
     },
     "a": {
@@ -128,18 +124,12 @@ SEQUENCES = {
 BY_LINE_MEMBERS = ("r", "r1", "r2")  # columns of the w-by-line pseudo-sequence
 
 
-def _route_values(name, route, upto, budget, shards=1):
+def _route_values(name, route, upto, budget):
     table = SEQUENCES[name][route]
     if route == "recurrence":
         return table(upto)
     if route == "closed":
         return [table(n) for n in range(upto + 1)]
-    if name in ("w", "r1") and shards > 1:
-        return [
-            getattr(walks.brute_w_by_line(n, budget=budget, shards=shards),
-                    "w2" if name == "w" else "w1")
-            for n in range(upto + 1)
-        ]
     return [table(n, budget) for n in range(upto + 1)]
 
 
@@ -151,7 +141,7 @@ def cmd_seq(args):
         for route in routes:
             t0 = time.perf_counter()
             if route == "brute":
-                by = [walks.brute_w_by_line(n, budget=args.budget, shards=args.shards)
+                by = [walks.brute_w_by_line(n, budget=args.budget)
                       for n in range(args.upto + 1)]
                 for i, member in enumerate(BY_LINE_MEMBERS):
                     columns[f"{route}:{member}"] = [
@@ -178,9 +168,7 @@ def cmd_seq(args):
         columns = {}
         for route in routes:
             t0 = time.perf_counter()
-            columns[route] = _route_values(
-                args.name, route, args.upto, args.budget, args.shards
-            )
+            columns[route] = _route_values(args.name, route, args.upto, args.budget)
             report.timings[route] = time.perf_counter() - t0
     _check_column_agreement(report, columns)
     _emit_table(args, report, columns)
@@ -235,7 +223,7 @@ def _emit_table(args, report, columns, out=None):
 
 def _echo(args):
     echo = []
-    for k in ("upto", "route", "format", "budget", "shards", "n_max", "suite"):
+    for k in ("upto", "route", "format", "budget", "n_max", "suite"):
         if hasattr(args, k) and getattr(args, k) is not None:
             echo.append(f"--{k.replace('_', '-')}={getattr(args, k)}")
     return echo
@@ -389,8 +377,7 @@ def cmd_bench(args):
 
     t0 = time.perf_counter()
     wd_brute = [
-        walks.brute_w_by_line(n, squares_allowed=False, budget=args.budget,
-                              shards=args.shards).w2
+        walks.brute_w_by_line(n, squares_allowed=False, budget=args.budget).w2
         for n in range(n_max + 1)
     ]
     report.timings["w-domino:brute"] = time.perf_counter() - t0
@@ -403,12 +390,6 @@ def cmd_bench(args):
     wd_closed = [closedforms.w_domino_fibonacci_form(n) for n in range(n_max + 1)]
     report.timings["w-domino:closed"] = time.perf_counter() - t0
     report.add("w-domino-routes-agree", wd_brute == wd_rec == wd_closed)
-    if args.shards > 1:
-        unsharded = [
-            walks.brute_w_by_line(n, squares_allowed=False, budget=args.budget).w2
-            for n in range(n_max + 1)
-        ]
-        report.add("shard-independence", unsharded == wd_brute)
     return report
 
 
@@ -431,13 +412,10 @@ def build_parser():
                        default="text")
     p_seq.add_argument("--budget", type=int, default=walks.DEFAULT_BUDGET,
                        help="tiling-count cap for the brute route")
-    p_seq.add_argument("--shards", type=int, default=1)
     p_seq.set_defaults(fn=cmd_seq)
 
     p_ver = sub.add_parser("verify", help="run an invariant suite")
     p_ver.add_argument("suite", choices=list(VERIFY_SUITES) + ["all"])
-    p_ver.add_argument("--offline", action="store_true",
-                       help="never touch the network (suites are offline anyway)")
     p_ver.set_defaults(fn=cmd_verify)
 
     p_ren = sub.add_parser("render", help="render one tiling and its walks as SVG")
@@ -450,7 +428,6 @@ def build_parser():
     p_ben = sub.add_parser("bench", help="time brute vs recurrence vs closed routes")
     p_ben.add_argument("--n-max", type=int, default=10)
     p_ben.add_argument("--budget", type=int, default=walks.DEFAULT_BUDGET)
-    p_ben.add_argument("--shards", type=int, default=1)
     p_ben.set_defaults(fn=cmd_bench)
     return parser
 

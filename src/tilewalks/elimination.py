@@ -13,25 +13,19 @@ from math import gcd
 
 from .polynomials import IntPoly, charpoly_of_recurrence
 from .recurrences import (
+    RELATIONS,
     domino_only_recurrence,
     eval_system,
+    relation_side,
     w_ninth_order_spec,
     walk_system,
 )
 
 DIM = 12
 
-# printed coordinates of the unshifted combination vectors
-R_A = (1, -1, 0, 5, 0, -4, -1, 0, 0, 0, 0, 0)
-R_B = (1, -3, -2, 6, -3, -9, 0, 2, 0, 0, 0, 0)
-
 # weights on the A-side and B-side shifts solving the elimination
 ALPHA_WEIGHTS = (1, -5, 7, -3, -4, 2)
 BETA_WEIGHTS = (1, -3, 5, -2, -1)
-
-# ten-term relation the elimination produces (coefficients of
-# r2(n-1), r2(n-2), ..., r2(n-10), summing to zero)
-TEN_TERM_RELATION = (1, -8, 17, 7, -41, -1, 23, -3, -4, 1)
 
 
 @dataclass(frozen=True)
@@ -55,10 +49,25 @@ class RatMatrix:
 
 
 def shift_vector(vec, k):
-    """Rotate a coordinate vector right by k positions (one per index shift)."""
+    """Shift a coordinate vector right by k positions (one per index shift),
+    zero-padded or cut to the 12-dimensional window."""
     if k < 0 or k >= DIM:
         raise ValueError("shift outside the 12-dimensional window")
-    return (0,) * k + tuple(vec[: DIM - k])
+    return ((0,) * k + tuple(vec) + (0,) * DIM)[:DIM]
+
+
+# the unshifted combination vectors: the R sides of the relation table
+R_A = shift_vector(RELATIONS["R_A"], 0)
+R_B = shift_vector(RELATIONS["R_B"], 0)
+
+
+# The weighted R sides cancel as polynomials in the shift x, and the
+# weighted L sides leave x times the ten-term relation: its coefficients
+# apply to r2(n-1), r2(n-2), ..., r2(n-10) and sum to zero.
+TEN_TERM_RELATION = (
+    IntPoly(ALPHA_WEIGHTS) * IntPoly(RELATIONS["L_A"])
+    - IntPoly(BETA_WEIGHTS) * IntPoly(RELATIONS["L_B"])
+).coeffs[1:]
 
 
 def build_shift_vectors():
@@ -171,23 +180,8 @@ class CheckResult:
     first_failure: int = None
 
 
-def _la(r2, n):
-    return (2 * r2[n] - r2[n - 1] - 6 * r2[n - 2] + r2[n - 3]
-            + 6 * r2[n - 4] + 2 * r2[n - 5])
-
-
-def _ra(c2, m):
-    return c2[m] - c2[m - 1] + 5 * c2[m - 3] - 4 * c2[m - 5] - c2[m - 6]
-
-
-def _lb(r2, n):
-    return (2 * r2[n] - 6 * r2[n - 1] - 7 * r2[n - 2] + 14 * r2[n - 3]
-            + 14 * r2[n - 4] - 2 * r2[n - 5] - 3 * r2[n - 6])
-
-
-def _rb(c2, m):
-    return (c2[m] - 3 * c2[m - 1] - 2 * c2[m - 2] + 6 * c2[m - 3]
-            - 3 * c2[m - 4] - 9 * c2[m - 5] + 2 * c2[m - 7])
+def _weighted(side, weights, tables, n):
+    return sum(w * relation_side(side, tables, n - j) for j, w in enumerate(weights))
 
 
 def verify_la_lb_combination(upto, tables=None):
@@ -197,18 +191,18 @@ def verify_la_lb_combination(upto, tables=None):
         raise ValueError("need upto >= 12 to cover every shift")
     if tables is None:
         tables = eval_system(walk_system(), upto + 1)
-    r2, c2 = tables["r2"], tables["c2"]
+    r2 = tables["r2"]
     results = [
-        CheckResult("relation-A", *_scan(5, upto - 1,
-                    lambda n: _la(r2, n) == _ra(c2, n + 1))),
-        CheckResult("relation-B", *_scan(6, upto - 1,
-                    lambda n: _lb(r2, n) == _rb(c2, n + 1))),
-        CheckResult("weighted-R-sides", *_scan(11, upto - 1, lambda n: sum(
-            a * _ra(c2, n + 1 - j) for j, a in enumerate(ALPHA_WEIGHTS)
-        ) == sum(b * _rb(c2, n + 1 - j) for j, b in enumerate(BETA_WEIGHTS)))),
-        CheckResult("weighted-L-sides", *_scan(10, upto, lambda n: sum(
-            a * _la(r2, n - j) for j, a in enumerate(ALPHA_WEIGHTS)
-        ) == sum(b * _lb(r2, n - j) for j, b in enumerate(BETA_WEIGHTS)))),
+        CheckResult("relation-A", *_scan(5, upto - 1, lambda n: relation_side(
+            "L_A", tables, n) == relation_side("R_A", tables, n + 1))),
+        CheckResult("relation-B", *_scan(6, upto - 1, lambda n: relation_side(
+            "L_B", tables, n) == relation_side("R_B", tables, n + 1))),
+        CheckResult("weighted-R-sides", *_scan(11, upto - 1, lambda n: _weighted(
+            "R_A", ALPHA_WEIGHTS, tables, n + 1) == _weighted(
+            "R_B", BETA_WEIGHTS, tables, n + 1))),
+        CheckResult("weighted-L-sides", *_scan(10, upto, lambda n: _weighted(
+            "L_A", ALPHA_WEIGHTS, tables, n) == _weighted(
+            "L_B", BETA_WEIGHTS, tables, n))),
         CheckResult("ten-term-relation", *_scan(11, upto, lambda n: sum(
             c * r2[n - 1 - j] for j, c in enumerate(TEN_TERM_RELATION)
         ) == 0)),

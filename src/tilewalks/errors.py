@@ -29,10 +29,6 @@ class UnknownFixture(TileWalksError):
     """No embedded b-file fixture exists for the requested id."""
 
 
-class FetchFailed(TileWalksError):
-    """A b-file could not be obtained from network, cache, or fixture."""
-
-
 class BFileParseError(TileWalksError):
     """Malformed b-file content."""
 

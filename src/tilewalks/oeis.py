@@ -1,18 +1,11 @@
-"""Offline OEIS b-file fixtures and an optional online b-file client."""
+"""Offline OEIS b-file fixtures and prefix comparison against them."""
 
-import os
-import tempfile
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
-import requests
-
-from .errors import BFileParseError, FetchFailed, InsufficientOverlap, UnknownFixture
+from .errors import BFileParseError, InsufficientOverlap, UnknownFixture
 
 FIXTURE_IDS = ("A000045", "A001629", "A030186", "A054454")
-OEIS_BFILE_URL = "https://oeis.org/{id}/b{digits}.txt"
-CACHE_ENV_VAR = "TILEWALKS_CACHE_DIR"
 
 
 @dataclass(frozen=True)
@@ -61,44 +54,6 @@ def load_fixture(sequence_id):
         raise UnknownFixture(f"no fixture for {sequence_id}")
     text = (resources.files("tilewalks.fixtures") / f"b{sequence_id[1:]}.txt").read_text()
     return parse_bfile(sequence_id, text)
-
-
-def default_cache_dir():
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    xdg = os.environ.get("XDG_CACHE_HOME", Path.home() / ".cache")
-    return Path(xdg) / "tilewalks"
-
-
-def fetch_bfile(sequence_id, cache_dir=None, offline=False, timeout=10):
-    """B-file via network with disk cache; falls back to cache, then fixture."""
-    cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
-    cache_file = cache_dir / f"b{sequence_id[1:]}.txt"
-    if cache_file.exists():
-        return parse_bfile(sequence_id, cache_file.read_text())
-    if not offline:
-        url = OEIS_BFILE_URL.format(id=sequence_id, digits=sequence_id[1:])
-        try:
-            resp = requests.get(url, timeout=timeout)
-            resp.raise_for_status()
-            parsed = parse_bfile(sequence_id, resp.text)
-        except (requests.RequestException, OSError):
-            parsed = None
-        if parsed is not None:
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            # atomic write: temp file in the same directory, then rename
-            fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                fh.write(resp.text)
-            os.replace(tmp, cache_file)
-            return parsed
-    try:
-        return load_fixture(sequence_id)
-    except UnknownFixture:
-        raise FetchFailed(
-            f"{sequence_id}: no network result, no cache, no fixture"
-        ) from None
 
 
 @dataclass(frozen=True)

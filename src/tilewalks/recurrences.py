@@ -326,32 +326,28 @@ def _check(name, lo, hi, pred):
     return IdentityResult(name, True, (lo, hi))
 
 
+# The paper's relations A and B as coefficients by shift: L sides apply to
+# the walk totals r2, R sides to the truncated totals c2, and relation X
+# reads L_X(n) = R_X(n+1).
+RELATIONS = {
+    "L_A": (2, -1, -6, 1, 6, 2),
+    "R_A": (1, -1, 0, 5, 0, -4, -1),
+    "L_B": (2, -6, -7, 14, 14, -2, -3),
+    "R_B": (1, -3, -2, 6, -3, -9, 0, 2),
+}
+
+
+def relation_side(name, tables, n):
+    """sum_k RELATIONS[name][k] * seq(n - k), seq being r2 or c2 of `tables`."""
+    seq = tables["r2" if name.startswith("L") else "c2"]
+    return sum(c * seq[n - k] for k, c in enumerate(RELATIONS[name]))
+
+
 def verify_intermediate_identities(upto):
     """Numeric verification of every intermediate identity of the 2xn derivation."""
     t = eval_system(walk_system(), upto + 1)
     r, c = t["r"], t["c"]
     r2, r1, c2, c1 = t["r2"], t["r1"], t["c2"], t["c1"]
-
-    def LA(n):
-        return (
-            2 * r2[n] - r2[n - 1] - 6 * r2[n - 2] + r2[n - 3]
-            + 6 * r2[n - 4] + 2 * r2[n - 5]
-        )
-
-    def RA(n):  # value of the c2-combination indexed n (use n+1 for R_{n+1})
-        return c2[n] - c2[n - 1] + 5 * c2[n - 3] - 4 * c2[n - 5] - c2[n - 6]
-
-    def LB(n):
-        return (
-            2 * r2[n] - 6 * r2[n - 1] - 7 * r2[n - 2] + 14 * r2[n - 3]
-            + 14 * r2[n - 4] - 2 * r2[n - 5] - 3 * r2[n - 6]
-        )
-
-    def RB(n):
-        return (
-            c2[n] - 3 * c2[n - 1] - 2 * c2[n - 2] + 6 * c2[n - 3]
-            - 3 * c2[n - 4] - 9 * c2[n - 5] + 2 * c2[n - 7]
-        )
 
     checks = [
         _check("reduced-rc-1", 2, upto,
@@ -381,7 +377,9 @@ def verify_intermediate_identities(upto):
         _check("line2-no-tiling-c", 4, upto,
                lambda n: c2[n] == 2 * r2[n - 1] - 5 * r2[n - 3] - 3 * r2[n - 4]
                + c2[n - 2] - 2 * c2[n - 3] - 2 * c2[n - 4] + c[n - 1]),
-        _check("combination-A", 5, upto - 1, lambda n: LA(n) == RA(n + 1)),
-        _check("combination-B", 6, upto - 1, lambda n: LB(n) == RB(n + 1)),
+        _check("combination-A", 5, upto - 1, lambda n:
+               relation_side("L_A", t, n) == relation_side("R_A", t, n + 1)),
+        _check("combination-B", 6, upto - 1, lambda n:
+               relation_side("L_B", t, n) == relation_side("R_B", t, n + 1)),
     ]
     return checks

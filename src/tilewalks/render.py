@@ -1,6 +1,8 @@
 """Deterministic SVG rendering of a tiled board with its admissible walks."""
 
-from .boards import TileKind, enumerate_tilings, forbidden_edges, Orientation
+from itertools import islice
+
+from .boards import Orientation, TileKind, _raw_tilings, _to_tiling, forbidden_edges
 from .errors import IndexOutOfRange
 from .walks import enumerate_walks
 
@@ -30,12 +32,12 @@ def svg_for_tiling(board, tiling_index, squares_allowed=True):
     Byte-deterministic for fixed input: enumeration order is deterministic
     and all geometry is integer or fixed-precision.
     """
-    tilings = enumerate_tilings(board, squares_allowed)
-    if not 0 <= tiling_index < len(tilings):
-        raise IndexOutOfRange(
-            f"tiling index {tiling_index} outside 0..{len(tilings) - 1}"
-        )
-    tiling = tilings[tiling_index]
+    stream = _raw_tilings(board, squares_allowed)
+    raw = next(islice(stream, tiling_index, None), None) if tiling_index >= 0 else None
+    if raw is None:
+        total = sum(1 for _ in _raw_tilings(board, squares_allowed))
+        raise IndexOutOfRange(f"tiling index {tiling_index} outside 0..{total - 1}")
+    tiling = _to_tiling(board, raw)
     rows, n = board.rows, board.cols
     width = 2 * MARGIN + max(n, 1) * CELL
     height = 2 * MARGIN + rows * CELL

@@ -108,12 +108,21 @@ def enumerate_walks(tiling):
     return out
 
 
-def _check_budget(board, budget):
-    total = count_tilings(board)
+def _check_budget(board, budget, squares_allowed=True):
+    # dominoes-only 2xn boards have F(n+1) tilings, as many as the 1xn board;
+    # a truncated shape has fewer tilings than its full board
+    total = count_tilings(board if squares_allowed else Board(1, board.cols))
     if total > budget:
         raise BudgetExceeded(
             f"{board.rows}x{board.cols} board has {total} tilings, budget {budget}"
         )
+
+
+def brute_tiling_count(board, budget=DEFAULT_BUDGET, partial=None):
+    """Number of tilings of the board, or of its truncated `partial` shape,
+    counted on the enumeration stream."""
+    _check_budget(board, budget)
+    return sum(1 for _ in _raw_tilings(board, partial=partial))
 
 
 def brute_v(n, budget=DEFAULT_BUDGET):
@@ -123,23 +132,14 @@ def brute_v(n, budget=DEFAULT_BUDGET):
     return sum(_walk_counts(raw, n, 1)[1] for raw in _raw_tilings(board))
 
 
-def brute_w_by_line(n, squares_allowed=True, budget=DEFAULT_BUDGET, shards=1):
-    """Per-ending-line walk totals over all tilings of the 2xn board.
-
-    `shards` splits the tiling stream into interleaved shards whose partial
-    sums are combined; the result must not depend on the shard count.
-    """
+def brute_w_by_line(n, squares_allowed=True, budget=DEFAULT_BUDGET):
+    """Per-ending-line walk totals over all tilings of the 2xn board."""
     board = Board(2, n)
-    if squares_allowed:
-        _check_budget(board, budget)
-    totals = [[0, 0, 0] for _ in range(shards)]
-    for i, raw in enumerate(_raw_tilings(board, squares_allowed)):
+    _check_budget(board, budget, squares_allowed)
+    w0 = w1 = w2 = 0
+    for raw in _raw_tilings(board, squares_allowed):
         w = _walk_counts(raw, n, 2)
-        part = totals[i % shards]
-        part[0] += w[0]
-        part[1] += w[1]
-        part[2] += w[2]
-    w0 = sum(p[0] for p in totals)
-    w1 = sum(p[1] for p in totals)
-    w2 = sum(p[2] for p in totals)
+        w0 += w[0]
+        w1 += w[1]
+        w2 += w[2]
     return WalkCountByLine(n=n, w0=w0, w1=w1, w2=w2)

@@ -113,6 +113,11 @@ def test_partial_tiling_examples():
     assert len(enumerate_partial_tilings(Board(2, 2), PartialKind.C)) == 3
     assert len(enumerate_partial_tilings(Board(2, 3), PartialKind.A)) == 3
     assert enumerate_partial_tilings(Board(2, 1), PartialKind.D) == []
+    # every shape comes out in canonical order of the sorted tile lists
+    for kind in PartialKind:
+        keys = [tuple(t.sort_key() for t in til.tiles)
+                for til in enumerate_partial_tilings(Board(2, 6), kind)]
+        assert keys == sorted(keys)
 
 
 def test_partial_counts_satisfy_coupled_system():

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tilewalks
 from tilewalks.cli import main
 from tilewalks.oeis import parse_bfile
 
@@ -65,6 +70,9 @@ def test_seq_budget_exceeded(capsys):
     code, _ = run(capsys, "seq", "w", "--upto", "8", "--route", "brute",
                   "--budget", "10")
     assert code == 2
+    code, _ = run(capsys, "seq", "r", "--upto", "5", "--route", "brute",
+                  "--budget", "10")
+    assert code == 2
 
 
 def test_seq_w_by_line(capsys):
@@ -108,12 +116,18 @@ def test_render_degenerate_board(tmp_path, capsys):
 
 
 def test_bench(capsys):
-    code, out = run(capsys, "bench", "--n-max", "8", "--shards", "2")
+    code, out = run(capsys, "bench", "--n-max", "8")
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"]
-    names = [c["name"] for c in payload["checks"]]
-    assert "shard-independence" in names
+
+
+def test_cli_import_loads_no_network_client():
+    code = "import sys, tilewalks.cli; print('requests' in sys.modules)"
+    src = str(Path(tilewalks.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_bench_trivial(capsys):

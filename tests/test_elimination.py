@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from tilewalks.elimination import (
     PRINTED_M,
+    TEN_TERM_RELATION,
     RatMatrix,
     build_matrix_m,
     build_shift_vectors,
@@ -15,7 +16,7 @@ from tilewalks.elimination import (
     R_B,
 )
 from tilewalks.polynomials import IntPoly, charpoly_of_recurrence
-from tilewalks.recurrences import eval_system, walk_system
+from tilewalks.recurrences import eval_system, w_ninth_order_spec, walk_system
 
 KERNEL_VECTOR = (1, -5, 7, -3, -4, 2, 1, -3, 5, -2, -1)
 
@@ -58,6 +59,11 @@ def test_kernel_is_deterministic():
 def test_la_lb_combination():
     for check in verify_la_lb_combination(20):
         assert check.passed, f"{check.name}: {check.detail}"
+
+
+def test_ten_term_relation_is_the_ninth_order_spec():
+    coeffs = [int(c[0]) for c in w_ninth_order_spec().coeffs]
+    assert TEN_TERM_RELATION == (1, *(-c for c in coeffs))
 
 
 def test_la_lb_perturbed_table_fails():

@@ -1,14 +1,8 @@
 import pytest
 
-from tilewalks.errors import (
-    BFileParseError,
-    FetchFailed,
-    InsufficientOverlap,
-    UnknownFixture,
-)
+from tilewalks.errors import BFileParseError, InsufficientOverlap, UnknownFixture
 from tilewalks.oeis import (
     compare_prefix,
-    fetch_bfile,
     find_offset_shift,
     load_fixture,
     parse_bfile,
@@ -87,24 +81,6 @@ def test_domino_walk_alignment():
     w = list(eval_recurrence(domino_only_recurrence(), 40).values)
     report = find_offset_shift(w, load_fixture("A054454"))
     assert report.offset_shift == 0 and report.matched >= 20
-
-
-def test_fetch_warm_cache(tmp_path):
-    bfile = load_fixture("A030186")
-    cache_file = tmp_path / "b030186.txt"
-    cache_file.write_text(serialize_bfile(bfile))
-    fetched = fetch_bfile("A030186", cache_dir=tmp_path, offline=True)
-    assert fetched.entries == bfile.entries
-
-
-def test_fetch_offline_falls_back_to_fixture(tmp_path):
-    fetched = fetch_bfile("A001629", cache_dir=tmp_path, offline=True)
-    assert fetched.entries == load_fixture("A001629").entries
-
-
-def test_fetch_failure_without_fixture(tmp_path):
-    with pytest.raises(FetchFailed):
-        fetch_bfile("A999999", cache_dir=tmp_path, offline=True)
 
 
 def test_equal_shift_invariance():

@@ -109,16 +109,14 @@ def test_sum_is_order_independent():
     assert forward == backward == brute_w_by_line(n).w2
 
 
-def test_shard_independence():
-    for shards in (1, 2, 5):
-        assert brute_w_by_line(6, shards=shards) == brute_w_by_line(6)
-
-
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         brute_w_by_line(8, budget=100)
     with pytest.raises(BudgetExceeded):
         brute_v(30, budget=1000)
+    # dominoes-only boards are checked against F(n+1), not enumerated first
+    with pytest.raises(BudgetExceeded):
+        brute_w_by_line(40, squares_allowed=False, budget=10)
 
 
 def test_end_line_validation():
