@@ -172,6 +172,10 @@ def cmd_seq(args):
             report.timings[route] = time.perf_counter() - t0
     _check_column_agreement(report, columns)
     _emit_table(args, report, columns)
+    for check in report.checks:  # the report itself is not printed by seq
+        if not check["passed"]:
+            print(f"error: check {check['name']} failed at n={check['first_failure']}",
+                  file=sys.stderr)
     return report
 
 
@@ -349,12 +353,11 @@ def cmd_verify(args):
 
 
 def cmd_render(args):
-    rows, cols = (int(x) for x in args.board.lower().split("x"))
-    svg = svg_for_tiling(Board(rows, cols), args.index,
-                         squares_allowed=not args.dominoes_only)
+    spec, board = args.board
+    svg = svg_for_tiling(board, args.index, squares_allowed=not args.dominoes_only)
     with open(args.out, "w") as fh:
         fh.write(svg)
-    report = RunReport(command=["render", args.board, str(args.index)])
+    report = RunReport(command=["render", spec, str(args.index)])
     report.add("svg-written", True, actual=args.out)
     return report
 
@@ -396,8 +399,28 @@ def cmd_bench(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # bad input: one stderr line and exit 2, no usage block
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _size(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
+def _board(text):
+    """ROWSxCOLS as (text, Board), so that the report echoes the text."""
+    try:
+        rows, cols = (int(x) for x in text.lower().split("x"))
+        return text, Board(rows, cols)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected ROWSxCOLS, 1 or 2 rows, got {text!r}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tilewalks",
         description="Exact walk counts over square/domino tilings of 1xn and 2xn boards",
     )
@@ -405,7 +428,7 @@ def build_parser():
 
     p_seq = sub.add_parser("seq", help="emit a sequence table by one or all routes")
     p_seq.add_argument("name", help=f"one of: {', '.join(SEQUENCES)}, w-by-line")
-    p_seq.add_argument("--upto", type=int, default=10)
+    p_seq.add_argument("--upto", type=_size, default=10)
     p_seq.add_argument("--route", choices=["brute", "recurrence", "closed", "all"],
                        default="recurrence")
     p_seq.add_argument("--format", choices=["json", "csv", "bfile", "text"],
@@ -419,14 +442,14 @@ def build_parser():
     p_ver.set_defaults(fn=cmd_verify)
 
     p_ren = sub.add_parser("render", help="render one tiling and its walks as SVG")
-    p_ren.add_argument("board", help="ROWSxCOLS, e.g. 2x3")
+    p_ren.add_argument("board", type=_board, help="ROWSxCOLS, e.g. 2x3")
     p_ren.add_argument("index", type=int)
     p_ren.add_argument("--out", required=True)
     p_ren.add_argument("--dominoes-only", action="store_true")
     p_ren.set_defaults(fn=cmd_render)
 
     p_ben = sub.add_parser("bench", help="time brute vs recurrence vs closed routes")
-    p_ben.add_argument("--n-max", type=int, default=10)
+    p_ben.add_argument("--n-max", type=_size, default=10)
     p_ben.add_argument("--budget", type=int, default=walks.DEFAULT_BUDGET)
     p_ben.set_defaults(fn=cmd_bench)
     return parser

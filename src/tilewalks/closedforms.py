@@ -2,7 +2,6 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .errors import NonIntegralStep
 from .qsqrt5 import ALPHA, BETA, SQRT5, QSqrt5
@@ -116,15 +115,13 @@ def binet_identity_check(upto):
 def asymptotic_ratio(n, digits=40):
     """w(n) divided by the dominant part of the explicit form.
 
-    This is the one approximate quantity in the module: sqrt(5) is replaced
-    by a rational approximation good to `digits` digits, which dwarfs the
-    10^-6 tolerance the ratio is tested against.
+    This is the one approximate quantity in the module: the exact Q(sqrt5)
+    ratio is truncated to `digits` decimal digits, which dwarfs the 10^-6
+    tolerance the ratio is tested against.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     w = w_domino_fibonacci_form(n)
     dom = _dominant_term(n) + ((1 + (-1) ** n) // 2)
     scale = 10**digits
-    root5 = Fraction(isqrt(5 * scale * scale), scale)
-    dom_approx = dom.a + dom.b * root5
-    return Fraction(w) / dom_approx
+    return Fraction((w / dom * scale).floor(), scale)

@@ -1,12 +1,12 @@
 """Exact arithmetic in the field Q(sqrt 5).
 
-Values are a + b*sqrt(5) with rational a, b. Everything here is exact; in
-particular floor/ceil are decided by sign tests, never by floating point.
+Values are a + b*sqrt(5) with rational a, b. Everything here is exact: floor
+is one integer square root, and sign, ceil and the comparisons derive from it.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import RadicalResidue
 
@@ -91,23 +91,10 @@ class QSqrt5:
         return self.a
 
     def sign(self):
-        """Exact sign of a + b*sqrt(5), by comparing a^2 with 5 b^2."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # mixed signs: the larger of a^2, 5 b^2 decides
-        if a * a == 5 * b * b:
-            return 0  # impossible (sqrt 5 irrational), kept for completeness
-        bigger_rational = a * a > 5 * b * b
-        if a > 0:
-            return 1 if bigger_rational else -1
-        return -1 if bigger_rational else 1
+        """Exact sign of a + b*sqrt(5), read off its floor."""
+        if self.a == 0 and self.b == 0:
+            return 0
+        return 1 if self.floor() >= 0 else -1
 
     def __lt__(self, other):
         return (self - _coerce(other)).sign() < 0
@@ -122,13 +109,13 @@ class QSqrt5:
         return (self - _coerce(other)).sign() >= 0
 
     def floor(self):
-        """Largest integer m with m <= value, found exactly."""
-        m = _floor_estimate(self.a, self.b)
-        while (self - m).sign() < 0:
-            m -= 1
-        while (self - (m + 1)).sign() >= 0:
-            m += 1
-        return m
+        """Largest integer m <= value = (p + r*sqrt5)/q over integers, q > 0. s is
+        floor(r*sqrt5) exactly, as 5 r^2 is never a perfect square for r != 0."""
+        q = lcm(self.a.denominator, self.b.denominator)
+        p = self.a.numerator * (q // self.a.denominator)
+        r = self.b.numerator * (q // self.b.denominator)
+        s = isqrt(5 * r * r) if r >= 0 else -isqrt(5 * r * r) - 1
+        return (p + s) // q
 
     def ceil(self):
         return -(-self).floor()
@@ -141,15 +128,6 @@ def _coerce(x):
     if isinstance(x, QSqrt5):
         return x
     return QSqrt5(x)
-
-
-def _floor_estimate(a, b):
-    # rational approximation of sqrt(5) good to ~30 digits; the caller
-    # corrects any off-by-one with exact sign tests
-    scale = 10**30
-    root5 = Fraction(isqrt(5 * scale * scale), scale)
-    approx = a + b * root5
-    return approx.numerator // approx.denominator
 
 
 SQRT5 = QSqrt5(0, 1)

@@ -36,7 +36,8 @@ def svg_for_tiling(board, tiling_index, squares_allowed=True):
     raw = next(islice(stream, tiling_index, None), None) if tiling_index >= 0 else None
     if raw is None:
         total = sum(1 for _ in _raw_tilings(board, squares_allowed))
-        raise IndexOutOfRange(f"tiling index {tiling_index} outside 0..{total - 1}")
+        raise IndexOutOfRange(f"tiling index {tiling_index} outside 0..{total - 1}" if total
+                              else f"{board.rows}x{board.cols} has no dominoes-only tilings")
     tiling = _to_tiling(board, raw)
     rows, n = board.rows, board.cols
     width = 2 * MARGIN + max(n, 1) * CELL

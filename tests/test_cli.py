@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import tilewalks
-from tilewalks.cli import main
+from tilewalks.cli import SEQUENCES, main
 from tilewalks.oeis import parse_bfile
 
 
@@ -75,6 +75,16 @@ def test_seq_budget_exceeded(capsys):
     assert code == 2
 
 
+def test_seq_names_the_failing_check(capsys, monkeypatch):
+    closed = SEQUENCES["v"]["closed"]
+    monkeypatch.setitem(SEQUENCES["v"], "closed", lambda n: closed(n) + (n == 2))
+    code = main(["seq", "v", "--upto", "3", "--route", "all", "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out.splitlines()[3] == "2,5,6,5"
+    assert err == "error: check agree:brute=closed failed at n=2\n"
+
+
 def test_seq_w_by_line(capsys):
     code, out = run(capsys, "seq", "w-by-line", "--upto", "2", "--route", "all",
                     "--format", "csv")
@@ -113,6 +123,31 @@ def test_render_degenerate_board(tmp_path, capsys):
     code, _ = run(capsys, "render", "2x0", "0", "--out", str(out))
     assert code == 0
     assert out.exists()
+
+
+BAD_INPUT = [
+    ("render 3x2 0", "expected ROWSxCOLS"),
+    ("render 2x 0", "expected ROWSxCOLS"),
+    ("render 1x3 0 --dominoes-only", "1x3 has no dominoes-only tilings"),
+    ("seq w --upto -3", "--upto: expected an integer >= 0"),
+    ("bench --n-max -2", "--n-max: expected an integer >= 0"),
+]
+
+
+@pytest.mark.parametrize("command, message", BAD_INPUT, ids=[c for c, _ in BAD_INPUT])
+def test_bad_input_exits_2_with_one_line(tmp_path, command, message):
+    argv = command.split()
+    if argv[0] == "render":
+        argv += ["--out", str(tmp_path / "x.svg")]
+    src = str(Path(tilewalks.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "tilewalks.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
 
 
 def test_bench(capsys):

@@ -76,6 +76,11 @@ def test_ceiling_examples():
     assert w_domino_ceiling(4) == 26
 
 
+def test_ceiling_terminates_for_large_n():
+    for n in [159, 200, 2000, 10**4, *range(0, 10**4, 97)]:
+        assert w_domino_ceiling(n) == w_domino_fibonacci_form(n), n
+
+
 def test_binet_identities():
     report = binet_identity_check(100)
     assert report.passed

@@ -59,6 +59,25 @@ def test_floor_ceil_bracketing(x):
     assert QSqrt5(c - 1) < x <= QSqrt5(c)
 
 
+def _at_most(t, b):
+    """t <= b*sqrt(5), decided on squares alone, independently of QSqrt5."""
+    if b >= 0:
+        return t <= 0 or t * t <= 5 * b * b
+    return t < 0 and t * t >= 5 * b * b
+
+
+huge = st.builds(Fraction, st.integers(-10**300, 10**300), st.integers(1, 10**6))
+
+
+@given(huge, huge)
+def test_floor_ceil_bracketing_large_magnitude(a, b):
+    x = QSqrt5(a, b)
+    f, c = x.floor(), x.ceil()
+    assert _at_most(f - a, b) and not _at_most(f + 1 - a, b)  # f <= x < f + 1
+    assert _at_most(a - c, -b) and not _at_most(a - c + 1, -b)  # c - 1 < x <= c
+    assert x.sign() == (0 if a == b == 0 else 1 if _at_most(-a, b) else -1)
+
+
 def test_floor_examples():
     assert SQRT5.floor() == 2
     assert SQRT5.ceil() == 3
