@@ -7,9 +7,9 @@ import time
 from dataclasses import dataclass, field
 
 from . import closedforms, elimination, oeis, recurrences, walks
-from .boards import Board, PartialKind, enumerate_tilings
-from .errors import TileWalksError, UnknownSequence
-from .qsqrt5 import ALPHA, BETA, SQRT5
+from .boards import Board, PartialKind, TileKind, _raw_tilings
+from .errors import OutputNotWritable, TileWalksError, UnknownSequence
+from .qsqrt5 import ALPHA, BETA
 from .render import svg_for_tiling
 
 
@@ -73,10 +73,6 @@ def _spec_column(spec_factory):
     return inner
 
 
-def _fib_closed(n):
-    return int(((ALPHA**n - BETA**n) / SQRT5).rational_value())
-
-
 SEQUENCES = {
     "v": {
         "brute": lambda n, budget: walks.brute_v(n, budget=budget),
@@ -117,7 +113,7 @@ SEQUENCES = {
     "fib": {
         "brute": _brute_fib,
         "recurrence": _spec_column(recurrences.fibonacci_spec),
-        "closed": _fib_closed,
+        "closed": closedforms.fib,
     },
 }
 
@@ -260,8 +256,8 @@ def _verify_lemmas(report):
 
     for n in range(17):
         hist = {}
-        for t in enumerate_tilings(Board(1, n)):
-            k = len(t.dominoes())
+        for raw in _raw_tilings(Board(1, n)):
+            k = sum(kind != TileKind.SQUARE for kind, _, _ in raw)
             hist[k] = hist.get(k, 0) + 1
         expected = {k: comb(n - k, k) for k in range(n // 2 + 1) if comb(n - k, k)}
         report.add(f"domino-count-histogram-n{n}", hist == expected)
@@ -272,8 +268,7 @@ def _verify_lemmas(report):
 
 def _verify_elimination(report):
     m = elimination.build_matrix_m()
-    printed = tuple(tuple(int(x) for x in row) for row in m.entries)
-    report.add("matrix-matches-printed", printed == elimination.PRINTED_M)
+    report.add("matrix-matches-printed", m.entries == elimination.PRINTED_M)
     basis = elimination.kernel(m)
     expected = (1, -5, 7, -3, -4, 2, 1, -3, 5, -2, -1)
     report.add("kernel-dimension-one", len(basis) == 1, expected=1, actual=len(basis))
@@ -355,8 +350,11 @@ def cmd_verify(args):
 def cmd_render(args):
     spec, board = args.board
     svg = svg_for_tiling(board, args.index, squares_allowed=not args.dominoes_only)
-    with open(args.out, "w") as fh:
-        fh.write(svg)
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise OutputNotWritable(f"cannot write {args.out}: {exc.strerror}")
     report = RunReport(command=["render", spec, str(args.index)])
     report.add("svg-written", True, actual=args.out)
     return report
@@ -433,7 +431,7 @@ def build_parser():
                        default="recurrence")
     p_seq.add_argument("--format", choices=["json", "csv", "bfile", "text"],
                        default="text")
-    p_seq.add_argument("--budget", type=int, default=walks.DEFAULT_BUDGET,
+    p_seq.add_argument("--budget", type=_size, default=walks.DEFAULT_BUDGET,
                        help="tiling-count cap for the brute route")
     p_seq.set_defaults(fn=cmd_seq)
 
@@ -450,7 +448,7 @@ def build_parser():
 
     p_ben = sub.add_parser("bench", help="time brute vs recurrence vs closed routes")
     p_ben.add_argument("--n-max", type=_size, default=10)
-    p_ben.add_argument("--budget", type=int, default=walks.DEFAULT_BUDGET)
+    p_ben.add_argument("--budget", type=_size, default=walks.DEFAULT_BUDGET)
     p_ben.set_defaults(fn=cmd_bench)
     return parser
 

@@ -8,10 +8,15 @@ from .qsqrt5 import ALPHA, BETA, SQRT5, QSqrt5
 
 
 def fib(n):
-    """F(n) by iteration; arbitrary precision."""
+    """F(n), n >= 0, by fast doubling: (a, b) = (F(k), F(k+1)) for k the bits of n
+    read so far, using F(2k) = F(k)(2F(k+1) - F(k)), F(2k+1) = F(k)^2 + F(k+1)^2."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
     return a
 
 

@@ -9,7 +9,8 @@ recurrence for the walk totals.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import index
 
 from .polynomials import IntPoly, charpoly_of_recurrence
 from .recurrences import (
@@ -32,11 +33,11 @@ BETA_WEIGHTS = (1, -3, 5, -2, -1)
 class RatMatrix:
     rows: int
     cols: int
-    entries: tuple  # tuple of row tuples, Fraction
+    entries: tuple  # tuple of row tuples, int; from_rows rejects any non-integer
 
     @staticmethod
     def from_rows(rows):
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        data = tuple(tuple(index(x) for x in row) for row in rows)
         if data and any(len(r) != len(data[0]) for r in data):
             raise ValueError("ragged matrix")
         return RatMatrix(len(data), len(data[0]) if data else 0, data)
@@ -106,16 +107,6 @@ PRINTED_M = (
 )
 
 
-def _to_integer_rows(m):
-    rows = []
-    for row in m.entries:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        rows.append([int(x * lcm) for x in row])
-    return rows
-
-
 def kernel(m):
     """Null-space basis via fraction-free (Bareiss) forward elimination.
 
@@ -123,7 +114,7 @@ def kernel(m):
     to a primitive integer vector with positive leading entry, so the
     output is deterministic.
     """
-    rows = _to_integer_rows(m)
+    rows = [list(row) for row in m.entries]
     n_rows, n_cols = len(rows), m.cols
     pivot_cols = []
     piv_r = 0
@@ -157,13 +148,9 @@ def kernel(m):
 
 
 def _primitive(v):
-    lcm = 1
-    for x in v:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    scale = lcm(*(x.denominator for x in v))
+    ints = [int(x * scale) for x in v]
+    g = gcd(*ints)
     if g:
         ints = [x // g for x in ints]
     lead = next((x for x in ints if x != 0), 0)
@@ -225,9 +212,9 @@ def charpoly_factorization_check():
     cubic_r = IntPoly([1, -1, -3, 1])  # x^3 - 3x^2 - x + 1
     fib_quad = IntPoly([-1, -1, 1])    # x^2 - x - 1
 
-    p_w = charpoly_of_recurrence([int(c[0]) for c in w_ninth_order_spec().coeffs])
+    p_w = charpoly_of_recurrence([c[0] for c in w_ninth_order_spec().coeffs])
     p_w_factored = x_plus_1 * quad_w * cubic_r**2
-    p_dom = charpoly_of_recurrence([int(c[0]) for c in domino_only_recurrence().coeffs])
+    p_dom = charpoly_of_recurrence([c[0] for c in domino_only_recurrence().coeffs])
     p_dom_factored = x_minus_1 * x_plus_1 * fib_quad**2
     quot, rem = p_w.divmod(cubic_r)
     return [

@@ -43,3 +43,7 @@ class InsufficientOverlap(TileWalksError):
 
 class IndexOutOfRange(TileWalksError):
     """A tiling index beyond the number of tilings of the board."""
+
+
+class OutputNotWritable(TileWalksError):
+    """An output file could not be opened or written."""

@@ -1,22 +1,21 @@
 """Exact linear-recurrence evaluation and the named sequence systems.
 
-Two evaluator shapes cover everything:
+Two evaluator shapes cover everything, in integer arithmetic only:
 
-* RecurrenceSpec - a single sequence, coefficients may be polynomials in n
+* RecurrenceSpec - a single sequence, coefficients may be integer polynomials in n
   (the tiling-walking sequence v obeys n*v(n) = (n+1)v(n-1) + (n+2)v(n-2)).
 * CoupledSystemSpec - mutually recursive integer-linear sequences with
   same-step references resolved by stratification (d before c before r).
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import NonIntegralStep, UnstratifiableSystem
 
 
 def poly_eval(coeffs, n):
-    """Evaluate a polynomial given ascending coefficients."""
-    acc = Fraction(0)
+    """Evaluate an integer polynomial given ascending coefficients (Horner)."""
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * n + c
     return acc
@@ -26,14 +25,14 @@ def poly_eval(coeffs, n):
 class RecurrenceSpec:
     """lhs_coeff(n) * x(n) = sum_k coeffs[k](n) * x(n-1-k), n >= |initial|.
 
-    Each coefficient is a tuple of ascending rational polynomial
+    Each coefficient is a tuple of ascending integer polynomial
     coefficients; constants are degree 0.
     """
 
     order: int
     coeffs: tuple
     initial: tuple
-    lhs_coeff: tuple = (Fraction(1),)
+    lhs_coeff: tuple = (1,)
     name: str = ""
 
     def __post_init__(self):
@@ -98,16 +97,14 @@ def eval_recurrence(spec, upto):
     """Fill a SequenceTable to index `upto`, checking every division is exact."""
     vals = list(spec.initial[: upto + 1])
     for n in range(len(vals), upto + 1):
-        num = Fraction(0)
-        for k, c in enumerate(spec.coeffs):
-            num += poly_eval(c, n) * vals[n - 1 - k]
+        num = sum(poly_eval(c, n) * vals[n - 1 - k] for k, c in enumerate(spec.coeffs))
         lhs = poly_eval(spec.lhs_coeff, n)
         if lhs == 0:
             raise NonIntegralStep(f"{spec.name}: zero lhs coefficient at n={n}")
-        x = num / lhs
-        if x.denominator != 1:
-            raise NonIntegralStep(f"{spec.name}: non-integral value {x} at n={n}")
-        vals.append(int(x))
+        x, rem = divmod(num, lhs)
+        if rem:
+            raise NonIntegralStep(f"{spec.name}: non-integral value {num}/{lhs} at n={n}")
+        vals.append(x)
     return SequenceTable(spec.name, tuple(vals))
 
 
@@ -134,14 +131,10 @@ def eval_system(spec, upto):
 def fibonacci_spec():
     return RecurrenceSpec(
         order=2,
-        coeffs=((Fraction(1),), (Fraction(1),)),
+        coeffs=((1,), (1,)),
         initial=(0, 1),
         name="fib",
     )
-
-
-def fibonacci(upto):
-    return eval_recurrence(fibonacci_spec(), upto)
 
 
 def tiling_system():
@@ -235,8 +228,8 @@ def v_theorem_spec():
     """n*v(n) = (n+1)v(n-1) + (n+2)v(n-2)."""
     return RecurrenceSpec(
         order=2,
-        coeffs=((Fraction(1), Fraction(1)), (Fraction(2), Fraction(1))),
-        lhs_coeff=(Fraction(0), Fraction(1)),
+        coeffs=((1, 1), (2, 1)),
+        lhs_coeff=(0, 1),
         initial=(1, 2),
         name="v-poly",
     )
@@ -244,10 +237,9 @@ def v_theorem_spec():
 
 def v_fourth_order_spec():
     """v(n) = 2v(n-1) + v(n-2) - 2v(n-3) - v(n-4)."""
-    c = [Fraction(k) for k in (2, 1, -2, -1)]
     return RecurrenceSpec(
         order=4,
-        coeffs=tuple((x,) for x in c),
+        coeffs=tuple((c,) for c in (2, 1, -2, -1)),
         initial=(1, 2, 5, 10),
         name="v-const",
     )
@@ -276,10 +268,9 @@ def eval_v_route(route, upto):
 
 def w_ninth_order_spec():
     """The 9th-order recurrence for walk totals with squares and dominoes."""
-    c = [Fraction(k) for k in (8, -17, -7, 41, 1, -23, 3, 4, -1)]
     return RecurrenceSpec(
         order=9,
-        coeffs=tuple((x,) for x in c),
+        coeffs=tuple((c,) for c in (8, -17, -7, 41, 1, -23, 3, 4, -1)),
         initial=(1, 5, 28, 130, 569, 2352, 9363, 36183, 136663),
         name="w",
     )
@@ -287,10 +278,9 @@ def w_ninth_order_spec():
 
 def domino_only_recurrence():
     """The 6th-order recurrence for walk totals on dominoes-only tilings."""
-    c = [Fraction(k) for k in (2, 2, -4, -2, 2, 1)]
     return RecurrenceSpec(
         order=6,
-        coeffs=tuple((x,) for x in c),
+        coeffs=tuple((c,) for c in (2, 2, -4, -2, 2, 1)),
         initial=(1, 2, 6, 12, 26, 50),
         name="w-domino",
     )

@@ -31,7 +31,7 @@ from tilewalks.recurrences import (
     eval_recurrence,
     eval_system,
     eval_v_route,
-    fibonacci,
+    fibonacci_spec,
     tiling_system,
     v_closed_recurrences,
     w_ninth_order_spec,
@@ -197,7 +197,7 @@ def test_criterion_13_oeis_fixture_matches():
         (list(eval_v_route(v_closed_recurrences()[0], 40).values), "A001629", 2),
         (list(eval_system(tiling_system(), 40)["r"].values), "A030186", 0),
         (list(eval_recurrence(domino_only_recurrence(), 40).values), "A054454", 0),
-        (list(fibonacci(44).values), "A000045", 0),
+        (list(eval_recurrence(fibonacci_spec(), 44).values), "A000045", 0),
     ]
     ok = True
     for values, seq_id, expected_shift in cases:

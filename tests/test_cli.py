@@ -131,13 +131,16 @@ BAD_INPUT = [
     ("render 1x3 0 --dominoes-only", "1x3 has no dominoes-only tilings"),
     ("seq w --upto -3", "--upto: expected an integer >= 0"),
     ("bench --n-max -2", "--n-max: expected an integer >= 0"),
+    ("seq w --budget -5", "--budget: expected an integer >= 0"),
+    ("render 2x3 0 --out {tmp}/missing/x.svg", "cannot write"),
+    ("render 2x3 0 --out {tmp}", "cannot write"),
 ]
 
 
 @pytest.mark.parametrize("command, message", BAD_INPUT, ids=[c for c, _ in BAD_INPUT])
 def test_bad_input_exits_2_with_one_line(tmp_path, command, message):
-    argv = command.split()
-    if argv[0] == "render":
+    argv = command.format(tmp=tmp_path).split()
+    if argv[0] == "render" and "--out" not in argv:
         argv += ["--out", str(tmp_path / "x.svg")]
     src = str(Path(tilewalks.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-m", "tilewalks.cli", *argv],

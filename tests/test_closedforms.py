@@ -86,6 +86,20 @@ def test_binet_identities():
     assert report.passed
 
 
+def test_fib_fast_doubling_matches_iteration():
+    a, b = 0, 1
+    for n in range(2001):
+        assert fib(n) == a, n
+        a, b = b, a + b
+    with pytest.raises(ValueError):
+        fib(-1)
+
+
+def test_fib_cassini_identity_at_large_n():
+    for n in range(10**5, 10**5 + 4):
+        assert fib(n - 1) * fib(n + 1) - fib(n) ** 2 == (-1) ** n
+
+
 def test_binet_sample_values():
     # F(10) = 55 and 2F(11) - F(10) = 123 (a Lucas number)
     assert fib(10) == 55

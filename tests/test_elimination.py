@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from tilewalks.elimination import (
@@ -50,6 +51,11 @@ def test_kernel_trivial_cases():
     assert kernel(identity) == []
     zero = RatMatrix.from_rows([[0, 0], [0, 0]])
     assert kernel(zero) == [(1, 0), (0, 1)]
+
+
+def test_matrix_rejects_non_integer_entries():
+    with pytest.raises(TypeError):
+        RatMatrix.from_rows([[1, Fraction(1, 2)]])
 
 
 def test_kernel_is_deterministic():

@@ -11,7 +11,7 @@ from tilewalks.oeis import (
 from tilewalks.recurrences import (
     eval_recurrence,
     eval_system,
-    fibonacci,
+    fibonacci_spec,
     tiling_system,
     v_theorem_spec,
     domino_only_recurrence,
@@ -72,7 +72,7 @@ def test_find_offset_shift_for_v():
 
 
 def test_fibonacci_alignment():
-    f = list(fibonacci(44).values)
+    f = list(eval_recurrence(fibonacci_spec(), 44).values)
     report = find_offset_shift(f, load_fixture("A000045"))
     assert report.offset_shift == 0 and report.matched >= 40
 

@@ -1,6 +1,6 @@
-from fractions import Fraction
-
 import pytest
+
+from tilewalks.closedforms import v_fibonacci_form, w_domino_fibonacci_form
 
 from tilewalks.errors import NonIntegralStep, UnstratifiableSystem
 from tilewalks.recurrences import (
@@ -13,7 +13,7 @@ from tilewalks.recurrences import (
     eval_recurrence,
     eval_system,
     eval_v_route,
-    fibonacci,
+    fibonacci_spec,
     tiling_system,
     v_closed_recurrences,
     v_theorem_spec,
@@ -25,7 +25,7 @@ from tilewalks.walks import brute_v, brute_w_by_line
 
 
 def test_fibonacci_table():
-    assert fibonacci(10).values == (0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55)
+    assert eval_recurrence(fibonacci_spec(), 10).values == (0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55)
 
 
 def test_theorem_spec_first_values():
@@ -36,13 +36,19 @@ def test_non_integral_step_raises():
     # n*x(n) = x(n-1) is not integral from x=(1,1) at n=2
     bad = RecurrenceSpec(
         order=1,
-        coeffs=((Fraction(1),),),
-        lhs_coeff=(Fraction(0), Fraction(1)),
+        coeffs=((1,),),
+        lhs_coeff=(0, 1),
         initial=(1, 1),
         name="bad",
     )
     with pytest.raises(NonIntegralStep):
         eval_recurrence(bad, 5)
+
+
+def test_recurrences_match_fibonacci_forms_at_large_n():
+    n = 10**4
+    assert eval_recurrence(v_theorem_spec(), n)[n] == v_fibonacci_form(n)
+    assert eval_recurrence(domino_only_recurrence(), n)[n] == w_domino_fibonacci_form(n)
 
 
 def test_theorem_divisibility():
