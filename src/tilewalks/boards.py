@@ -98,62 +98,84 @@ class EdgeId:
     y: int
 
 
+@lru_cache(maxsize=None)
+def _column_fills(rows, occupied, closed, squares_allowed):
+    """Every cover of one column's free cells, as (tiles, spill, cross).
+
+    Rows are filled bottom up, trying square, horizontal domino, vertical
+    domino at each free row, so the fills come in canonical order. Bit r-1
+    of `occupied` marks row r as already covered, bit r-1 of `closed` marks
+    row r of the next column as unavailable to a horizontal domino. `tiles`
+    holds (kind, row) pairs; bit r-1 of `spill` marks a horizontal domino in
+    row r, which covers row r of the next column; bit r of `cross` marks a
+    vertical domino over rows r and r+1.
+    """
+    fills = []
+
+    def fill(i, tiles, spill, cross):
+        while i < rows and occupied >> i & 1:
+            i += 1
+        if i == rows:
+            fills.append((tiles, spill, cross))
+            return
+        if squares_allowed:
+            fill(i + 1, tiles + ((TileKind.SQUARE, i + 1),), spill, cross)
+        if not closed >> i & 1:
+            fill(i + 1, tiles + ((TileKind.HDOMINO, i + 1),), spill | 1 << i, cross)
+        if i + 1 < rows and not occupied >> (i + 1) & 1:
+            fill(i + 2, tiles + ((TileKind.VDOMINO, i + 1),), spill, cross | 2 << i)
+
+    fill(0, (), 0, 0)
+    return tuple(fills)
+
+
 def _raw_tilings(board, squares_allowed=True, partial=None):
     """Cover stream in canonical order; yields a live tile list, consume at once.
 
-    The DFS fills the first free cell in column-major order and tries
-    square, horizontal domino, vertical domino, so the stream is
-    lexicographic over sorted tile lists. A `partial` shape starts with its
-    removed and forced cells occupied and its forced tiles in the list; a
-    shape that does not fit the board yields nothing.
+    A depth-first search over the column fills of `_column_fills`, so the
+    stream is lexicographic over sorted tile lists. A `partial` shape starts
+    with its removed and forced cells taken and places each forced tile with
+    its column; a shape that does not fit the board yields nothing.
     """
     n, rows = board.cols, board.rows
-    squares = squares_allowed
-    total = n * rows
-    occ = bytearray(total + rows)  # slack for HDomino spill past the last column
-    tiles = []
+    taken = [0] * (n + 2)  # rows of column j covered before the search; n+1 is closed
+    taken[n + 1] = (1 << rows) - 1
+    forced = [()] * (n + 1)
     if partial is not None:
         if n < (1 if partial == PartialKind.C else 2):
             return
-        removed, forced = _partial_setup(board, partial)
-        tiles.extend(forced)
-        for j, r in removed.union(*(TilePlacement(*t).covered_cells() for t in forced)):
-            occ[(j - 1) * rows + r - 1] = 1
-
-    def dfs(pos):
-        while pos < total and occ[pos]:
-            pos += 1
-        if pos == total:
+        removed, forced_tiles = _partial_setup(board, partial)
+        for kind, j, r in forced_tiles:
+            forced[j] += ((kind, r),)
+        for j, r in removed.union(*(TilePlacement(*t).covered_cells() for t in forced_tiles)):
+            taken[j] |= 1 << (r - 1)
+    # fills[j][spill]: the fills of column j as (tiles with their column, spill)
+    fills = [None] + [
+        [[(tuple((k, j, r) for k, r in sorted(tiles + forced[j], key=lambda t: t[1])), out)
+          for tiles, out, _ in _column_fills(
+              rows, spill | taken[j], taken[j + 1], squares_allowed)]
+         for spill in range(1 << rows)]
+        for j in range(1, n + 1)
+    ]
+    tiles = []
+    if n == 0:
+        yield tiles
+        return
+    stack = [(0, iter(fills[1][0]))]  # (length of `tiles` before the column, fills)
+    while stack:
+        mark, it = stack[-1]
+        for col_tiles, spill in it:
+            tiles[mark:] = col_tiles
+            if len(stack) < n:
+                stack.append((len(tiles), iter(fills[len(stack) + 1][spill])))
+                break
             yield tiles
-            return
-        j, r = pos // rows + 1, pos % rows + 1
-        occ[pos] = 1
-        if squares:
-            tiles.append((TileKind.SQUARE, j, r))
-            yield from dfs(pos + 1)
-            tiles.pop()
-        if j < n and not occ[pos + rows]:
-            occ[pos + rows] = 1
-            tiles.append((TileKind.HDOMINO, j, r))
-            yield from dfs(pos + 1)
-            tiles.pop()
-            occ[pos + rows] = 0
-        if rows == 2 and r == 1 and not occ[pos + 1]:
-            occ[pos + 1] = 1
-            tiles.append((TileKind.VDOMINO, j, r))
-            yield from dfs(pos + 1)
-            tiles.pop()
-            occ[pos + 1] = 0
-        occ[pos] = 0
-
-    yield from dfs(0)
+        else:
+            stack.pop()
 
 
 def _to_tiling(board, raw, removed=frozenset()):
-    tiles = tuple(
-        sorted((TilePlacement(k, j, r) for k, j, r in raw), key=TilePlacement.sort_key)
-    )
-    return Tiling(board, tiles, removed)
+    return Tiling(board, tuple(TilePlacement(k, j, r) for k, j, r in raw), removed)
 
 
 def enumerate_tilings(board, squares_allowed=True):
@@ -177,7 +199,7 @@ def forbidden_edges(tiling):
         if t.kind == TileKind.HDOMINO:
             edges.add(EdgeId(Orientation.VERTICAL, t.col, t.row - 1))
         elif t.kind == TileKind.VDOMINO:
-            edges.add(EdgeId(Orientation.HORIZONTAL, t.col - 1, 1))
+            edges.add(EdgeId(Orientation.HORIZONTAL, t.col - 1, t.row))
     return frozenset(edges)
 
 

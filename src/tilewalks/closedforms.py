@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from .errors import NonIntegralStep
 from .qsqrt5 import ALPHA, BETA, SQRT5, QSqrt5
+from .recurrences import _check
 
 
 def fib(n):
@@ -99,22 +100,15 @@ def w_domino_ceiling(n):
     return _dominant_term(n).ceil()
 
 
-@dataclass(frozen=True)
-class BinetCheck:
-    upto: int
-    passed: bool
-    first_failure: int = None
-
-
 def binet_identity_check(upto):
     """(alpha^n - beta^n)/sqrt5 = F(n) and alpha^n + beta^n = 2F(n+1) - F(n)."""
-    for n in range(upto + 1):
+
+    def holds(n):
         an, bn = ALPHA**n, BETA**n
-        lhs1 = (an - bn) / SQRT5
-        lhs2 = an + bn
-        if lhs1 != QSqrt5(fib(n)) or lhs2 != QSqrt5(2 * fib(n + 1) - fib(n)):
-            return BinetCheck(upto, False, n)
-    return BinetCheck(upto, True)
+        return ((an - bn) / SQRT5 == QSqrt5(fib(n))
+                and an + bn == QSqrt5(2 * fib(n + 1) - fib(n)))
+
+    return _check("binet-identities", 0, upto, holds)
 
 
 def asymptotic_ratio(n, digits=40):

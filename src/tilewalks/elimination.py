@@ -15,6 +15,8 @@ from operator import index
 from .polynomials import IntPoly, charpoly_of_recurrence
 from .recurrences import (
     RELATIONS,
+    CheckResult,
+    _check,
     domino_only_recurrence,
     eval_system,
     relation_side,
@@ -159,14 +161,6 @@ def _primitive(v):
     return tuple(ints)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-    first_failure: int = None
-
-
 def _weighted(side, weights, tables, n):
     return sum(w * relation_side(side, tables, n - j) for j, w in enumerate(weights))
 
@@ -179,29 +173,21 @@ def verify_la_lb_combination(upto, tables=None):
     if tables is None:
         tables = eval_system(walk_system(), upto + 1)
     r2 = tables["r2"]
-    results = [
-        CheckResult("relation-A", *_scan(5, upto - 1, lambda n: relation_side(
-            "L_A", tables, n) == relation_side("R_A", tables, n + 1))),
-        CheckResult("relation-B", *_scan(6, upto - 1, lambda n: relation_side(
-            "L_B", tables, n) == relation_side("R_B", tables, n + 1))),
-        CheckResult("weighted-R-sides", *_scan(11, upto - 1, lambda n: _weighted(
+    return [
+        _check("relation-A", 5, upto - 1, lambda n: relation_side(
+            "L_A", tables, n) == relation_side("R_A", tables, n + 1)),
+        _check("relation-B", 6, upto - 1, lambda n: relation_side(
+            "L_B", tables, n) == relation_side("R_B", tables, n + 1)),
+        _check("weighted-R-sides", 11, upto - 1, lambda n: _weighted(
             "R_A", ALPHA_WEIGHTS, tables, n + 1) == _weighted(
-            "R_B", BETA_WEIGHTS, tables, n + 1))),
-        CheckResult("weighted-L-sides", *_scan(10, upto, lambda n: _weighted(
+            "R_B", BETA_WEIGHTS, tables, n + 1)),
+        _check("weighted-L-sides", 10, upto, lambda n: _weighted(
             "L_A", ALPHA_WEIGHTS, tables, n) == _weighted(
-            "L_B", BETA_WEIGHTS, tables, n))),
-        CheckResult("ten-term-relation", *_scan(11, upto, lambda n: sum(
+            "L_B", BETA_WEIGHTS, tables, n)),
+        _check("ten-term-relation", 11, upto, lambda n: sum(
             c * r2[n - 1 - j] for j, c in enumerate(TEN_TERM_RELATION)
-        ) == 0)),
+        ) == 0),
     ]
-    return results
-
-
-def _scan(lo, hi, pred):
-    for n in range(lo, hi + 1):
-        if not pred(n):
-            return False, f"failed at n={n}", n
-    return True, f"checked n={lo}..{hi}", None
 
 
 def charpoly_factorization_check():

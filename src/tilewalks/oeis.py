@@ -13,14 +13,6 @@ class BFile:
     sequence_id: str
     entries: tuple  # (index, value) pairs, indices strictly increasing
 
-    @property
-    def offset(self):
-        return self.entries[0][0]
-
-    def value_at(self, index):
-        lookup = dict(self.entries)
-        return lookup.get(index)
-
 
 def parse_bfile(sequence_id, text):
     """Parse b-file text: whitespace-separated "index value" lines, '#' comments."""

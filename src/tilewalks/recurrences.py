@@ -302,18 +302,18 @@ def composed_form_check(w, upto):
 
 
 @dataclass(frozen=True)
-class IdentityResult:
+class CheckResult:
     name: str
     passed: bool
-    checked_range: tuple
+    detail: str = ""
     first_failure: int = None
 
 
 def _check(name, lo, hi, pred):
     for n in range(lo, hi + 1):
         if not pred(n):
-            return IdentityResult(name, False, (lo, hi), n)
-    return IdentityResult(name, True, (lo, hi))
+            return CheckResult(name, False, f"failed at n={n}", n)
+    return CheckResult(name, True, f"checked n={lo}..{hi}")
 
 
 # The paper's relations A and B as coefficients by shift: L sides apply to

@@ -10,8 +10,7 @@ from .boards import (
     Board,
     EdgeId,
     Orientation,
-    TileKind,
-    Tiling,
+    _column_fills,
     _raw_tilings,
     count_tilings,
     forbidden_edges,
@@ -25,60 +24,46 @@ DEFAULT_BUDGET = 10**7
 
 @dataclass(frozen=True)
 class WalkCountByLine:
-    """Walk totals of a 2xn (or 1xn) board split by the ending grid line."""
+    """Walk totals of a 2xn board split by the ending grid line."""
 
     n: int
     w0: int
     w1: int
-    w2: int = None
+    w2: int
 
 
-def _blocked_sets(raw_tiles):
-    """(set of x with a blocked vertical edge at height y, horizontal blocks).
+def _column_step(ways, spill, cross):
+    """Walk counts on grid line x from those on line x-1.
 
-    Vertical edge (x, y)->(x, y+1) is the interior of an HDomino anchored at
-    column x, row y+1. Horizontal edge (x, 1)->(x+1, 1) is the interior of a
-    VDomino anchored at column x+1.
+    `spill` and `cross` are the masks of column x from `_column_fills`: bit
+    y-1 of `spill` blocks the climb from (x, y-1) to (x, y), bit y of `cross`
+    blocks the step from (x-1, y) to (x, y). Line 0 is the step from
+    [1, 0, ..., 0] with nothing blocked.
     """
-    vblock = set()
-    hblock = set()
-    for kind, j, r in raw_tiles:
-        if kind == TileKind.HDOMINO:
-            vblock.add((j, r - 1))
-        elif kind == TileKind.VDOMINO:
-            hblock.add(j - 1)
-    return vblock, hblock
-
-
-def _walk_counts(raw_tiles, n, rows):
-    """Paths from (0,0) to (n, y) for each y, avoiding domino interiors.
-
-    Column-sweep DP over the rows+1 vertices of each vertical grid line.
-    """
-    vblock, hblock = _blocked_sets(raw_tiles)
-    ways = [0] * (rows + 1)
-    ways[0] = 1
-    for y in range(1, rows + 1):
-        if (0, y - 1) not in vblock:
-            ways[y] = ways[y - 1]
-    for x in range(1, n + 1):
-        nxt = list(ways)
-        if rows == 2 and x - 1 in hblock:
-            nxt[1] = 0
-        for y in range(1, rows + 1):
-            if (x, y - 1) not in vblock:
-                nxt[y] += nxt[y - 1]
-            # a blocked vertical edge only stops the climb, not arrival from the left
-        ways = nxt
-    return ways
+    nxt, below, climb = [], 0, spill << 1
+    for y, w in enumerate(ways):
+        below = (0 if cross >> y & 1 else w) + (0 if climb >> y & 1 else below)
+        nxt.append(below)
+    return nxt
 
 
 def count_walks_for_tiling(tiling, end_line):
     """Monotone paths from (0,0) to (n, end_line) avoiding forbidden edges."""
-    if not 0 <= end_line <= tiling.board.rows:
-        raise ValueError(f"end_line {end_line} outside 0..{tiling.board.rows}")
-    raw = tuple((t.kind, t.col, t.row) for t in tiling.tiles)
-    return _walk_counts(raw, tiling.board.cols, tiling.board.rows)[end_line]
+    rows, n = tiling.board.rows, tiling.board.cols
+    if not 0 <= end_line <= rows:
+        raise ValueError(f"end_line {end_line} outside 0..{rows}")
+    tiles, removed = [()] * (n + 1), [0] * (n + 1)
+    for t in tiling.tiles:
+        tiles[t.col] += ((t.kind, t.row),)
+    for j, r in tiling.removed:
+        removed[j] |= 1 << (r - 1)
+    ways, spill = _column_step([1] + [0] * rows, 0, 0), 0
+    for x in range(1, n + 1):
+        # the masks of the column fill that places this tiling's column-x tiles
+        spill, cross = next((s, c) for fill, s, c in _column_fills(
+            rows, spill | removed[x], 0, True) if fill == tiles[x])
+        ways = _column_step(ways, spill, cross)
+    return ways[end_line]
 
 
 def enumerate_walks(tiling):
@@ -125,21 +110,36 @@ def brute_tiling_count(board, budget=DEFAULT_BUDGET, partial=None):
     return sum(1 for _ in _raw_tilings(board, partial=partial))
 
 
+def _line_totals(board, squares_allowed=True):
+    """Walk totals per ending grid line, summed over every tiling.
+
+    A depth-first search over column fills that carries each partial
+    tiling's walk vector, so a tiling costs O(1) column steps amortized.
+    """
+    n, rows = board.cols, board.rows
+    totals = [0] * (rows + 1)
+    # (columns filled, spill into the next column, walk counts on the last line)
+    stack = [(0, 0, _column_step([1] + [0] * rows, 0, 0))]
+    while stack:
+        j, spill, ways = stack.pop()
+        if j == n:
+            totals = [t + w for t, w in zip(totals, ways)]
+            continue
+        closed = (1 << rows) - 1 if j + 1 == n else 0
+        for _, out, cross in _column_fills(rows, spill, closed, squares_allowed):
+            stack.append((j + 1, out, _column_step(ways, out, cross)))
+    return totals
+
+
 def brute_v(n, budget=DEFAULT_BUDGET):
     """Total walks over all tilings of the 1xn board."""
     board = Board(1, n)
     _check_budget(board, budget)
-    return sum(_walk_counts(raw, n, 1)[1] for raw in _raw_tilings(board))
+    return _line_totals(board)[1]
 
 
 def brute_w_by_line(n, squares_allowed=True, budget=DEFAULT_BUDGET):
     """Per-ending-line walk totals over all tilings of the 2xn board."""
     board = Board(2, n)
     _check_budget(board, budget, squares_allowed)
-    w0 = w1 = w2 = 0
-    for raw in _raw_tilings(board, squares_allowed):
-        w = _walk_counts(raw, n, 2)
-        w0 += w[0]
-        w1 += w[1]
-        w2 += w[2]
-    return WalkCountByLine(n=n, w0=w0, w1=w1, w2=w2)
+    return WalkCountByLine(n, *_line_totals(board, squares_allowed))

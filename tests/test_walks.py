@@ -4,9 +4,11 @@ import pytest
 
 from tilewalks.boards import (
     Board,
+    PartialKind,
     TileKind,
     TilePlacement,
     Tiling,
+    enumerate_partial_tilings,
     enumerate_tilings,
 )
 from tilewalks.errors import BudgetExceeded
@@ -97,8 +99,15 @@ def test_enumerate_walks_examples():
 
 
 def test_enumerate_walks_matches_count():
-    for til in enumerate_tilings(Board(2, 3)):
-        assert len(enumerate_walks(til)) == count_walks_for_tiling(til, 2)
+    # the column-step kernel against the independent edge-set model
+    for rows in (1, 2):
+        for n in range(7):
+            for squares in (True, False):
+                for til in enumerate_tilings(Board(rows, n), squares_allowed=squares):
+                    assert len(enumerate_walks(til)) == count_walks_for_tiling(til, rows)
+        for kind in PartialKind:
+            for til in enumerate_partial_tilings(Board(2, n + 1), kind):
+                assert len(enumerate_walks(til)) == count_walks_for_tiling(til, 2)
 
 
 def test_sum_is_order_independent():
@@ -107,6 +116,13 @@ def test_sum_is_order_independent():
     forward = sum(count_walks_for_tiling(t, 2) for t in tilings)
     backward = sum(count_walks_for_tiling(t, 2) for t in reversed(tilings))
     assert forward == backward == brute_w_by_line(n).w2
+    # per-tiling counts summed line by line equal the brute column search
+    for n in range(7):
+        for squares in (True, False):
+            tilings = enumerate_tilings(Board(2, n), squares_allowed=squares)
+            by = brute_w_by_line(n, squares_allowed=squares)
+            assert [sum(count_walks_for_tiling(t, y) for t in tilings)
+                    for y in range(3)] == [by.w0, by.w1, by.w2]
 
 
 def test_budget_exceeded():
