@@ -7,7 +7,9 @@ Grid vertices are (x, y) with x in 0..n and y in 0..rows; walks run from
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import gt, itemgetter
+from typing import NamedTuple
 
 from .closedforms import fib
 from .recurrences import eval_system, tiling_system
@@ -43,15 +45,14 @@ class Board:
         if self.cols < 0:
             raise ValueError(f"cols must be >= 0, got {self.cols}")
 
-    @property
+    @cached_property
     def cells(self):
         return frozenset(
             (j, r) for j in range(1, self.cols + 1) for r in range(1, self.rows + 1)
         )
 
 
-@dataclass(frozen=True)
-class TilePlacement:
+class TilePlacement(NamedTuple):
     """A tile anchored at its left (HDomino) or bottom (VDomino) cell."""
 
     kind: TileKind
@@ -79,18 +80,18 @@ class Tiling:
 
     def __post_init__(self):
         covered = [c for t in self.tiles for c in t.covered_cells()]
-        region = self.board.cells - self.removed
-        if len(covered) != len(set(covered)) or set(covered) != region:
+        cells = set(covered)
+        if len(covered) != len(cells) or cells != self.board.cells - self.removed:
             raise ValueError("tiles do not form an exact cover of the region")
-        if list(self.tiles) != sorted(self.tiles, key=TilePlacement.sort_key):
+        keys = [t.sort_key() for t in self.tiles]
+        if any(map(gt, keys, keys[1:])):
             raise ValueError("tiles not in canonical order")
 
     def dominoes(self):
         return [t for t in self.tiles if t.kind != TileKind.SQUARE]
 
 
-@dataclass(frozen=True)
-class EdgeId:
+class EdgeId(NamedTuple):
     """A unit grid-line segment named by its lower/left endpoint."""
 
     orientation: Orientation
@@ -130,7 +131,8 @@ def _column_fills(rows, occupied, closed, squares_allowed):
 
 
 def _raw_tilings(board, squares_allowed=True, partial=None):
-    """Cover stream in canonical order; yields a live tile list, consume at once.
+    """Cover stream in canonical order; yields a live list of TilePlacements,
+    consume at once.
 
     A depth-first search over the column fills of `_column_fills`, so the
     stream is lexicographic over sorted tile lists. A `partial` shape starts
@@ -145,13 +147,14 @@ def _raw_tilings(board, squares_allowed=True, partial=None):
         if n < (1 if partial == PartialKind.C else 2):
             return
         removed, forced_tiles = _partial_setup(board, partial)
-        for kind, j, r in forced_tiles:
-            forced[j] += ((kind, r),)
-        for j, r in removed.union(*(TilePlacement(*t).covered_cells() for t in forced_tiles)):
+        for t in forced_tiles:
+            forced[t.col] += ((t.kind, t.row),)
+        for j, r in removed.union(*(t.covered_cells() for t in forced_tiles)):
             taken[j] |= 1 << (r - 1)
-    # fills[j][spill]: the fills of column j as (tiles with their column, spill)
+    # fills[j][spill]: the fills of column j as (TilePlacements, spill)
     fills = [None] + [
-        [[(tuple((k, j, r) for k, r in sorted(tiles + forced[j], key=lambda t: t[1])), out)
+        [[(tuple(TilePlacement(k, j, r)
+                 for k, r in sorted(tiles + forced[j], key=itemgetter(1))), out)
           for tiles, out, _ in _column_fills(
               rows, spill | taken[j], taken[j + 1], squares_allowed)]
          for spill in range(1 << rows)]
@@ -174,13 +177,9 @@ def _raw_tilings(board, squares_allowed=True, partial=None):
             stack.pop()
 
 
-def _to_tiling(board, raw, removed=frozenset()):
-    return Tiling(board, tuple(TilePlacement(k, j, r) for k, j, r in raw), removed)
-
-
 def enumerate_tilings(board, squares_allowed=True):
     """All exact covers of the board, in deterministic lexicographic order."""
-    return [_to_tiling(board, raw) for raw in _raw_tilings(board, squares_allowed)]
+    return [Tiling(board, tuple(raw)) for raw in _raw_tilings(board, squares_allowed)]
 
 
 @lru_cache(maxsize=None)
@@ -208,12 +207,12 @@ def _partial_setup(board, kind):
     n = board.cols
     if kind == PartialKind.A:
         # top-right cell missing, bottom-right pair covered by a domino
-        return frozenset({(n, 2)}), ((TileKind.HDOMINO, n - 1, 1),)
+        return frozenset({(n, 2)}), (TilePlacement(TileKind.HDOMINO, n - 1, 1),)
     if kind == PartialKind.C:
         # bottom-right cell missing
         return frozenset({(n, 1)}), ()
     # D: bottom-right pair missing, top-right pair covered by a domino
-    return frozenset({(n - 1, 1), (n, 1)}), ((TileKind.HDOMINO, n - 1, 2),)
+    return frozenset({(n - 1, 1), (n, 1)}), (TilePlacement(TileKind.HDOMINO, n - 1, 2),)
 
 
 def enumerate_partial_tilings(board, kind):
@@ -223,4 +222,4 @@ def enumerate_partial_tilings(board, kind):
     if board.cols < 1:
         raise ValueError("partial tilings need n >= 1")
     removed = _partial_setup(board, kind)[0]
-    return [_to_tiling(board, raw, removed) for raw in _raw_tilings(board, partial=kind)]
+    return [Tiling(board, tuple(raw), removed) for raw in _raw_tilings(board, partial=kind)]

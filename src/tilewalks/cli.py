@@ -120,13 +120,18 @@ SEQUENCES = {
 BY_LINE_MEMBERS = ("r", "r1", "r2")  # columns of the w-by-line pseudo-sequence
 
 
+def _brute_column(brute, upto, budget):
+    # largest board first: a busted budget fails before any enumeration
+    return [brute(n, budget) for n in range(upto, -1, -1)][::-1]
+
+
 def _route_values(name, route, upto, budget):
     table = SEQUENCES[name][route]
     if route == "recurrence":
         return table(upto)
     if route == "closed":
         return [table(n) for n in range(upto + 1)]
-    return [table(n, budget) for n in range(upto + 1)]
+    return _brute_column(table, upto, budget)
 
 
 def cmd_seq(args):
@@ -137,8 +142,9 @@ def cmd_seq(args):
         for route in routes:
             t0 = time.perf_counter()
             if route == "brute":
-                by = [walks.brute_w_by_line(n, budget=args.budget)
-                      for n in range(args.upto + 1)]
+                by = _brute_column(
+                    lambda n, budget: walks.brute_w_by_line(n, budget=budget),
+                    args.upto, args.budget)
                 for i, member in enumerate(BY_LINE_MEMBERS):
                     columns[f"{route}:{member}"] = [
                         (b.w0, b.w1, b.w2)[i] for b in by
@@ -167,7 +173,7 @@ def cmd_seq(args):
             columns[route] = _route_values(args.name, route, args.upto, args.budget)
             report.timings[route] = time.perf_counter() - t0
     _check_column_agreement(report, columns)
-    _emit_table(args, report, columns)
+    _emit_table(args, columns)
     for check in report.checks:  # the report itself is not printed by seq
         if not check["passed"]:
             print(f"error: check {check['name']} failed at n={check['first_failure']}",
@@ -195,8 +201,7 @@ def _check_column_agreement(report, columns):
             )
 
 
-def _emit_table(args, report, columns, out=None):
-    out = out if out is not None else sys.stdout
+def _emit_table(args, columns):
     keys = sorted(columns)
     length = min(len(columns[k]) for k in keys)
     if args.format == "json":
@@ -204,21 +209,21 @@ def _emit_table(args, report, columns, out=None):
             "name": args.name,
             "columns": {k: [str(v) for v in columns[k][:length]] for k in keys},
         }
-        print(json.dumps(payload, sort_keys=True, indent=2), file=out)
+        print(json.dumps(payload, sort_keys=True, indent=2))
     elif args.format == "csv":
-        print(",".join(["n"] + keys), file=out)
+        print(",".join(["n"] + keys))
         for n in range(length):
-            print(",".join([str(n)] + [str(columns[k][n]) for k in keys]), file=out)
+            print(",".join([str(n)] + [str(columns[k][n]) for k in keys]))
     elif args.format == "bfile":
         if len(keys) != 1:
-            print("# b-file output uses the first route only", file=out)
+            print("# b-file output uses the first route only")
         for n in range(length):
-            print(f"{n} {columns[keys[0]][n]}", file=out)
+            print(f"{n} {columns[keys[0]][n]}")
     else:
         header = "n\t" + "\t".join(keys)
-        print(header, file=out)
+        print(header)
         for n in range(length):
-            print("\t".join([str(n)] + [str(columns[k][n]) for k in keys]), file=out)
+            print("\t".join([str(n)] + [str(columns[k][n]) for k in keys]))
 
 
 def _echo(args):
@@ -257,7 +262,7 @@ def _verify_lemmas(report):
     for n in range(17):
         hist = {}
         for raw in _raw_tilings(Board(1, n)):
-            k = sum(kind != TileKind.SQUARE for kind, _, _ in raw)
+            k = sum(t.kind != TileKind.SQUARE for t in raw)
             hist[k] = hist.get(k, 0) + 1
         expected = {k: comb(n - k, k) for k in range(n // 2 + 1) if comb(n - k, k)}
         report.add(f"domino-count-histogram-n{n}", hist == expected)
@@ -362,35 +367,17 @@ def cmd_render(args):
 
 def cmd_bench(args):
     report = RunReport(command=["bench"] + _echo(args))
-    n_max = args.n_max
-    t0 = time.perf_counter()
-    v_brute = [walks.brute_v(n, budget=args.budget) for n in range(min(n_max, 20) + 1)]
-    report.timings["v:brute"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    v_rec = list(recurrences.eval_recurrence(recurrences.v_theorem_spec(), n_max).values)
-    report.timings["v:recurrence"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    v_closed = [closedforms.v_fibonacci_form(n) for n in range(n_max + 1)]
-    report.timings["v:closed"] = time.perf_counter() - t0
-    report.add("v-routes-agree",
-               v_brute == v_rec[: len(v_brute)] == v_closed[: len(v_brute)]
-               and v_rec == v_closed)
-
-    t0 = time.perf_counter()
-    wd_brute = [
-        walks.brute_w_by_line(n, squares_allowed=False, budget=args.budget).w2
-        for n in range(n_max + 1)
-    ]
-    report.timings["w-domino:brute"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    wd_rec = list(
-        recurrences.eval_recurrence(recurrences.domino_only_recurrence(), n_max).values
-    )
-    report.timings["w-domino:recurrence"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    wd_closed = [closedforms.w_domino_fibonacci_form(n) for n in range(n_max + 1)]
-    report.timings["w-domino:closed"] = time.perf_counter() - t0
-    report.add("w-domino-routes-agree", wd_brute == wd_rec == wd_closed)
+    for name in ("v", "w-domino"):
+        columns = []
+        for route in SEQUENCES[name]:
+            # 1xn brute stops at n = 20, whatever --n-max
+            upto = min(args.n_max, 20) if (name, route) == ("v", "brute") else args.n_max
+            t0 = time.perf_counter()
+            columns.append(_route_values(name, route, upto, args.budget))
+            report.timings[f"{name}:{route}"] = time.perf_counter() - t0
+        longest = max(columns, key=len)
+        report.add(f"{name}-routes-agree",
+                   all(col == longest[: len(col)] for col in columns))
     return report
 
 

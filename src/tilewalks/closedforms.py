@@ -7,6 +7,8 @@ from .errors import NonIntegralStep
 from .qsqrt5 import ALPHA, BETA, SQRT5, QSqrt5
 from .recurrences import _check
 
+RATIO_DIGITS = 40  # decimal digits kept by asymptotic_ratio
+
 
 def fib(n):
     """F(n), n >= 0, by fast doubling: (a, b) = (F(k), F(k+1)) for k the bits of n
@@ -111,16 +113,16 @@ def binet_identity_check(upto):
     return _check("binet-identities", 0, upto, holds)
 
 
-def asymptotic_ratio(n, digits=40):
+def asymptotic_ratio(n):
     """w(n) divided by the dominant part of the explicit form.
 
     This is the one approximate quantity in the module: the exact Q(sqrt5)
-    ratio is truncated to `digits` decimal digits, which dwarfs the 10^-6
+    ratio is truncated to RATIO_DIGITS decimal digits, which dwarfs the 10^-6
     tolerance the ratio is tested against.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     w = w_domino_fibonacci_form(n)
     dom = _dominant_term(n) + ((1 + (-1) ** n) // 2)
-    scale = 10**digits
+    scale = 10**RATIO_DIGITS
     return Fraction((w / dom * scale).floor(), scale)

@@ -6,6 +6,8 @@ from importlib import resources
 from .errors import BFileParseError, InsufficientOverlap, UnknownFixture
 
 FIXTURE_IDS = ("A000045", "A001629", "A030186", "A054454")
+MIN_OVERLAP = 10  # fewest shared indices a comparison accepts
+SHIFT_WINDOW = 5  # largest offset shift find_offset_shift tries, either way
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ class PrefixReport:
         return self.first_mismatch is None
 
 
-def compare_prefix(computed, reference, offset_shift, min_overlap=10):
+def compare_prefix(computed, reference, offset_shift):
     """Compare computed[n] with reference index n + offset_shift.
 
     Reports the full-match length or the first mismatching computed index.
@@ -68,7 +70,7 @@ def compare_prefix(computed, reference, offset_shift, min_overlap=10):
     values = list(computed.values if hasattr(computed, "values") else computed)
     lookup = dict(reference.entries)
     overlap = [n for n in range(len(values)) if n + offset_shift in lookup]
-    if len(overlap) < min_overlap:
+    if len(overlap) < MIN_OVERLAP:
         raise InsufficientOverlap(
             f"{reference.sequence_id}: only {len(overlap)} overlapping indices"
         )
@@ -80,19 +82,19 @@ def compare_prefix(computed, reference, offset_shift, min_overlap=10):
     return PrefixReport(reference.sequence_id, offset_shift, matched)
 
 
-def find_offset_shift(computed, reference, window=5, min_overlap=10):
-    """Best shift within +/-window; data-driven because OEIS offsets differ
-    from the n-indexing used elsewhere in this package."""
+def find_offset_shift(computed, reference):
+    """Best shift within +/-SHIFT_WINDOW; data-driven because OEIS offsets
+    differ from the n-indexing used elsewhere in this package."""
     best = None
-    for shift in range(-window, window + 1):
+    for shift in range(-SHIFT_WINDOW, SHIFT_WINDOW + 1):
         try:
-            report = compare_prefix(computed, reference, shift, min_overlap)
+            report = compare_prefix(computed, reference, shift)
         except InsufficientOverlap:
             continue
         if report.passed and (best is None or report.matched > best.matched):
             best = report
     if best is None:
         raise InsufficientOverlap(
-            f"{reference.sequence_id}: no full-prefix match within +/-{window}"
+            f"{reference.sequence_id}: no full-prefix match within +/-{SHIFT_WINDOW}"
         )
     return best

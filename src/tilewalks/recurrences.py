@@ -4,11 +4,11 @@ Two evaluator shapes cover everything, in integer arithmetic only:
 
 * RecurrenceSpec - a single sequence, coefficients may be integer polynomials in n
   (the tiling-walking sequence v obeys n*v(n) = (n+1)v(n-1) + (n+2)v(n-2)).
-* CoupledSystemSpec - mutually recursive integer-linear sequences with
-  same-step references resolved by stratification (d before c before r).
+* CoupledSystemSpec - mutually recursive integer-linear sequences, listed so
+  that a same-step reference names an earlier member (d before c before r).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NonIntegralStep, UnstratifiableSystem
 
@@ -26,20 +26,19 @@ class RecurrenceSpec:
     """lhs_coeff(n) * x(n) = sum_k coeffs[k](n) * x(n-1-k), n >= |initial|.
 
     Each coefficient is a tuple of ascending integer polynomial
-    coefficients; constants are degree 0.
+    coefficients; constants are degree 0. The order is len(coeffs).
     """
 
-    order: int
     coeffs: tuple
     initial: tuple
     lhs_coeff: tuple = (1,)
     name: str = ""
 
     def __post_init__(self):
-        if self.order < 1 or len(self.coeffs) != self.order:
-            raise ValueError("order and coefficient count disagree")
-        if len(self.initial) < self.order:
-            raise ValueError("need at least `order` initial values")
+        if not self.coeffs:
+            raise ValueError("need at least one coefficient")
+        if len(self.initial) < len(self.coeffs):
+            raise ValueError("need at least one initial value per coefficient")
 
 
 @dataclass(frozen=True)
@@ -69,29 +68,6 @@ class CoupledSystemSpec:
     equations: dict
     initial: dict
 
-    def stratify(self):
-        """Dependency order for same-step references; error on a cycle."""
-        order = []
-        mark = {}
-
-        def visit(s):
-            if mark.get(s) == 1:
-                raise UnstratifiableSystem(
-                    f"system {self.name!r}: same-step cycle through {s!r}"
-                )
-            if mark.get(s) == 2:
-                return
-            mark[s] = 1
-            for t in self.equations[s]:
-                if t.shift == 0:
-                    visit(t.seq)
-            mark[s] = 2
-            order.append(s)
-
-        for s in self.equations:
-            visit(s)
-        return order
-
 
 def eval_recurrence(spec, upto):
     """Fill a SequenceTable to index `upto`, checking every division is exact."""
@@ -109,12 +85,24 @@ def eval_recurrence(spec, upto):
 
 
 def eval_system(spec, upto):
-    """Fill every member table to index `upto`, in stratified order per step."""
-    order = spec.stratify()
+    """Fill every member table to index `upto`, members in equation order.
+
+    A same-step reference must name an earlier member, so each step reads
+    only values already filled in.
+    """
+    earlier = set()
+    for s, terms in spec.equations.items():
+        late = [t.seq for t in terms if t.shift == 0 and t.seq not in earlier]
+        if late:
+            raise UnstratifiableSystem(
+                f"system {spec.name!r}: {s!r} refers to {late[0]!r} at the same step "
+                f"before it is filled in"
+            )
+        earlier.add(s)
     start = min(len(v) for v in spec.initial.values())
     tables = {s: list(spec.initial[s]) for s in spec.equations}
     for n in range(start, upto + 1):
-        for s in order:
+        for s in spec.equations:
             if n < len(spec.initial[s]):
                 continue
             val = 0
@@ -130,7 +118,6 @@ def eval_system(spec, upto):
 
 def fibonacci_spec():
     return RecurrenceSpec(
-        order=2,
         coeffs=((1,), (1,)),
         initial=(0, 1),
         name="fib",
@@ -227,7 +214,6 @@ def domino_only_system():
 def v_theorem_spec():
     """n*v(n) = (n+1)v(n-1) + (n+2)v(n-2)."""
     return RecurrenceSpec(
-        order=2,
         coeffs=((1, 1), (2, 1)),
         lhs_coeff=(0, 1),
         initial=(1, 2),
@@ -238,7 +224,6 @@ def v_theorem_spec():
 def v_fourth_order_spec():
     """v(n) = 2v(n-1) + v(n-2) - 2v(n-3) - v(n-4)."""
     return RecurrenceSpec(
-        order=4,
         coeffs=tuple((c,) for c in (2, 1, -2, -1)),
         initial=(1, 2, 5, 10),
         name="v-const",
@@ -269,7 +254,6 @@ def eval_v_route(route, upto):
 def w_ninth_order_spec():
     """The 9th-order recurrence for walk totals with squares and dominoes."""
     return RecurrenceSpec(
-        order=9,
         coeffs=tuple((c,) for c in (8, -17, -7, 41, 1, -23, 3, 4, -1)),
         initial=(1, 5, 28, 130, 569, 2352, 9363, 36183, 136663),
         name="w",
@@ -279,7 +263,6 @@ def w_ninth_order_spec():
 def domino_only_recurrence():
     """The 6th-order recurrence for walk totals on dominoes-only tilings."""
     return RecurrenceSpec(
-        order=6,
         coeffs=tuple((c,) for c in (2, 2, -4, -2, 2, 1)),
         initial=(1, 2, 6, 12, 26, 50),
         name="w-domino",

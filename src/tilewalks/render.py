@@ -2,7 +2,7 @@
 
 from itertools import islice
 
-from .boards import Orientation, TileKind, _raw_tilings, _to_tiling, forbidden_edges
+from .boards import Orientation, TileKind, Tiling, _raw_tilings, forbidden_edges
 from .errors import IndexOutOfRange
 from .walks import enumerate_walks
 
@@ -38,7 +38,7 @@ def svg_for_tiling(board, tiling_index, squares_allowed=True):
         total = sum(1 for _ in _raw_tilings(board, squares_allowed))
         raise IndexOutOfRange(f"tiling index {tiling_index} outside 0..{total - 1}" if total
                               else f"{board.rows}x{board.cols} has no dominoes-only tilings")
-    tiling = _to_tiling(board, raw)
+    tiling = Tiling(board, tuple(raw))
     rows, n = board.rows, board.cols
     width = 2 * MARGIN + max(n, 1) * CELL
     height = 2 * MARGIN + rows * CELL
@@ -73,7 +73,7 @@ def svg_for_tiling(board, tiling_index, squares_allowed=True):
             f'<line x1="{_vx(0)}" y1="{_vy(y, rows)}" '
             f'x2="{_vx(n)}" y2="{_vy(y, rows)}" {GRID_STYLE}/>'
         )
-    for e in sorted(forbidden_edges(tiling), key=lambda e: (e.orientation, e.x, e.y)):
+    for e in sorted(forbidden_edges(tiling)):
         if e.orientation == Orientation.VERTICAL:
             x1, y1, x2, y2 = e.x, e.y, e.x, e.y + 1
         else:

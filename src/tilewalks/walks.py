@@ -72,24 +72,25 @@ def enumerate_walks(tiling):
     Returns step tuples of 'R'/'U' characters; meant for small boards and
     rendering, counting goes through count_walks_for_tiling.
     """
-    board = tiling.board
+    rows, n = tiling.board.rows, tiling.board.cols
     forb = forbidden_edges(tiling)
-    out = []
+    out, steps, stack = [], [], []  # stack: (x, y, the step that reaches it)
 
-    def extend(x, y, steps):
-        if x == board.cols and y == board.rows:
+    def expand(x, y):  # "R" goes on top, so it is taken first
+        if y < rows and EdgeId(Orientation.VERTICAL, x, y) not in forb:
+            stack.append((x, y + 1, "U"))
+        if x < n and EdgeId(Orientation.HORIZONTAL, x, y) not in forb:
+            stack.append((x + 1, y, "R"))
+
+    expand(0, 0)
+    while stack:
+        x, y, step = stack.pop()
+        del steps[x + y - 1:]  # back to the path of the vertex this step leaves
+        steps.append(step)
+        if x == n and y == rows:
             out.append(tuple(steps))
-            return
-        if x < board.cols and EdgeId(Orientation.HORIZONTAL, x, y) not in forb:
-            steps.append("R")
-            extend(x + 1, y, steps)
-            steps.pop()
-        if y < board.rows and EdgeId(Orientation.VERTICAL, x, y) not in forb:
-            steps.append("U")
-            extend(x, y + 1, steps)
-            steps.pop()
-
-    extend(0, 0, [])
+        else:
+            expand(x, y)
     return out
 
 

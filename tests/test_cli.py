@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import tilewalks
+from tilewalks import walks
 from tilewalks.cli import SEQUENCES, main
 from tilewalks.oeis import parse_bfile
 
@@ -73,6 +74,26 @@ def test_seq_budget_exceeded(capsys):
     code, _ = run(capsys, "seq", "r", "--upto", "5", "--route", "brute",
                   "--budget", "10")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [
+    "seq w --upto 13 --route brute --budget 1000000",
+    "seq w --upto 13 --route all --budget 1000000",
+    "seq w-by-line --upto 13 --route brute --budget 1000000",
+    "bench --n-max 40 --budget 10000",
+])
+def test_busted_budget_fails_before_any_enumeration(capsys, monkeypatch, command):
+    calls = []
+
+    def no_enumeration(*args):
+        calls.append(args)
+        raise AssertionError("brute walk sum called before the budget check")
+
+    monkeypatch.setattr(walks, "_line_totals", no_enumeration)
+    code = main(command.split())
+    assert "budget" in capsys.readouterr().err
+    assert code == 2
+    assert calls == []
 
 
 def test_seq_names_the_failing_check(capsys, monkeypatch):

@@ -35,7 +35,6 @@ def test_theorem_spec_first_values():
 def test_non_integral_step_raises():
     # n*x(n) = x(n-1) is not integral from x=(1,1) at n=2
     bad = RecurrenceSpec(
-        order=1,
         coeffs=((1,),),
         lhs_coeff=(0, 1),
         initial=(1, 1),

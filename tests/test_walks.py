@@ -98,6 +98,17 @@ def test_enumerate_walks_examples():
     assert enumerate_walks(vdomino) == [("R", "U", "U"), ("U", "U", "R")]
 
 
+def test_enumerate_walks_on_a_board_deeper_than_the_recursion_limit():
+    # 1000 horizontal dominoes leave one climb at each even x
+    n = 2000
+    til = Tiling(Board(1, n),
+                 tuple(TilePlacement(TileKind.HDOMINO, j, 1) for j in range(1, n, 2)))
+    walks = enumerate_walks(til)
+    assert len(walks) == 1001 == count_walks_for_tiling(til, 1)
+    assert walks[0] == ("R",) * n + ("U",)
+    assert walks[-1] == ("U",) + ("R",) * n
+
+
 def test_enumerate_walks_matches_count():
     # the column-step kernel against the independent edge-set model
     for rows in (1, 2):
