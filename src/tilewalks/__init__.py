@@ -19,6 +19,7 @@ from .boards import (
 )
 from .walks import (
     WalkCountByLine,
+    brute_line_totals,
     brute_v,
     brute_w_by_line,
     count_walks_for_tiling,

@@ -183,9 +183,14 @@ def enumerate_tilings(board, squares_allowed=True):
 
 
 @lru_cache(maxsize=None)
-def count_tilings(board):
-    """Tiling count without enumerating: F(n+1) for 1xn, r(n) for 2xn."""
+def count_tilings(board, squares_allowed=True):
+    """Tiling count without enumerating: F(n+1) for 1xn, r(n) for 2xn.
+
+    Dominoes only, a 2xn board has F(n+1) tilings and a 1xn board 1 or 0.
+    """
     n = board.cols
+    if not squares_allowed:
+        return fib(n + 1) if board.rows == 2 else 1 - n % 2
     if board.rows == 1:
         return fib(n + 1)
     return eval_system(tiling_system(), n)["r"][n]

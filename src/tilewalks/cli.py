@@ -48,15 +48,38 @@ class RunReport:
 # sequence routes
 
 
+def _per_board(count):
+    """A brute column counted board by board, as (upto, budget) -> list.
+
+    The largest board goes first, so a busted budget fails before any
+    enumeration.
+    """
+    def inner(upto, budget):
+        return [count(n, budget) for n in range(upto, -1, -1)][::-1]
+
+    return inner
+
+
+def _line_column(rows, line, squares_allowed=True):
+    """The brute walk totals on one grid line for every board up to `upto`,
+    from one search of the largest board."""
+    def inner(upto, budget):
+        return [t[line] for t in
+                walks.brute_line_totals(rows, upto, squares_allowed, budget)]
+
+    return inner
+
+
+@_per_board
 def _brute_fib(n, budget):
     return walks.brute_tiling_count(Board(1, n - 1), budget) if n else 0
 
 
-def _brute_partial(kind):
-    def inner(n, budget):
-        return walks.brute_tiling_count(Board(2, n), budget, kind)
-
-    return inner
+def _tiling_column(kind=None):
+    """Tilings of the 2xn board, or of its truncated `kind` shape, counted on
+    the stream."""
+    return _per_board(
+        lambda n, budget: walks.brute_tiling_count(Board(2, n), budget, kind))
 
 
 def _system_column(system, member):
@@ -75,39 +98,37 @@ def _spec_column(spec_factory):
 
 SEQUENCES = {
     "v": {
-        "brute": lambda n, budget: walks.brute_v(n, budget=budget),
+        "brute": _line_column(1, 1),
         "recurrence": _spec_column(recurrences.v_theorem_spec),
         "closed": closedforms.v_fibonacci_form,
     },
     "w": {
-        "brute": lambda n, budget: walks.brute_w_by_line(n, budget=budget).w2,
+        "brute": _line_column(2, 2),
         "recurrence": _system_column(recurrences.walk_system, "r2"),
     },
     "w-domino": {
-        "brute": lambda n, budget: walks.brute_w_by_line(
-            n, squares_allowed=False, budget=budget
-        ).w2,
+        "brute": _line_column(2, 2, squares_allowed=False),
         "recurrence": _spec_column(recurrences.domino_only_recurrence),
         "closed": closedforms.w_domino_fibonacci_form,
     },
     "r": {
-        "brute": lambda n, budget: walks.brute_tiling_count(Board(2, n), budget),
+        "brute": _tiling_column(),
         "recurrence": _system_column(recurrences.tiling_system, "r"),
     },
     "a": {
-        "brute": _brute_partial(PartialKind.A),
+        "brute": _tiling_column(PartialKind.A),
         "recurrence": _system_column(recurrences.tiling_system, "a"),
     },
     "c": {
-        "brute": _brute_partial(PartialKind.C),
+        "brute": _tiling_column(PartialKind.C),
         "recurrence": _system_column(recurrences.tiling_system, "c"),
     },
     "d": {
-        "brute": _brute_partial(PartialKind.D),
+        "brute": _tiling_column(PartialKind.D),
         "recurrence": _system_column(recurrences.tiling_system, "d"),
     },
     "r1": {
-        "brute": lambda n, budget: walks.brute_w_by_line(n, budget=budget).w1,
+        "brute": _line_column(2, 1),
         "recurrence": _system_column(recurrences.walk_system, "r1"),
     },
     "fib": {
@@ -120,18 +141,13 @@ SEQUENCES = {
 BY_LINE_MEMBERS = ("r", "r1", "r2")  # columns of the w-by-line pseudo-sequence
 
 
-def _brute_column(brute, upto, budget):
-    # largest board first: a busted budget fails before any enumeration
-    return [brute(n, budget) for n in range(upto, -1, -1)][::-1]
-
-
 def _route_values(name, route, upto, budget):
     table = SEQUENCES[name][route]
     if route == "recurrence":
         return table(upto)
     if route == "closed":
         return [table(n) for n in range(upto + 1)]
-    return _brute_column(table, upto, budget)
+    return table(upto, budget)
 
 
 def cmd_seq(args):
@@ -142,13 +158,9 @@ def cmd_seq(args):
         for route in routes:
             t0 = time.perf_counter()
             if route == "brute":
-                by = _brute_column(
-                    lambda n, budget: walks.brute_w_by_line(n, budget=budget),
-                    args.upto, args.budget)
+                totals = walks.brute_line_totals(2, args.upto, budget=args.budget)
                 for i, member in enumerate(BY_LINE_MEMBERS):
-                    columns[f"{route}:{member}"] = [
-                        (b.w0, b.w1, b.w2)[i] for b in by
-                    ]
+                    columns[f"{route}:{member}"] = [t[i] for t in totals]
             elif route == "recurrence":
                 tables = recurrences.eval_system(recurrences.walk_system(), args.upto)
                 for member in BY_LINE_MEMBERS:

@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
 from .errors import NonIntegralStep
 from .qsqrt5 import ALPHA, BETA, SQRT5, QSqrt5
@@ -103,12 +105,19 @@ def w_domino_ceiling(n):
 
 
 def binet_identity_check(upto):
-    """(alpha^n - beta^n)/sqrt5 = F(n) and alpha^n + beta^n = 2F(n+1) - F(n)."""
+    """(alpha^n - beta^n)/sqrt5 = F(n) and alpha^n + beta^n = 2F(n+1) - F(n).
 
-    def holds(n):
-        an, bn = ALPHA**n, BETA**n
+    The powers are stepped from n to n+1; the last pair must also equal
+    ALPHA**upto and BETA**upto, so that `QSqrt5.__pow__` is checked once.
+    """
+    powers = zip(accumulate(repeat(ALPHA), mul, initial=QSqrt5(1)),
+                 accumulate(repeat(BETA), mul, initial=QSqrt5(1)))
+
+    def holds(n):  # called for n = 0..upto in order
+        an, bn = next(powers)
         return ((an - bn) / SQRT5 == QSqrt5(fib(n))
-                and an + bn == QSqrt5(2 * fib(n + 1) - fib(n)))
+                and an + bn == QSqrt5(2 * fib(n + 1) - fib(n))
+                and (n < upto or (an, bn) == (ALPHA**n, BETA**n)))
 
     return _check("binet-identities", 0, upto, holds)
 

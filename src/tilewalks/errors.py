@@ -42,7 +42,8 @@ class InsufficientOverlap(TileWalksError):
 
 
 class IndexOutOfRange(TileWalksError):
-    """A tiling index beyond the number of tilings of the board."""
+    """A tiling index beyond the number of tilings of the board, or beyond
+    those the tiling stream can skip."""
 
 
 class OutputNotWritable(TileWalksError):

@@ -5,6 +5,7 @@ package is cross-checked against the sums computed here.
 """
 
 from dataclasses import dataclass
+from operator import add
 
 from .boards import (
     Board,
@@ -41,9 +42,11 @@ def _column_step(ways, spill, cross):
     [1, 0, ..., 0] with nothing blocked.
     """
     nxt, below, climb = [], 0, spill << 1
-    for y, w in enumerate(ways):
-        below = (0 if cross >> y & 1 else w) + (0 if climb >> y & 1 else below)
+    for w in ways:  # bit 0 of cross and climb is the row at hand
+        below = (0 if cross & 1 else w) + (0 if climb & 1 else below)
         nxt.append(below)
+        cross >>= 1
+        climb >>= 1
     return nxt
 
 
@@ -95,9 +98,8 @@ def enumerate_walks(tiling):
 
 
 def _check_budget(board, budget, squares_allowed=True):
-    # dominoes-only 2xn boards have F(n+1) tilings, as many as the 1xn board;
     # a truncated shape has fewer tilings than its full board
-    total = count_tilings(board if squares_allowed else Board(1, board.cols))
+    total = count_tilings(board, squares_allowed)
     if total > budget:
         raise BudgetExceeded(
             f"{board.rows}x{board.cols} board has {total} tilings, budget {budget}"
@@ -112,35 +114,48 @@ def brute_tiling_count(board, budget=DEFAULT_BUDGET, partial=None):
 
 
 def _line_totals(board, squares_allowed=True):
-    """Walk totals per ending grid line, summed over every tiling.
+    """Walk totals per ending grid line, summed over every tiling of each
+    prefix board: entry j belongs to the board's first j columns.
 
     A depth-first search over column fills that carries each partial
-    tiling's walk vector, so a tiling costs O(1) column steps amortized.
+    tiling's walk vector, so a tiling costs O(1) column steps amortized. A
+    node at depth j with no spill into column j+1 is a tiling of the
+    j-column board, and its vector is that tiling's walk counts; it is
+    added when it is made, and the nodes at depth n are never pushed.
     """
     n, rows = board.cols, board.rows
-    totals = [0] * (rows + 1)
+    start = _column_step([1] + [0] * rows, 0, 0)
+    totals = [start] + [[0] * (rows + 1) for _ in range(n)]
     # (columns filled, spill into the next column, walk counts on the last line)
-    stack = [(0, 0, _column_step([1] + [0] * rows, 0, 0))]
+    stack = [(0, 0, start)] if n else []
     while stack:
         j, spill, ways = stack.pop()
-        if j == n:
-            totals = [t + w for t, w in zip(totals, ways)]
-            continue
         closed = (1 << rows) - 1 if j + 1 == n else 0
         for _, out, cross in _column_fills(rows, spill, closed, squares_allowed):
-            stack.append((j + 1, out, _column_step(ways, out, cross)))
+            nxt = _column_step(ways, out, cross)
+            if not out:
+                totals[j + 1] = list(map(add, totals[j + 1], nxt))
+            if j + 1 < n:
+                stack.append((j + 1, out, nxt))
     return totals
+
+
+def brute_line_totals(rows, upto, squares_allowed=True, budget=DEFAULT_BUDGET):
+    """Per-ending-line walk totals over all tilings of the rows x j board,
+    for every j = 0..upto, from one search of the largest board.
+
+    The budget is checked against the largest board before any enumeration.
+    """
+    board = Board(rows, upto)
+    _check_budget(board, budget, squares_allowed)
+    return _line_totals(board, squares_allowed)
 
 
 def brute_v(n, budget=DEFAULT_BUDGET):
     """Total walks over all tilings of the 1xn board."""
-    board = Board(1, n)
-    _check_budget(board, budget)
-    return _line_totals(board)[1]
+    return brute_line_totals(1, n, budget=budget)[n][1]
 
 
 def brute_w_by_line(n, squares_allowed=True, budget=DEFAULT_BUDGET):
     """Per-ending-line walk totals over all tilings of the 2xn board."""
-    board = Board(2, n)
-    _check_budget(board, budget, squares_allowed)
-    return WalkCountByLine(n, *_line_totals(board, squares_allowed))
+    return WalkCountByLine(n, *brute_line_totals(2, n, squares_allowed, budget)[n])

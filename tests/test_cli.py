@@ -150,6 +150,11 @@ BAD_INPUT = [
     ("render 3x2 0", "expected ROWSxCOLS"),
     ("render 2x 0", "expected ROWSxCOLS"),
     ("render 1x3 0 --dominoes-only", "1x3 has no dominoes-only tilings"),
+    # past the count, checked before any enumeration
+    ("render 2x30 99999999999999999999", "outside 0..1084493574452272"),
+    ("render 2x20 999999999999", "outside 0..9211624462"),
+    # in range, but past the sys.maxsize tilings that islice can skip
+    ("render 2x40 99999999999999999999", "the most the stream can skip"),
     ("seq w --upto -3", "--upto: expected an integer >= 0"),
     ("bench --n-max -2", "--n-max: expected an integer >= 0"),
     ("seq w --budget -5", "--budget: expected an integer >= 0"),

@@ -11,8 +11,10 @@ from tilewalks.boards import (
     enumerate_partial_tilings,
     enumerate_tilings,
 )
+from tilewalks import walks
 from tilewalks.errors import BudgetExceeded
 from tilewalks.walks import (
+    brute_line_totals,
     brute_v,
     brute_w_by_line,
     count_walks_for_tiling,
@@ -134,6 +136,28 @@ def test_sum_is_order_independent():
             by = brute_w_by_line(n, squares_allowed=squares)
             assert [sum(count_walks_for_tiling(t, y) for t in tilings)
                     for y in range(3)] == [by.w0, by.w1, by.w2]
+
+
+def test_brute_line_totals_matches_each_board():
+    # entry j of one search over the largest board is the search of board j alone
+    for rows, upto, squares in ((1, 16, True), (2, 10, True), (2, 10, False)):
+        totals = brute_line_totals(rows, upto, squares)
+        assert len(totals) == upto + 1
+        for j in range(upto + 1):
+            assert totals[j] == brute_line_totals(rows, j, squares)[j]
+            if j <= 6:  # and the per-line sums over the tilings of board j
+                tilings = enumerate_tilings(Board(rows, j), squares_allowed=squares)
+                assert totals[j] == [sum(count_walks_for_tiling(t, y) for t in tilings)
+                                     for y in range(rows + 1)]
+
+
+def test_brute_line_totals_checks_the_budget_on_the_largest_board(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("brute walk sum called before the budget check")
+
+    monkeypatch.setattr(walks, "_line_totals", no_enumeration)
+    with pytest.raises(BudgetExceeded):  # 2x13 has 2,598,440 tilings, 2x12 fewer
+        brute_line_totals(2, 13, budget=10**6)
 
 
 def test_budget_exceeded():
