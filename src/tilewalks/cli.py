@@ -46,28 +46,34 @@ class RunReport:
 
 # ---------------------------------------------------------------------------
 # sequence routes
+#
+# Every route is route(upto, budget) -> {member: [values for n = 0..upto]}.
+# A one-member result is the column `route`, whatever its member is named
+# ("" where a route computes the sequence itself), and all such columns of
+# a sequence must agree. A many-member result is the columns
+# `route:member`, and the columns of one member must agree.
 
 
 def _per_board(count):
-    """A brute column counted board by board, as (upto, budget) -> list.
+    """A brute column counted board by board, from count(n, budget).
 
     The largest board goes first, so a busted budget fails before any
     enumeration.
     """
-    def inner(upto, budget):
-        return [count(n, budget) for n in range(upto, -1, -1)][::-1]
+    def route(upto, budget):
+        return {"": [count(n, budget) for n in range(upto, -1, -1)][::-1]}
 
-    return inner
+    return route
 
 
-def _line_column(rows, line, squares_allowed=True):
-    """The brute walk totals on one grid line for every board up to `upto`,
-    from one search of the largest board."""
-    def inner(upto, budget):
-        return [t[line] for t in
-                walks.brute_line_totals(rows, upto, squares_allowed, budget)]
+def _line_column(rows, squares_allowed=True, **lines):
+    """The brute walk totals on the grid lines `lines` names (member=line)
+    for every board up to `upto`, from one search of the largest board."""
+    def route(upto, budget):
+        totals = walks.brute_line_totals(rows, upto, squares_allowed, budget)
+        return {member: [t[line] for t in totals] for member, line in lines.items()}
 
-    return inner
+    return route
 
 
 @_per_board
@@ -82,34 +88,42 @@ def _tiling_column(kind=None):
         lambda n, budget: walks.brute_tiling_count(Board(2, n), budget, kind))
 
 
-def _system_column(system, member):
-    def inner(upto):
-        return list(recurrences.eval_system(system(), upto)[member].values)
+def _system_column(system, *members):
+    def route(upto, budget):
+        tables = recurrences.eval_system(system(), upto)
+        return {member: list(tables[member].values) for member in members}
 
-    return inner
+    return route
 
 
 def _spec_column(spec_factory):
-    def inner(upto):
-        return list(recurrences.eval_recurrence(spec_factory(), upto).values)
+    def route(upto, budget):
+        return {"": list(recurrences.eval_recurrence(spec_factory(), upto).values)}
 
-    return inner
+    return route
+
+
+def _closed_column(term):
+    def route(upto, budget):
+        return {"": [term(n) for n in range(upto + 1)]}
+
+    return route
 
 
 SEQUENCES = {
     "v": {
-        "brute": _line_column(1, 1),
+        "brute": _line_column(1, v=1),
         "recurrence": _spec_column(recurrences.v_theorem_spec),
-        "closed": closedforms.v_fibonacci_form,
+        "closed": _closed_column(closedforms.v_fibonacci_form),
     },
     "w": {
-        "brute": _line_column(2, 2),
+        "brute": _line_column(2, r2=2),
         "recurrence": _system_column(recurrences.walk_system, "r2"),
     },
     "w-domino": {
-        "brute": _line_column(2, 2, squares_allowed=False),
+        "brute": _line_column(2, squares_allowed=False, r2=2),
         "recurrence": _spec_column(recurrences.domino_only_recurrence),
-        "closed": closedforms.w_domino_fibonacci_form,
+        "closed": _closed_column(closedforms.w_domino_fibonacci_form),
     },
     "r": {
         "brute": _tiling_column(),
@@ -128,63 +142,58 @@ SEQUENCES = {
         "recurrence": _system_column(recurrences.tiling_system, "d"),
     },
     "r1": {
-        "brute": _line_column(2, 1),
+        "brute": _line_column(2, r1=1),
         "recurrence": _system_column(recurrences.walk_system, "r1"),
     },
     "fib": {
         "brute": _brute_fib,
         "recurrence": _spec_column(recurrences.fibonacci_spec),
-        "closed": closedforms.fib,
+        "closed": _closed_column(closedforms.fib),
+    },
+    "w-by-line": {  # the walk totals ending on each grid line
+        "brute": _line_column(2, r=0, r1=1, r2=2),
+        "recurrence": _system_column(recurrences.walk_system, "r", "r1", "r2"),
     },
 }
 
-BY_LINE_MEMBERS = ("r", "r1", "r2")  # columns of the w-by-line pseudo-sequence
 
-
-def _route_values(name, route, upto, budget):
-    table = SEQUENCES[name][route]
-    if route == "recurrence":
-        return table(upto)
-    if route == "closed":
-        return [table(n) for n in range(upto + 1)]
-    return table(upto, budget)
+def _run_routes(report, name, routes, upto, budget):
+    """The columns of `name` by each of `routes`, timed in the report, with
+    one agreement check for each column after the first of each member."""
+    columns = {}
+    for route in routes:
+        t0 = time.perf_counter()
+        result = SEQUENCES[name][route](upto, budget)
+        report.timings[f"{name}:{route}"] = time.perf_counter() - t0
+        for member, values in result.items():
+            columns[route if len(result) == 1 else f"{route}:{member}"] = values
+    groups = {}
+    for key in sorted(columns):
+        groups.setdefault(key.partition(":")[2], []).append(key)
+    for first, *others in groups.values():
+        for other in others:
+            first_bad = next(
+                (i for i, (x, y) in enumerate(zip(columns[first], columns[other]))
+                 if x != y),
+                None,
+            )
+            report.add(f"agree:{name}:{first}={other}", first_bad is None,
+                       first_failure=first_bad)
+    return columns
 
 
 def cmd_seq(args):
     report = RunReport(command=["seq", args.name] + _echo(args))
-    if args.name == "w-by-line":
-        columns = {}
-        routes = ["brute", "recurrence"] if args.route == "all" else [args.route]
-        for route in routes:
-            t0 = time.perf_counter()
-            if route == "brute":
-                totals = walks.brute_line_totals(2, args.upto, budget=args.budget)
-                for i, member in enumerate(BY_LINE_MEMBERS):
-                    columns[f"{route}:{member}"] = [t[i] for t in totals]
-            elif route == "recurrence":
-                tables = recurrences.eval_system(recurrences.walk_system(), args.upto)
-                for member in BY_LINE_MEMBERS:
-                    columns[f"{route}:{member}"] = list(tables[member].values)
-            else:
-                raise UnknownSequence("w-by-line has brute and recurrence routes only")
-            report.timings[route] = time.perf_counter() - t0
-    else:
-        if args.name not in SEQUENCES:
-            raise UnknownSequence(f"unknown sequence {args.name!r}")
-        available = SEQUENCES[args.name]
-        routes = list(available) if args.route == "all" else [args.route]
-        for route in routes:
-            if route not in available:
-                raise UnknownSequence(
-                    f"sequence {args.name!r} has no {route!r} route "
-                    f"(available: {', '.join(available)})"
-                )
-        columns = {}
-        for route in routes:
-            t0 = time.perf_counter()
-            columns[route] = _route_values(args.name, route, args.upto, args.budget)
-            report.timings[route] = time.perf_counter() - t0
-    _check_column_agreement(report, columns)
+    if args.name not in SEQUENCES:
+        raise UnknownSequence(f"unknown sequence {args.name!r}")
+    available = SEQUENCES[args.name]
+    if args.route not in (*available, "all"):
+        raise UnknownSequence(
+            f"sequence {args.name!r} has no {args.route!r} route "
+            f"(available: {', '.join(available)})"
+        )
+    routes = list(available) if args.route == "all" else [args.route]
+    columns = _run_routes(report, args.name, routes, args.upto, args.budget)
     _emit_table(args, columns)
     for check in report.checks:  # the report itself is not printed by seq
         if not check["passed"]:
@@ -193,33 +202,13 @@ def cmd_seq(args):
     return report
 
 
-def _check_column_agreement(report, columns):
-    # keys are "route" or "route:member"; only same-member columns must agree
-    groups = {}
-    for key in sorted(columns):
-        member = key.split(":", 1)[1] if ":" in key else ""
-        groups.setdefault(member, []).append(key)
-    for keys in groups.values():
-        for other in keys[1:]:
-            first_bad = next(
-                (i for i, (x, y) in enumerate(zip(columns[keys[0]], columns[other]))
-                 if x != y),
-                None,
-            )
-            report.add(
-                f"agree:{keys[0]}={other}",
-                first_bad is None,
-                first_failure=first_bad,
-            )
-
-
 def _emit_table(args, columns):
     keys = sorted(columns)
-    length = min(len(columns[k]) for k in keys)
+    length = args.upto + 1
     if args.format == "json":
         payload = {
             "name": args.name,
-            "columns": {k: [str(v) for v in columns[k][:length]] for k in keys},
+            "columns": {k: [str(v) for v in columns[k]] for k in keys},
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
     elif args.format == "csv":
@@ -287,7 +276,7 @@ def _verify_elimination(report):
     m = elimination.build_matrix_m()
     report.add("matrix-matches-printed", m.entries == elimination.PRINTED_M)
     basis = elimination.kernel(m)
-    expected = (1, -5, 7, -3, -4, 2, 1, -3, 5, -2, -1)
+    expected = elimination.ALPHA_WEIGHTS + elimination.BETA_WEIGHTS
     report.add("kernel-dimension-one", len(basis) == 1, expected=1, actual=len(basis))
     report.add("kernel-vector", basis == [expected], expected=expected,
                actual=basis[0] if basis else None)
@@ -323,14 +312,9 @@ def _verify_closed_forms(report):
 
 
 def _verify_oeis(report):
-    pairs = [
-        ("fib", "A000045", _spec_column(recurrences.fibonacci_spec)(45)),
-        ("v", "A001629", _spec_column(recurrences.v_theorem_spec)(40)),
-        ("r", "A030186", _system_column(recurrences.tiling_system, "r")(40)),
-        ("w-domino", "A054454",
-         _spec_column(recurrences.domino_only_recurrence)(40)),
-    ]
-    for name, seq_id, values in pairs:
+    for name, seq_id, upto in [("fib", "A000045", 45), ("v", "A001629", 40),
+                               ("r", "A030186", 40), ("w-domino", "A054454", 40)]:
+        [values] = SEQUENCES[name]["recurrence"](upto, walks.DEFAULT_BUDGET).values()
         bfile = oeis.load_fixture(seq_id)
         match = oeis.find_offset_shift(values, bfile)
         report.add(
@@ -380,16 +364,7 @@ def cmd_render(args):
 def cmd_bench(args):
     report = RunReport(command=["bench"] + _echo(args))
     for name in ("v", "w-domino"):
-        columns = []
-        for route in SEQUENCES[name]:
-            # 1xn brute stops at n = 20, whatever --n-max
-            upto = min(args.n_max, 20) if (name, route) == ("v", "brute") else args.n_max
-            t0 = time.perf_counter()
-            columns.append(_route_values(name, route, upto, args.budget))
-            report.timings[f"{name}:{route}"] = time.perf_counter() - t0
-        longest = max(columns, key=len)
-        report.add(f"{name}-routes-agree",
-                   all(col == longest[: len(col)] for col in columns))
+        _run_routes(report, name, list(SEQUENCES[name]), args.n_max, args.budget)
     return report
 
 
@@ -424,10 +399,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_seq = sub.add_parser("seq", help="emit a sequence table by one or all routes")
-    p_seq.add_argument("name", help=f"one of: {', '.join(SEQUENCES)}, w-by-line")
+    p_seq.add_argument("name", help=f"one of: {', '.join(SEQUENCES)}")
     p_seq.add_argument("--upto", type=_size, default=10)
-    p_seq.add_argument("--route", choices=["brute", "recurrence", "closed", "all"],
-                       default="recurrence")
+    routes = dict.fromkeys(route for table in SEQUENCES.values() for route in table)
+    p_seq.add_argument("--route", choices=[*routes, "all"], default="recurrence")
     p_seq.add_argument("--format", choices=["json", "csv", "bfile", "text"],
                        default="text")
     p_seq.add_argument("--budget", type=_size, default=walks.DEFAULT_BUDGET,

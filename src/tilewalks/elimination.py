@@ -20,6 +20,7 @@ from .recurrences import (
     domino_only_recurrence,
     eval_system,
     relation_side,
+    v_fourth_order_spec,
     w_ninth_order_spec,
     walk_system,
 )
@@ -167,12 +168,14 @@ def _weighted(side, weights, tables, n):
 
 def verify_la_lb_combination(upto, tables=None):
     """Numeric checks of the two relations, their weighted combination, and
-    the ten-term relation they imply for the walk totals."""
+    the ten-term relation they imply for the walk totals, whose coefficients
+    must be those of the 9th-order recurrence."""
     if upto < 12:
         raise ValueError("need upto >= 12 to cover every shift")
     if tables is None:
         tables = eval_system(walk_system(), upto + 1)
     r2 = tables["r2"]
+    ninth = (1,) + tuple(-c[0] for c in w_ninth_order_spec().coeffs)
     return [
         _check("relation-A", 5, upto - 1, lambda n: relation_side(
             "L_A", tables, n) == relation_side("R_A", tables, n + 1)),
@@ -187,6 +190,8 @@ def verify_la_lb_combination(upto, tables=None):
         _check("ten-term-relation", 11, upto, lambda n: sum(
             c * r2[n - 1 - j] for j, c in enumerate(TEN_TERM_RELATION)
         ) == 0),
+        CheckResult("derives-w-9th", TEN_TERM_RELATION == ninth,
+                    f"{TEN_TERM_RELATION} == {ninth}"),
     ]
 
 
@@ -202,12 +207,14 @@ def charpoly_factorization_check():
     p_w_factored = x_plus_1 * quad_w * cubic_r**2
     p_dom = charpoly_of_recurrence([c[0] for c in domino_only_recurrence().coeffs])
     p_dom_factored = x_minus_1 * x_plus_1 * fib_quad**2
+    p_v = charpoly_of_recurrence([c[0] for c in v_fourth_order_spec().coeffs])
     quot, rem = p_w.divmod(cubic_r)
     return [
         CheckResult("charpoly-w-9th", p_w == p_w_factored,
                     f"{p_w} == (x+1)(x^2-3x+1)(x^3-3x^2-x+1)^2"),
         CheckResult("charpoly-domino-6th", p_dom == p_dom_factored,
                     f"{p_dom} == (x-1)(x+1)(x^2-x-1)^2"),
+        CheckResult("charpoly-v-4th", p_v == fib_quad**2, f"{p_v} == (x^2-x-1)^2"),
         CheckResult("tiling-poly-divides-walk-poly", not rem,
                     f"quotient {quot}, remainder {rem}"),
     ]

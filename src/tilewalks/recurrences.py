@@ -350,9 +350,5 @@ def verify_intermediate_identities(upto):
         _check("line2-no-tiling-c", 4, upto,
                lambda n: c2[n] == 2 * r2[n - 1] - 5 * r2[n - 3] - 3 * r2[n - 4]
                + c2[n - 2] - 2 * c2[n - 3] - 2 * c2[n - 4] + c[n - 1]),
-        _check("combination-A", 5, upto - 1, lambda n:
-               relation_side("L_A", t, n) == relation_side("R_A", t, n + 1)),
-        _check("combination-B", 6, upto - 1, lambda n:
-               relation_side("L_B", t, n) == relation_side("R_B", t, n + 1)),
     ]
     return checks

@@ -98,12 +98,21 @@ def test_busted_budget_fails_before_any_enumeration(capsys, monkeypatch, command
 
 def test_seq_names_the_failing_check(capsys, monkeypatch):
     closed = SEQUENCES["v"]["closed"]
-    monkeypatch.setitem(SEQUENCES["v"], "closed", lambda n: closed(n) + (n == 2))
+
+    def corrupted(upto, budget):
+        return {member: [x + (n == 2) for n, x in enumerate(values)]
+                for member, values in closed(upto, budget).items()}
+
+    monkeypatch.setitem(SEQUENCES["v"], "closed", corrupted)
     code = main(["seq", "v", "--upto", "3", "--route", "all", "--format", "csv"])
     out, err = capsys.readouterr()
     assert code == 1
     assert out.splitlines()[3] == "2,5,6,5"
-    assert err == "error: check agree:brute=closed failed at n=2\n"
+    assert err == "error: check agree:v:brute=closed failed at n=2\n"
+    code, out = run(capsys, "bench", "--n-max", "3")
+    assert code == 1
+    failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+    assert [(c["name"], c["first_failure"]) for c in failed] == [("agree:v:brute=closed", 2)]
 
 
 def test_seq_w_by_line(capsys):
@@ -123,6 +132,13 @@ def test_verify_suites_pass(capsys, suite):
     payload = json.loads(out)
     assert payload["ok"]
     assert all(c["passed"] for c in payload["checks"])
+
+
+def test_verify_all_check_names_are_unique(capsys):
+    code, out = run(capsys, "verify", "all")
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert code == 0
+    assert len(set(names)) == len(names) >= 58
 
 
 def test_render_deterministic(tmp_path, capsys):
@@ -158,6 +174,8 @@ BAD_INPUT = [
     ("seq w --upto -3", "--upto: expected an integer >= 0"),
     ("bench --n-max -2", "--n-max: expected an integer >= 0"),
     ("seq w --budget -5", "--budget: expected an integer >= 0"),
+    ("seq nope", "unknown sequence"),
+    ("seq w-by-line --route closed", "(available: brute, recurrence)"),
     ("render 2x3 0 --out {tmp}/missing/x.svg", "cannot write"),
     ("render 2x3 0 --out {tmp}", "cannot write"),
 ]
