@@ -51,7 +51,6 @@ from .closedforms import (
 )
 from .elimination import (
     build_matrix_m,
-    build_shift_vectors,
     charpoly_factorization_check,
     kernel,
     verify_la_lb_combination,

@@ -1,10 +1,12 @@
 """Exact linear algebra reproducing the shift-vector elimination.
 
-The 12-dimensional basis is c2(n+1), c2(n), ..., c2(n-10). Two families of
-coordinate vectors (the right-hand sides of relations A and B) are combined
-so their difference vanishes; the kernel of the resulting 12x11 matrix
-pins down the weights and, through the left-hand sides, the 9th-order
-recurrence for the walk totals.
+Relations A and B and their weights are polynomials in the backward shift
+x. Column k of the 12x11 matrix is x^k R_A (k < 6) or -x^k R_B (k < 5), its
+rows the coefficients of c2(n+1), c2(n), ..., c2(n-10). Its kernel holds
+the weights alpha, beta with alpha R_A = beta R_B, and alpha L_A - beta L_B
+is x times the 9th-order recurrence for the walk totals. Every numeric
+check applies these operators to the walk tables through
+`recurrences.relation_check`.
 """
 
 from dataclasses import dataclass
@@ -12,20 +14,18 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import index
 
-from .polynomials import IntPoly, charpoly_of_recurrence
+from .polynomials import IntPoly, charpoly_of_recurrence, expand, factored_str
 from .recurrences import (
     RELATIONS,
+    W_FACTORS,
     CheckResult,
-    _check,
     domino_only_recurrence,
     eval_system,
-    relation_side,
+    relation_check,
     v_fourth_order_spec,
     w_ninth_order_spec,
     walk_system,
 )
-
-DIM = 12
 
 # weights on the A-side and B-side shifts solving the elimination
 ALPHA_WEIGHTS = (1, -5, 7, -3, -4, 2)
@@ -45,52 +45,31 @@ class RatMatrix:
             raise ValueError("ragged matrix")
         return RatMatrix(len(data), len(data[0]) if data else 0, data)
 
-    def column(self, j):
-        return tuple(row[j] for row in self.entries)
-
     def mul_vector(self, v):
         return tuple(sum(row[j] * v[j] for j in range(self.cols)) for row in self.entries)
 
 
-def shift_vector(vec, k):
-    """Shift a coordinate vector right by k positions (one per index shift),
-    zero-padded or cut to the 12-dimensional window."""
-    if k < 0 or k >= DIM:
-        raise ValueError("shift outside the 12-dimensional window")
-    return ((0,) * k + tuple(vec) + (0,) * DIM)[:DIM]
-
-
-# the unshifted combination vectors: the R sides of the relation table
-R_A = shift_vector(RELATIONS["R_A"], 0)
-R_B = shift_vector(RELATIONS["R_B"], 0)
-
+_SHIFT = IntPoly([0, 1])  # x, the backward shift
+_SIDES = {name: IntPoly(coeffs) for name, coeffs in RELATIONS.items()}
+_ALPHA, _BETA = IntPoly(ALPHA_WEIGHTS), IntPoly(BETA_WEIGHTS)
 
 # The weighted R sides cancel as polynomials in the shift x, and the
 # weighted L sides leave x times the ten-term relation: its coefficients
 # apply to r2(n-1), r2(n-2), ..., r2(n-10) and sum to zero.
-TEN_TERM_RELATION = (
-    IntPoly(ALPHA_WEIGHTS) * IntPoly(RELATIONS["L_A"])
-    - IntPoly(BETA_WEIGHTS) * IntPoly(RELATIONS["L_B"])
-).coeffs[1:]
-
-
-def build_shift_vectors():
-    """The six shifted A-vectors and five shifted B-vectors."""
-    ra = [shift_vector(R_A, k) for k in range(6)]
-    rb = [shift_vector(R_B, k) for k in range(5)]
-    return ra, rb
+_WEIGHTED_L = _ALPHA * _SIDES["L_A"] - _BETA * _SIDES["L_B"]
+TEN_TERM_RELATION = _WEIGHTED_L.coeffs[1:]
 
 
 def build_matrix_m():
     """12x11 matrix whose kernel carries the combination weights.
 
-    Columns 1..6 are the shifted A-vectors, columns 7..11 the negated
-    shifted B-vectors (the B-sum enters the vector equation with a minus).
+    Columns 1..6 are x^k R_A, columns 7..11 are -x^k R_B (the B-sum enters
+    the vector equation with a minus); row i holds the coefficients of x^i.
     """
-    ra, rb = build_shift_vectors()
-    cols = ra + [tuple(-x for x in v) for v in rb]
-    rows = [[cols[j][i] for j in range(11)] for i in range(DIM)]
-    return RatMatrix.from_rows(rows)
+    cols = [_SHIFT**k * _SIDES["R_A"] for k in range(len(ALPHA_WEIGHTS))]
+    cols += [-(_SHIFT**k * _SIDES["R_B"]) for k in range(len(BETA_WEIGHTS))]
+    rows = max(c.degree for c in cols) + 1
+    return RatMatrix.from_rows([[c[i] for c in cols] for i in range(rows)])
 
 
 # the matrix exactly as printed; build_matrix_m must reproduce it bit-for-bit
@@ -162,10 +141,6 @@ def _primitive(v):
     return tuple(ints)
 
 
-def _weighted(side, weights, tables, n):
-    return sum(w * relation_side(side, tables, n - j) for j, w in enumerate(weights))
-
-
 def verify_la_lb_combination(upto, tables=None):
     """Numeric checks of the two relations, their weighted combination, and
     the ten-term relation they imply for the walk totals, whose coefficients
@@ -174,47 +149,45 @@ def verify_la_lb_combination(upto, tables=None):
         raise ValueError("need upto >= 12 to cover every shift")
     if tables is None:
         tables = eval_system(walk_system(), upto + 1)
-    r2 = tables["r2"]
     ninth = (1,) + tuple(-c[0] for c in w_ninth_order_spec().coeffs)
+    weighted_r = (_ALPHA * _SIDES["R_A"], _BETA * _SIDES["R_B"])
+    # relation X reads L_X(x) r2 at n = R_X(x) c2 at n + 1
     return [
-        _check("relation-A", 5, upto - 1, lambda n: relation_side(
-            "L_A", tables, n) == relation_side("R_A", tables, n + 1)),
-        _check("relation-B", 6, upto - 1, lambda n: relation_side(
-            "L_B", tables, n) == relation_side("R_B", tables, n + 1)),
-        _check("weighted-R-sides", 11, upto - 1, lambda n: _weighted(
-            "R_A", ALPHA_WEIGHTS, tables, n + 1) == _weighted(
-            "R_B", BETA_WEIGHTS, tables, n + 1)),
-        _check("weighted-L-sides", 10, upto, lambda n: _weighted(
-            "L_A", ALPHA_WEIGHTS, tables, n) == _weighted(
-            "L_B", BETA_WEIGHTS, tables, n)),
-        _check("ten-term-relation", 11, upto, lambda n: sum(
-            c * r2[n - 1 - j] for j, c in enumerate(TEN_TERM_RELATION)
-        ) == 0),
+        relation_check(f"relation-{rel}", first, upto - 1, 1, {
+            "r2": (_SHIFT * _SIDES[f"L_{rel}"]).coeffs,
+            "c2": (-_SIDES[f"R_{rel}"]).coeffs,
+        }, tables)
+        for rel, first in (("A", 5), ("B", 6))
+    ] + [
+        CheckResult("weighted-R-sides", weighted_r[0] == weighted_r[1],
+                    f"{weighted_r[0]} == {weighted_r[1]}"),
+        relation_check("weighted-L-sides", 10, upto, 0,
+                       {"r2": _WEIGHTED_L.coeffs}, tables),
+        relation_check("ten-term-relation", 11, upto, 0,
+                       {"r2": (0, *TEN_TERM_RELATION)}, tables),
         CheckResult("derives-w-9th", TEN_TERM_RELATION == ninth,
                     f"{TEN_TERM_RELATION} == {ninth}"),
     ]
 
 
 def charpoly_factorization_check():
-    """Expand the printed factorizations and compare with the recurrences."""
-    x_plus_1 = IntPoly([1, 1])
-    x_minus_1 = IntPoly([-1, 1])
-    quad_w = IntPoly([1, -3, 1])       # x^2 - 3x + 1
-    cubic_r = IntPoly([1, -1, -3, 1])  # x^3 - 3x^2 - x + 1
-    fib_quad = IntPoly([-1, -1, 1])    # x^2 - x - 1
+    """Expand the factor tables and compare with the recurrences."""
+    fib_quad = IntPoly([-1, -1, 1])  # x^2 - x - 1
+    dom_factors = ((IntPoly([-1, 1]), 1), (IntPoly([1, 1]), 1), (fib_quad, 2))
+    v_factors = ((fib_quad, 2),)
+    cubic_r = W_FACTORS[-1][0]  # the tiling count's cubic
 
     p_w = charpoly_of_recurrence([c[0] for c in w_ninth_order_spec().coeffs])
-    p_w_factored = x_plus_1 * quad_w * cubic_r**2
     p_dom = charpoly_of_recurrence([c[0] for c in domino_only_recurrence().coeffs])
-    p_dom_factored = x_minus_1 * x_plus_1 * fib_quad**2
     p_v = charpoly_of_recurrence([c[0] for c in v_fourth_order_spec().coeffs])
     quot, rem = p_w.divmod(cubic_r)
     return [
-        CheckResult("charpoly-w-9th", p_w == p_w_factored,
-                    f"{p_w} == (x+1)(x^2-3x+1)(x^3-3x^2-x+1)^2"),
-        CheckResult("charpoly-domino-6th", p_dom == p_dom_factored,
-                    f"{p_dom} == (x-1)(x+1)(x^2-x-1)^2"),
-        CheckResult("charpoly-v-4th", p_v == fib_quad**2, f"{p_v} == (x^2-x-1)^2"),
+        CheckResult("charpoly-w-9th", p_w == expand(W_FACTORS),
+                    f"{p_w} == {factored_str(W_FACTORS)}"),
+        CheckResult("charpoly-domino-6th", p_dom == expand(dom_factors),
+                    f"{p_dom} == {factored_str(dom_factors)}"),
+        CheckResult("charpoly-v-4th", p_v == expand(v_factors),
+                    f"{p_v} == {factored_str(v_factors)}"),
         CheckResult("tiling-poly-divides-walk-poly", not rem,
                     f"quotient {quot}, remainder {rem}"),
     ]

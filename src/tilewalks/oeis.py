@@ -38,10 +38,6 @@ def parse_bfile(sequence_id, text):
     return BFile(sequence_id, tuple(entries))
 
 
-def serialize_bfile(bfile):
-    return "".join(f"{i} {v}\n" for i, v in bfile.entries)
-
-
 def load_fixture(sequence_id):
     """Parse one of the b-files embedded in the package."""
     if sequence_id not in FIXTURE_IDS:

@@ -71,24 +71,40 @@ class IntPoly:
                 rem[i + j] -= q * b
         return IntPoly(quot), IntPoly(rem)
 
-    def __str__(self):
-        if not self:
-            return "0"
-        parts = []
+    def apply_shift(self, seq, n):
+        """Apply the polynomial in the backward shift x to seq at index n:
+        sum_k p[k] * seq[n - k]."""
+        return sum(c * seq[n - k] for k, c in enumerate(self.coeffs))
+
+    def _signed_terms(self):
         for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            term = "1" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            if i > 0 and abs(c) != 1:
-                term = f"{abs(c)}{term}"
-            elif i == 0:
-                term = str(abs(c))
-            parts.append(("-" if c < 0 else "+") + term)
-        s = "".join(parts)
-        return s[1:] if s[0] == "+" else s
+            if c:
+                mono = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
+                mag = str(abs(c)) if i == 0 or abs(c) != 1 else ""
+                yield ("-" if c < 0 else "+") + mag + mono
+
+    def __str__(self):
+        """Ascending by degree: 1-3x+x^2."""
+        return "".join(self._signed_terms()).removeprefix("+") or "0"
+
+    def descending(self):
+        """Highest degree first: x^2-3x+1."""
+        return "".join(reversed(list(self._signed_terms()))).removeprefix("+") or "0"
+
+
+def expand(factors):
+    """The product of (polynomial, power) pairs."""
+    out = IntPoly([1])
+    for p, k in factors:
+        out = out * p**k
+    return out
+
+
+def factored_str(factors):
+    """(polynomial, power) pairs as printed: (x-1)(x^2-x-1)^2."""
+    return "".join(f"({p.descending()})" + (f"^{k}" if k > 1 else "") for p, k in factors)
 
 
 def charpoly_of_recurrence(coeffs):
     """x^k - c1 x^(k-1) - ... - ck for x(n) = c1 x(n-1) + ... + ck x(n-k)."""
-    k = len(coeffs)
     return IntPoly([-c for c in reversed(coeffs)] + [1])

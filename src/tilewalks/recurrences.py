@@ -6,11 +6,17 @@ Two evaluator shapes cover everything, in integer arithmetic only:
   (the tiling-walking sequence v obeys n*v(n) = (n+1)v(n-1) + (n+2)v(n-2)).
 * CoupledSystemSpec - mutually recursive integer-linear sequences, listed so
   that a same-step reference names an earlier member (d before c before r).
+
+The paper's linear relations between shifted sequences (the intermediate
+identities, relations A and B, the composed form of w) are rows of
+polynomials in the backward shift x (`polynomials.IntPoly`), and one
+`relation_check` applies any row to the sequence tables.
 """
 
 from dataclasses import dataclass
 
 from .errors import NonIntegralStep, UnstratifiableSystem
+from .polynomials import IntPoly, expand
 
 
 def poly_eval(coeffs, n):
@@ -269,21 +275,6 @@ def domino_only_recurrence():
     )
 
 
-def composed_form_check(w, upto):
-    """Telescoping check: y = w(n)+w(n-1), x = y(n)-3y(n-1)+y(n-2),
-    rt = x(n)-3x(n-1)-x(n-2)+x(n-3) must obey rt(n)=3rt(n-1)+rt(n-2)-rt(n-3).
-    """
-    w = list(w.values if isinstance(w, SequenceTable) else w)
-    if len(w) <= upto:
-        raise ValueError("w table too short for requested range")
-    y = {n: w[n] + w[n - 1] for n in range(1, upto + 1)}
-    x = {n: y[n] - 3 * y[n - 1] + y[n - 2] for n in range(3, upto + 1)}
-    rt = {n: x[n] - 3 * x[n - 1] - x[n - 2] + x[n - 3] for n in range(6, upto + 1)}
-    return all(
-        rt[n] == 3 * rt[n - 1] + rt[n - 2] - rt[n - 3] for n in range(9, upto + 1)
-    )
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -310,45 +301,57 @@ RELATIONS = {
 }
 
 
-def relation_side(name, tables, n):
-    """sum_k RELATIONS[name][k] * seq(n - k), seq being r2 or c2 of `tables`."""
-    seq = tables["r2" if name.startswith("L") else "c2"]
-    return sum(c * seq[n - k] for k, c in enumerate(RELATIONS[name]))
+# The intermediate identities of the 2xn derivation as rows (check name,
+# first n, lead, {sequence: coefficients by shift}): each row reads
+# sum_s P_s(x) seq_s at n + lead = 0, x being the backward shift, so lead 1
+# marks an identity that reads c(n+1).
+IDENTITIES = (
+    ("reduced-rc-1", 2, 0, {"r": (1, -1, -1), "c": (-1, -1)}),
+    ("reduced-rc-2", 2, 0, {"c": (1, 0, -1), "r": (0, -1, -1)}),
+    ("r-equals-c-difference", 0, 1, {"r": (0, 1), "c": (-1, 1)}),
+    ("c-third-order", 3, 0, {"c": (1, -3, -1, 1)}),
+    ("line1-from-line2-r", 2, 0, {"r1": (1,), "r2": (-1, 2, 2), "c2": (0, 1, 1)}),
+    ("line1-from-line2-c", 2, 0, {"c1": (1,), "c2": (-1, 0, 1), "r2": (0, 1, 1)}),
+    ("line2-reduced-r", 4, 0,
+     {"r2": (1, -1, -1, 3, 2), "c2": (-1, -2, 0, 2, 1), "r": (-1,)}),
+    ("line2-reduced-c", 4, 0,
+     {"c2": (1, 0, -1, 2, 2), "r2": (0, -2, 0, 5, 3), "r": (0, 0, -1), "c": (0, 0, -1)}),
+    ("line2-no-tiling-r", 4, 1,
+     {"r2": (0, 1, -1, -1, 3, 2), "c2": (0, -1, -2, 0, 2, 1), "c": (-1, 1)}),
+    ("line2-no-tiling-c", 4, 0,
+     {"c2": (1, 0, -1, 2, 2), "r2": (0, -2, 0, 5, 3), "c": (0, -1)}),
+)
+
+# The factored characteristic polynomial of the 9th-order w recurrence as
+# (factor, power) pairs; the squared cubic is that of the tiling count r.
+W_FACTORS = (
+    (IntPoly([1, 1]), 1),
+    (IntPoly([1, -3, 1]), 1),
+    (IntPoly([1, -1, -3, 1]), 2),
+)
+
+
+def relation_check(name, first, upto, lead, ops, tables):
+    """Check sum_s P_s(x) tables[s] at n + lead is 0 for n = first..upto,
+    where ops maps each sequence s to the coefficients of P_s by shift."""
+    polys = [(IntPoly(coeffs), tables[s]) for s, coeffs in ops.items()]
+    return _check(name, first, upto, lambda n: sum(
+        p.apply_shift(seq, n + lead) for p, seq in polys) == 0)
+
+
+def composed_form_check(w, upto):
+    """The composed form: the reversed factors of W_FACTORS, applied to w
+    one after another (w(n)+w(n-1), then y(n)-3y(n-1)+y(n-2), ...), leave 0
+    at every n = 9..upto."""
+    if len(w) <= upto:
+        raise ValueError("w table too short for requested range")
+    op = expand((IntPoly(p.coeffs[::-1]), k) for p, k in W_FACTORS)
+    return relation_check("w-composed-form", op.degree, upto, 0, {"w": op.coeffs},
+                          {"w": w}).passed
 
 
 def verify_intermediate_identities(upto):
     """Numeric verification of every intermediate identity of the 2xn derivation."""
     t = eval_system(walk_system(), upto + 1)
-    r, c = t["r"], t["c"]
-    r2, r1, c2, c1 = t["r2"], t["r1"], t["c2"], t["c1"]
-
-    checks = [
-        _check("reduced-rc-1", 2, upto,
-               lambda n: r[n] == r[n - 1] + r[n - 2] + c[n] + c[n - 1]),
-        _check("reduced-rc-2", 2, upto,
-               lambda n: c[n] == r[n - 1] + r[n - 2] + c[n - 2]),
-        _check("r-equals-c-difference", 0, upto,
-               lambda n: r[n] == c[n + 1] - c[n]),
-        _check("c-third-order", 3, upto,
-               lambda n: c[n] == 3 * c[n - 1] + c[n - 2] - c[n - 3]),
-        _check("line1-from-line2-r", 2, upto,
-               lambda n: r1[n] == r2[n] - 2 * r2[n - 1] - 2 * r2[n - 2]
-               - c2[n - 1] - c2[n - 2]),
-        _check("line1-from-line2-c", 2, upto,
-               lambda n: c1[n] == c2[n] - r2[n - 1] - r2[n - 2] - c2[n - 2]),
-        _check("line2-reduced-r", 4, upto,
-               lambda n: r2[n] == r2[n - 1] + r2[n - 2] - 3 * r2[n - 3]
-               - 2 * r2[n - 4] + c2[n] + 2 * c2[n - 1] - 2 * c2[n - 3]
-               - c2[n - 4] + r[n]),
-        _check("line2-reduced-c", 4, upto,
-               lambda n: c2[n] == 2 * r2[n - 1] - 5 * r2[n - 3] - 3 * r2[n - 4]
-               + c2[n - 2] - 2 * c2[n - 3] - 2 * c2[n - 4] + r[n - 2] + c[n - 2]),
-        _check("line2-no-tiling-r", 4, upto,
-               lambda n: r2[n] == r2[n - 1] + r2[n - 2] - 3 * r2[n - 3]
-               - 2 * r2[n - 4] + c2[n] + 2 * c2[n - 1] - 2 * c2[n - 3]
-               - c2[n - 4] + c[n + 1] - c[n]),
-        _check("line2-no-tiling-c", 4, upto,
-               lambda n: c2[n] == 2 * r2[n - 1] - 5 * r2[n - 3] - 3 * r2[n - 4]
-               + c2[n - 2] - 2 * c2[n - 3] - 2 * c2[n - 4] + c[n - 1]),
-    ]
-    return checks
+    return [relation_check(name, first, upto, lead, ops, t)
+            for name, first, lead, ops in IDENTITIES]

@@ -8,27 +8,14 @@ from tilewalks.elimination import (
     TEN_TERM_RELATION,
     RatMatrix,
     build_matrix_m,
-    build_shift_vectors,
     charpoly_factorization_check,
     kernel,
-    shift_vector,
     verify_la_lb_combination,
-    R_A,
-    R_B,
 )
-from tilewalks.polynomials import IntPoly, charpoly_of_recurrence
+from tilewalks.polynomials import IntPoly, charpoly_of_recurrence, factored_str
 from tilewalks.recurrences import eval_system, w_ninth_order_spec, walk_system
 
 KERNEL_VECTOR = (1, -5, 7, -3, -4, 2, 1, -3, 5, -2, -1)
-
-
-def test_shift_vectors_as_printed():
-    ra, rb = build_shift_vectors()
-    assert len(ra) == 6 and len(rb) == 5
-    assert ra[0] == R_A
-    assert ra[5] == (0, 0, 0, 0, 0, 1, -1, 0, 5, 0, -4, -1)
-    assert rb[4] == (0, 0, 0, 0, 1, -3, -2, 6, -3, -9, 0, 2)
-    assert sum(R_A) == 0
 
 
 def test_matrix_matches_printed():
@@ -37,7 +24,6 @@ def test_matrix_matches_printed():
     assert tuple(tuple(int(x) for x in row) for row in m.entries) == PRINTED_M
     assert m.entries[0][0] == 1 and m.entries[0][6] == -1
     assert m.entries[11][10] == -2
-    assert m.column(2) == tuple(Fraction(x) for x in shift_vector(R_A, 2))
 
 
 def test_kernel_of_m():
@@ -83,6 +69,19 @@ def test_la_lb_perturbed_table_fails():
     assert all(c.first_failure is not None for c in failed)
 
 
+@pytest.mark.parametrize("seq", ["r2", "c2"])
+def test_relations_a_b_perturbed_table_fail(seq):
+    # each relation names both r2 and c2, so a change to either shows
+    tables = dict(eval_system(walk_system(), 31))
+    bad = list(tables[seq].values)
+    bad[15] += 1
+    tables[seq] = type(tables[seq])(seq, tuple(bad))
+    results = {c.name: c for c in verify_la_lb_combination(30, tables=tables)}
+    for name in ("relation-A", "relation-B"):
+        assert not results[name].passed
+        assert results[name].first_failure <= 15
+
+
 def test_charpoly_factorizations():
     for check in charpoly_factorization_check():
         assert check.passed, check.detail
@@ -91,6 +90,21 @@ def test_charpoly_factorizations():
 def test_charpoly_expansion_degree6():
     expanded = IntPoly([-1, 1]) * IntPoly([1, 1]) * IntPoly([-1, -1, 1]) ** 2
     assert expanded == IntPoly([-1, -2, 2, 4, -2, -2, 1])
+
+
+def test_poly_as_shift_operator():
+    seq = [0, 1, 1, 2, 3, 5, 8]
+    fib = IntPoly([1, -1, -1])  # F(n) - F(n-1) - F(n-2)
+    assert [fib.apply_shift(seq, n) for n in range(2, 7)] == [0] * 5
+    assert IntPoly([0, 2]).apply_shift(seq, 6) == 2 * seq[5]
+
+
+def test_poly_printing():
+    cubic = IntPoly([1, -1, -3, 1])
+    assert str(cubic) == "1-x-3x^2+x^3"
+    assert cubic.descending() == "x^3-3x^2-x+1"
+    assert str(IntPoly([])) == IntPoly([]).descending() == "0"
+    assert factored_str([(IntPoly([1, 1]), 1), (cubic, 2)]) == "(x+1)(x^3-3x^2-x+1)^2"
 
 
 def test_charpoly_of_recurrence():

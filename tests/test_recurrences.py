@@ -4,6 +4,7 @@ from tilewalks.closedforms import v_fibonacci_form, w_domino_fibonacci_form
 
 from tilewalks.errors import NonIntegralStep, UnstratifiableSystem
 from tilewalks.recurrences import (
+    IDENTITIES,
     CoupledSystemSpec,
     RecurrenceSpec,
     Term,
@@ -14,6 +15,7 @@ from tilewalks.recurrences import (
     eval_system,
     eval_v_route,
     fibonacci_spec,
+    relation_check,
     tiling_system,
     v_closed_recurrences,
     v_theorem_spec,
@@ -151,6 +153,23 @@ def test_domino_only_matches_oracle():
 def test_intermediate_identities_all_pass():
     for check in verify_intermediate_identities(20):
         assert check.passed, f"{check.name} failed at {check.first_failure}"
+
+
+@pytest.mark.parametrize("row", IDENTITIES, ids=[row[0] for row in IDENTITIES])
+def test_identity_perturbed_table_fails(row):
+    # a change to any sequence the row names shows first where the lowest
+    # shift of that sequence's operator reaches it
+    name, first, lead, ops = row
+    tables = eval_system(walk_system(), 31)
+    for seq, coeffs in ops.items():
+        bad = dict(tables)
+        values = list(bad[seq].values)
+        values[15] += 1
+        bad[seq] = values
+        check = relation_check(name, first, 30, lead, ops, bad)
+        lowest = next(k for k, c in enumerate(coeffs) if c)
+        assert not check.passed, seq
+        assert check.first_failure == 15 - lead + lowest, seq
 
 
 def test_lemma_examples_from_table():
