@@ -11,9 +11,6 @@ from functools import cached_property, lru_cache
 from operator import gt, itemgetter
 from typing import NamedTuple
 
-from .closedforms import fib
-from .recurrences import eval_system, tiling_system
-
 
 class TileKind(IntEnum):
     SQUARE = 0
@@ -130,14 +127,17 @@ def _column_fills(rows, occupied, closed, squares_allowed):
     return tuple(fills)
 
 
-def _raw_tilings(board, squares_allowed=True, partial=None):
-    """Cover stream in canonical order; yields a live list of TilePlacements,
-    consume at once.
+@lru_cache(maxsize=16)  # shared by every caller, so read only
+def _fill_table(board, squares_allowed=True, partial=None):
+    """The fills of every column and their completion counts.
 
-    A depth-first search over the column fills of `_column_fills`, so the
-    stream is lexicographic over sorted tile lists. A `partial` shape starts
-    with its removed and forced cells taken and places each forced tile with
-    its column; a shape that does not fit the board yields nothing.
+    fills[j][spill] lists the covers of column j, given the rows `spill`
+    that column j-1's horizontal dominoes cover, as (TilePlacements, spill
+    into column j+1) in canonical order; after[j][spill] is the number of
+    covers of columns j..n from there, so after[1][0] counts the tilings.
+    A `partial` shape starts with its removed and forced cells taken and
+    places each forced tile with its column; a shape that does not fit the
+    board has no tilings.
     """
     n, rows = board.cols, board.rows
     taken = [0] * (n + 2)  # rows of column j covered before the search; n+1 is closed
@@ -145,13 +145,12 @@ def _raw_tilings(board, squares_allowed=True, partial=None):
     forced = [()] * (n + 1)
     if partial is not None:
         if n < (1 if partial == PartialKind.C else 2):
-            return
+            return None, [None, [0]]
         removed, forced_tiles = _partial_setup(board, partial)
         for t in forced_tiles:
             forced[t.col] += ((t.kind, t.row),)
         for j, r in removed.union(*(t.covered_cells() for t in forced_tiles)):
             taken[j] |= 1 << (r - 1)
-    # fills[j][spill]: the fills of column j as (TilePlacements, spill)
     fills = [None] + [
         [[(tuple(TilePlacement(k, j, r)
                  for k, r in sorted(tiles + forced[j], key=itemgetter(1))), out)
@@ -160,7 +159,23 @@ def _raw_tilings(board, squares_allowed=True, partial=None):
          for spill in range(1 << rows)]
         for j in range(1, n + 1)
     ]
-    tiles = []
+    after = [None] * (n + 1) + [[1] + [0] * ((1 << rows) - 1)]
+    for j in range(n, 0, -1):
+        after[j] = [sum(after[j + 1][out] for _, out in f) for f in fills[j]]
+    return fills, after
+
+
+def _raw_tilings(board, squares_allowed=True, partial=None):
+    """Cover stream in canonical order; yields a live list of TilePlacements,
+    consume at once.
+
+    A depth-first search over the fill table of `_fill_table`, so the
+    stream is lexicographic over sorted tile lists.
+    """
+    fills, after = _fill_table(board, squares_allowed, partial)
+    n, tiles = board.cols, []
+    if not after[1][0]:
+        return
     if n == 0:
         yield tiles
         return
@@ -182,18 +197,27 @@ def enumerate_tilings(board, squares_allowed=True):
     return [Tiling(board, tuple(raw)) for raw in _raw_tilings(board, squares_allowed)]
 
 
-@lru_cache(maxsize=None)
-def count_tilings(board, squares_allowed=True):
-    """Tiling count without enumerating: F(n+1) for 1xn, r(n) for 2xn.
+def count_tilings(board, squares_allowed=True, partial=None):
+    """Tilings of the board, or of its truncated `partial` shape, from the
+    completion counts of the fill table, without enumerating."""
+    return _fill_table(board, squares_allowed, partial)[1][1][0]
 
-    Dominoes only, a 2xn board has F(n+1) tilings and a 1xn board 1 or 0.
-    """
-    n = board.cols
-    if not squares_allowed:
-        return fib(n + 1) if board.rows == 2 else 1 - n % 2
-    if board.rows == 1:
-        return fib(n + 1)
-    return eval_system(tiling_system(), n)["r"][n]
+
+def tiling_at(board, index, squares_allowed=True):
+    """The tiling at `index` of the enumeration order, in O(n 2^rows) steps:
+    each column skips the fills whose completions all come before it."""
+    fills, after = _fill_table(board, squares_allowed, None)  # count_tilings' cache key
+    if not 0 <= index < after[1][0]:
+        raise IndexError(f"tiling index {index} outside 0..{after[1][0] - 1}")
+    tiles, spill = [], 0
+    for j in range(1, board.cols + 1):
+        for col_tiles, out in fills[j][spill]:
+            if index < after[j + 1][out]:
+                break
+            index -= after[j + 1][out]
+        tiles += col_tiles
+        spill = out
+    return Tiling(board, tuple(tiles))
 
 
 def forbidden_edges(tiling):

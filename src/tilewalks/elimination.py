@@ -11,6 +11,7 @@ check applies these operators to the walk tables through
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from operator import index
 
@@ -68,8 +69,7 @@ def build_matrix_m():
     """
     cols = [_SHIFT**k * _SIDES["R_A"] for k in range(len(ALPHA_WEIGHTS))]
     cols += [-(_SHIFT**k * _SIDES["R_B"]) for k in range(len(BETA_WEIGHTS))]
-    rows = max(c.degree for c in cols) + 1
-    return RatMatrix.from_rows([[c[i] for c in cols] for i in range(rows)])
+    return RatMatrix.from_rows(zip_longest(*(c.coeffs for c in cols), fillvalue=0))
 
 
 # the matrix exactly as printed; build_matrix_m must reproduce it bit-for-bit

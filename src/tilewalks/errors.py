@@ -42,8 +42,7 @@ class InsufficientOverlap(TileWalksError):
 
 
 class IndexOutOfRange(TileWalksError):
-    """A tiling index beyond the number of tilings of the board, or beyond
-    those the tiling stream can skip."""
+    """A tiling index beyond the number of tilings of the board."""
 
 
 class OutputNotWritable(TileWalksError):

@@ -1,6 +1,7 @@
 """Exact integer polynomial arithmetic, enough for characteristic polynomials."""
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 
 @dataclass(frozen=True)
@@ -22,16 +23,11 @@ class IntPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __getitem__(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     def __add__(self, other):
-        m = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly([self[i] + other[i] for i in range(m)])
+        return IntPoly([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __sub__(self, other):
-        m = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly([self[i] - other[i] for i in range(m)])
+        return IntPoly([a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __neg__(self):
         return IntPoly([-c for c in self.coeffs])
@@ -73,7 +69,9 @@ class IntPoly:
 
     def apply_shift(self, seq, n):
         """Apply the polynomial in the backward shift x to seq at index n:
-        sum_k p[k] * seq[n - k]."""
+        sum_k p[k] * seq[n - k]. Needs n >= the degree."""
+        if n < self.degree:
+            raise ValueError(f"shift of degree {self.degree} applied at n = {n}")
         return sum(c * seq[n - k] for k, c in enumerate(self.coeffs))
 
     def _signed_terms(self):

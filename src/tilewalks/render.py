@@ -1,16 +1,6 @@
 """Deterministic SVG rendering of a tiled board with its admissible walks."""
 
-import sys
-from itertools import islice
-
-from .boards import (
-    Orientation,
-    TileKind,
-    Tiling,
-    _raw_tilings,
-    count_tilings,
-    forbidden_edges,
-)
+from .boards import Orientation, TileKind, count_tilings, forbidden_edges, tiling_at
 from .errors import IndexOutOfRange
 from .walks import enumerate_walks
 
@@ -44,11 +34,7 @@ def svg_for_tiling(board, tiling_index, squares_allowed=True):
     if not 0 <= tiling_index < total:
         raise IndexOutOfRange(f"tiling index {tiling_index} outside 0..{total - 1}" if total
                               else f"{board.rows}x{board.cols} has no dominoes-only tilings")
-    if tiling_index > sys.maxsize:  # the most that islice can skip
-        raise IndexOutOfRange(f"tiling index {tiling_index} is past the first "
-                              f"{sys.maxsize + 1} tilings, the most the stream can skip")
-    raw = next(islice(_raw_tilings(board, squares_allowed), tiling_index, None))
-    tiling = Tiling(board, tuple(raw))
+    tiling = tiling_at(board, tiling_index, squares_allowed)
     rows, n = board.rows, board.cols
     width = 2 * MARGIN + max(n, 1) * CELL
     height = 2 * MARGIN + rows * CELL

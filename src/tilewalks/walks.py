@@ -97,19 +97,19 @@ def enumerate_walks(tiling):
     return out
 
 
-def _check_budget(board, budget, squares_allowed=True):
-    # a truncated shape has fewer tilings than its full board
-    total = count_tilings(board, squares_allowed)
+def _check_budget(board, budget, squares_allowed=True, partial=None):
+    total = count_tilings(board, squares_allowed, partial)
     if total > budget:
-        raise BudgetExceeded(
-            f"{board.rows}x{board.cols} board has {total} tilings, budget {budget}"
-        )
+        shape = f"{board.rows}x{board.cols} board"
+        if partial is not None:
+            shape = f"shape {partial.name} of the {shape}"
+        raise BudgetExceeded(f"{shape} has {total} tilings, budget {budget}")
 
 
 def brute_tiling_count(board, budget=DEFAULT_BUDGET, partial=None):
     """Number of tilings of the board, or of its truncated `partial` shape,
     counted on the enumeration stream."""
-    _check_budget(board, budget)
+    _check_budget(board, budget, partial=partial)
     return sum(1 for _ in _raw_tilings(board, partial=partial))
 
 

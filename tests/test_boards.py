@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import tilewalks
 from tilewalks.boards import (
     Board,
     EdgeId,
@@ -8,11 +12,14 @@ from tilewalks.boards import (
     TileKind,
     TilePlacement,
     Tiling,
+    _raw_tilings,
     count_tilings,
     enumerate_partial_tilings,
     enumerate_tilings,
     forbidden_edges,
+    tiling_at,
 )
+from tilewalks.recurrences import eval_system, tiling_system
 
 
 def fib(n):
@@ -148,3 +155,39 @@ def test_invalid_tiling_rejected():
                 TilePlacement(TileKind.SQUARE, 1, 1),
             ),
         )
+
+
+def test_counts_match_the_tiling_system_and_the_stream():
+    tables = eval_system(tiling_system(), 40)
+    shapes = {"r": None, "a": PartialKind.A, "c": PartialKind.C, "d": PartialKind.D}
+    for name, kind in shapes.items():
+        for n in range(41):
+            count = count_tilings(Board(2, n), True, kind)
+            assert count == tables[name][n], (name, n)
+            if n <= 9:
+                assert count == sum(1 for _ in _raw_tilings(Board(2, n), True, kind))
+    for n in range(41):
+        assert count_tilings(Board(2, n), False) == fib(n + 1)
+        assert count_tilings(Board(1, n), False) == 1 - n % 2
+
+
+@pytest.mark.parametrize("board", [Board(2, 8), Board(1, 10), Board(2, 1), Board(2, 0),
+                                   Board(1, 0)], ids=str)
+@pytest.mark.parametrize("squares_allowed", [True, False])
+def test_tiling_at_follows_the_stream(board, squares_allowed):
+    stream = [tuple(raw) for raw in _raw_tilings(board, squares_allowed)]
+    assert len(stream) == count_tilings(board, squares_allowed)
+    assert [tiling_at(board, i, squares_allowed).tiles
+            for i in range(len(stream))] == stream
+    with pytest.raises(IndexError):
+        tiling_at(board, len(stream), squares_allowed)
+
+
+def test_boards_imports_no_package_module():
+    # the lowest layer: tiling counts come from its own fill table
+    tree = ast.parse(Path(tilewalks.__file__).with_name("boards.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert not node.level and not node.module.startswith("tilewalks"), node.module
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("tilewalks") for alias in node.names)

@@ -99,6 +99,23 @@ def test_poly_as_shift_operator():
     assert IntPoly([0, 2]).apply_shift(seq, 6) == 2 * seq[5]
 
 
+def test_poly_shift_below_its_degree_fails():
+    with pytest.raises(ValueError):  # would read seq[-1]
+        IntPoly([1, -1]).apply_shift([5, 7], 0)
+    assert IntPoly([1, -1]).apply_shift([5, 7], 1) == 2
+
+
+def test_poly_is_not_iterable():
+    p = IntPoly([1, 2])
+    with pytest.raises(TypeError):
+        list(p)
+    with pytest.raises(TypeError):
+        IntPoly(p)
+    assert IntPoly(p.coeffs) == p
+    assert (p + IntPoly([0, 0, 3])).coeffs == (1, 2, 3)
+    assert (p - IntPoly([1, 2])).coeffs == ()
+
+
 def test_poly_printing():
     cubic = IntPoly([1, -1, -3, 1])
     assert str(cubic) == "1-x-3x^2+x^3"
