@@ -122,7 +122,7 @@ SEQUENCES = {
     },
     "w-domino": {
         "brute": _line_column(2, squares_allowed=False, r2=2),
-        "recurrence": _spec_column(recurrences.domino_only_recurrence),
+        "recurrence": _system_column(recurrences.domino_only_recurrence, "w-domino"),
         "closed": _closed_column(closedforms.w_domino_fibonacci_form),
     },
     "r": {
@@ -147,7 +147,7 @@ SEQUENCES = {
     },
     "fib": {
         "brute": _brute_fib,
-        "recurrence": _spec_column(recurrences.fibonacci_spec),
+        "recurrence": _system_column(recurrences.fibonacci_spec, "fib"),
         "closed": _closed_column(closedforms.fib),
     },
     "w-by-line": {  # the walk totals ending on each grid line
@@ -251,7 +251,7 @@ def _verify_theorems(report):
         for n in range(2, upto + 1)
     )
     report.add("v-polynomial-step-divisibility", divisible)
-    w9 = recurrences.eval_recurrence(recurrences.w_ninth_order_spec(), 50)
+    w9 = recurrences.eval_system(recurrences.w_ninth_order_spec(), 50)["w"]
     sys_r2 = recurrences.eval_system(recurrences.walk_system(), 50)["r2"]
     report.add("w-ninth-order-equals-system", w9.values == sys_r2.values)
     report.add("w-composed-form", recurrences.composed_form_check(w9, 50))
@@ -294,7 +294,8 @@ def _verify_closed_forms(report):
     report.add("alpha-beta-sum", ALPHA + BETA == 1)
     binet = closedforms.binet_identity_check(100)
     report.add("binet-identities", binet.passed, first_failure=binet.first_failure)
-    rec = list(recurrences.eval_recurrence(recurrences.domino_only_recurrence(), 50).values)
+    rec = list(recurrences.eval_system(recurrences.domino_only_recurrence(), 50)["w-domino"]
+               .values)
     sys_w = list(recurrences.eval_system(recurrences.domino_only_system(), 50)["r2"].values)
     fibo = [closedforms.w_domino_fibonacci_form(n) for n in range(51)]
     expl = [closedforms.w_domino_explicit(n) for n in range(51)]

@@ -15,15 +15,14 @@ from itertools import zip_longest
 from math import gcd, lcm
 from operator import index
 
-from .polynomials import IntPoly, charpoly_of_recurrence, expand, factored_str
+from .polynomials import IntPoly, expand, factored_str
 from .recurrences import (
+    CHARPOLY_FACTORS,
     RELATIONS,
     W_FACTORS,
     CheckResult,
-    domino_only_recurrence,
     eval_system,
     relation_check,
-    v_fourth_order_spec,
     w_ninth_order_spec,
     walk_system,
 )
@@ -149,7 +148,7 @@ def verify_la_lb_combination(upto, tables=None):
         raise ValueError("need upto >= 12 to cover every shift")
     if tables is None:
         tables = eval_system(walk_system(), upto + 1)
-    ninth = (1,) + tuple(-c[0] for c in w_ninth_order_spec().coeffs)
+    ninth = annihilator(w_ninth_order_spec()).coeffs
     weighted_r = (_ALPHA * _SIDES["R_A"], _BETA * _SIDES["R_B"])
     # relation X reads L_X(x) r2 at n = R_X(x) c2 at n + 1
     return [
@@ -170,24 +169,26 @@ def verify_la_lb_combination(upto, tables=None):
     ]
 
 
+def annihilator(spec):
+    """1 - P(x), the row that maps m to 0, for a one-member system m(n) = P(x) m(n)."""
+    [(member, row)] = spec.equations.items()
+    return IntPoly([1]) - IntPoly(row[member])
+
+
+def charpoly(spec):
+    """The characteristic polynomial of a one-member system: its annihilator reversed."""
+    return IntPoly(annihilator(spec).coeffs[::-1])
+
+
 def charpoly_factorization_check():
     """Expand the factor tables and compare with the recurrences."""
-    fib_quad = IntPoly([-1, -1, 1])  # x^2 - x - 1
-    dom_factors = ((IntPoly([-1, 1]), 1), (IntPoly([1, 1]), 1), (fib_quad, 2))
-    v_factors = ((fib_quad, 2),)
-    cubic_r = W_FACTORS[-1][0]  # the tiling count's cubic
-
-    p_w = charpoly_of_recurrence([c[0] for c in w_ninth_order_spec().coeffs])
-    p_dom = charpoly_of_recurrence([c[0] for c in domino_only_recurrence().coeffs])
-    p_v = charpoly_of_recurrence([c[0] for c in v_fourth_order_spec().coeffs])
-    quot, rem = p_w.divmod(cubic_r)
+    polys = {name: charpoly(spec()) for name, spec, _ in CHARPOLY_FACTORS}
+    quot, rem = polys["charpoly-w-9th"].divmod(W_FACTORS[-1][0])  # the tiling cubic
     return [
-        CheckResult("charpoly-w-9th", p_w == expand(W_FACTORS),
-                    f"{p_w} == {factored_str(W_FACTORS)}"),
-        CheckResult("charpoly-domino-6th", p_dom == expand(dom_factors),
-                    f"{p_dom} == {factored_str(dom_factors)}"),
-        CheckResult("charpoly-v-4th", p_v == expand(v_factors),
-                    f"{p_v} == {factored_str(v_factors)}"),
+        CheckResult(name, polys[name] == expand(factors),
+                    f"{polys[name]} == {factored_str(factors)}")
+        for name, _, factors in CHARPOLY_FACTORS
+    ] + [
         CheckResult("tiling-poly-divides-walk-poly", not rem,
                     f"quotient {quot}, remainder {rem}"),
     ]

@@ -102,7 +102,3 @@ def factored_str(factors):
     """(polynomial, power) pairs as printed: (x-1)(x^2-x-1)^2."""
     return "".join(f"({p.descending()})" + (f"^{k}" if k > 1 else "") for p, k in factors)
 
-
-def charpoly_of_recurrence(coeffs):
-    """x^k - c1 x^(k-1) - ... - ck for x(n) = c1 x(n-1) + ... + ck x(n-k)."""
-    return IntPoly([-c for c in reversed(coeffs)] + [1])

@@ -1,16 +1,21 @@
 """Exact linear-recurrence evaluation and the named sequence systems.
 
-Two evaluator shapes cover everything, in integer arithmetic only:
+Every constant-coefficient relation is one row format: a polynomial in the
+backward shift x per sequence, {sequence: coefficients by shift}
+(`polynomials.IntPoly`). Integer arithmetic only.
 
-* RecurrenceSpec - a single sequence, coefficients may be integer polynomials in n
-  (the tiling-walking sequence v obeys n*v(n) = (n+1)v(n-1) + (n+2)v(n-2)).
-* CoupledSystemSpec - mutually recursive integer-linear sequences, listed so
-  that a same-step reference names an earlier member (d before c before r).
+* CoupledSystemSpec - each member is a row read as member(n) =
+  sum_s P_s(x) s(n), listed so that a same-step reference names an earlier
+  member (d before c before r). The coupled 2xn systems and the one-member
+  specs of fib, v, w and w-domino are all systems, and `eval_system` fills
+  them.
+* The paper's linear relations between shifted sequences (the intermediate
+  identities, relations A and B, the composed form of w) are rows that sum
+  to zero, and one `relation_check` applies any row to the sequence tables.
 
-The paper's linear relations between shifted sequences (the intermediate
-identities, relations A and B, the composed form of w) are rows of
-polynomials in the backward shift x (`polynomials.IntPoly`), and one
-`relation_check` applies any row to the sequence tables.
+RecurrenceSpec and `eval_recurrence` remain for the one recurrence whose
+coefficients are polynomials in n and whose every step is an exact
+division: n*v(n) = (n+1)v(n-1) + (n+2)v(n-2).
 """
 
 from dataclasses import dataclass
@@ -32,7 +37,7 @@ class RecurrenceSpec:
     """lhs_coeff(n) * x(n) = sum_k coeffs[k](n) * x(n-1-k), n >= |initial|.
 
     Each coefficient is a tuple of ascending integer polynomial
-    coefficients; constants are degree 0. The order is len(coeffs).
+    coefficients in n. The order is len(coeffs).
     """
 
     coeffs: tuple
@@ -60,16 +65,11 @@ class SequenceTable:
 
 
 @dataclass(frozen=True)
-class Term:
-    """coeff * seq(n - shift); shift 0 means a same-step reference."""
-
-    coeff: int
-    seq: str
-    shift: int
-
-
-@dataclass(frozen=True)
 class CoupledSystemSpec:
+    """member(n) = sum_s P_s(x) s(n) for n >= len(initial[member]), where
+    equations[member] maps each sequence s to the coefficients of P_s by
+    backward shift; the coefficient of x^0 is a same-step reference."""
+
     name: str
     equations: dict
     initial: dict
@@ -93,28 +93,33 @@ def eval_recurrence(spec, upto):
 def eval_system(spec, upto):
     """Fill every member table to index `upto`, members in equation order.
 
-    A same-step reference must name an earlier member, so each step reads
-    only values already filled in.
+    A same-step reference must name an earlier member, and no shift may reach
+    back past index 0 from a member's first computed index, so each step
+    reads only values already filled in.
     """
-    earlier = set()
-    for s, terms in spec.equations.items():
-        late = [t.seq for t in terms if t.shift == 0 and t.seq not in earlier]
-        if late:
-            raise UnstratifiableSystem(
-                f"system {spec.name!r}: {s!r} refers to {late[0]!r} at the same step "
-                f"before it is filled in"
-            )
-        earlier.add(s)
-    start = min(len(v) for v in spec.initial.values())
     tables = {s: list(spec.initial[s]) for s in spec.equations}
+    rows, earlier = [], set()
+    for s, row in spec.equations.items():
+        first = len(spec.initial[s])
+        terms = [(c, t, k) for t, coeffs in row.items() for k, c in enumerate(coeffs) if c]
+        for _, t, k in terms:
+            if k == 0 and t not in earlier:
+                raise UnstratifiableSystem(f"system {spec.name!r}: {s!r} refers to {t!r} "
+                                           "at the same step before it is filled in")
+            if k > first:
+                raise ValueError(f"system {spec.name!r}: {s!r} reads {t!r} {k} steps "
+                                 f"back from n = {first}, before index 0")
+        earlier.add(s)
+        rows.append((tables[s], first, [(c, tables[t], k) for c, t, k in terms]))
+    start = min(len(v) for v in spec.initial.values())
     for n in range(start, upto + 1):
-        for s in spec.equations:
-            if n < len(spec.initial[s]):
+        for table, first, terms in rows:
+            if n < first:
                 continue
             val = 0
-            for t in spec.equations[s]:
-                val += t.coeff * tables[t.seq][n - t.shift]
-            tables[s].append(val)
+            for c, seq, k in terms:
+                val += c * seq[n - k]
+            table.append(val)
     return {s: SequenceTable(s, tuple(v[: upto + 1])) for s, v in tables.items()}
 
 
@@ -123,20 +128,16 @@ def eval_system(spec, upto):
 
 
 def fibonacci_spec():
-    return RecurrenceSpec(
-        coeffs=((1,), (1,)),
-        initial=(0, 1),
-        name="fib",
-    )
+    return CoupledSystemSpec("fib", {"fib": {"fib": (0, 1, 1)}}, {"fib": (0, 1)})
 
 
 def tiling_system():
     """Coupled counts of full and truncated 2xn tilings (r, a, c, d)."""
     eq = {
-        "d": (Term(1, "r", 2),),
-        "a": (Term(1, "c", 1),),
-        "c": (Term(1, "r", 1), Term(1, "a", 1), Term(1, "d", 0)),
-        "r": (Term(1, "r", 1), Term(1, "a", 0), Term(1, "c", 0), Term(1, "d", 0)),
+        "d": {"r": (0, 0, 1)},
+        "a": {"c": (0, 1)},
+        "c": {"r": (0, 1), "a": (0, 1), "d": (1,)},
+        "r": {"r": (0, 1), "a": (1,), "c": (1,), "d": (1,)},
     }
     init = {"r": (1, 2), "a": (0, 0), "c": (0, 1), "d": (0, 0)}
     return CoupledSystemSpec("tiling", eq, init)
@@ -150,68 +151,29 @@ def walk_system():
     sequences ride along because the walk equations reference them.
     """
     eq = dict(tiling_system().equations)
-    eq.update(
-        {
-            "d2": (Term(1, "r2", 2), Term(1, "r1", 2)),
-            "d1": (Term(1, "r1", 2),),
-            "a2": (Term(1, "c2", 1),),
-            "a1": (Term(1, "c1", 1), Term(1, "c", 1)),
-            "c2": (
-                Term(1, "r2", 1),
-                Term(1, "r1", 1),
-                Term(1, "a2", 1),
-                Term(1, "a1", 1),
-                Term(1, "d2", 0),
-                Term(1, "d", 0),
-            ),
-            "c1": (
-                Term(1, "r1", 1),
-                Term(1, "a1", 1),
-                Term(1, "d1", 0),
-                Term(1, "d", 0),
-            ),
-            "r2": (
-                Term(1, "r2", 1),
-                Term(1, "r", 1),
-                Term(1, "a2", 0),
-                Term(1, "a1", 0),
-                Term(1, "c2", 0),
-                Term(1, "c", 0),
-                Term(1, "d2", 0),
-                Term(1, "d", 0),
-            ),
-            "r1": (
-                Term(1, "r", 1),
-                Term(1, "a1", 0),
-                Term(1, "c1", 0),
-                Term(1, "c", 0),
-                Term(1, "d1", 0),
-                Term(1, "d", 0),
-            ),
-        }
-    )
+    eq.update({
+        "d2": {"r2": (0, 0, 1), "r1": (0, 0, 1)},
+        "d1": {"r1": (0, 0, 1)},
+        "a2": {"c2": (0, 1)},
+        "a1": {"c1": (0, 1), "c": (0, 1)},
+        "c2": {"r2": (0, 1), "r1": (0, 1), "a2": (0, 1), "a1": (0, 1), "d2": (1,), "d": (1,)},
+        "c1": {"r1": (0, 1), "a1": (0, 1), "d1": (1,), "d": (1,)},
+        "r2": {"r2": (0, 1), "r": (0, 1), "a2": (1,), "a1": (1,), "c2": (1,), "c": (1,),
+               "d2": (1,), "d": (1,)},
+        "r1": {"r": (0, 1), "a1": (1,), "c1": (1,), "c": (1,), "d1": (1,), "d": (1,)},
+    })
     init = dict(tiling_system().initial)
-    init.update(
-        {
-            "r2": (1, 5),
-            "r1": (1, 3),
-            "a2": (0, 0),
-            "a1": (0, 0),
-            "c2": (0, 2),
-            "c1": (0, 1),
-            "d2": (0, 0),
-            "d1": (0, 0),
-        }
-    )
+    init.update({"r2": (1, 5), "r1": (1, 3), "a2": (0, 0), "a1": (0, 0),
+                 "c2": (0, 2), "c1": (0, 1), "d2": (0, 0), "d1": (0, 0)})
     return CoupledSystemSpec("walk", eq, init)
 
 
 def domino_only_system():
     """Walk counts when tilings use dominoes exclusively."""
     eq = {
-        "r": (Term(1, "r", 1), Term(1, "r", 2)),
-        "r1": (Term(1, "r1", 2), Term(1, "r", 0)),
-        "r2": (Term(1, "r2", 1), Term(1, "r2", 2), Term(1, "r1", 2), Term(1, "r", 0)),
+        "r": {"r": (0, 1, 1)},
+        "r1": {"r1": (0, 0, 1), "r": (1,)},
+        "r2": {"r2": (0, 1, 1), "r1": (0, 0, 1), "r": (1,)},
     }
     init = {"r": (1, 1), "r1": (1, 1), "r2": (1, 2)}
     return CoupledSystemSpec("domino-only", eq, init)
@@ -229,18 +191,14 @@ def v_theorem_spec():
 
 def v_fourth_order_spec():
     """v(n) = 2v(n-1) + v(n-2) - 2v(n-3) - v(n-4)."""
-    return RecurrenceSpec(
-        coeffs=tuple((c,) for c in (2, 1, -2, -1)),
-        initial=(1, 2, 5, 10),
-        name="v-const",
-    )
+    return CoupledSystemSpec("v-const", {"v": {"v": (0, 2, 1, -2, -1)}}, {"v": (1, 2, 5, 10)})
 
 
 def v_inhomogeneous_system():
     """v(n) = v(n-1) + v(n-2) + F(n+1), with the shifted Fibonacci as a member."""
     eq = {
-        "g": (Term(1, "g", 1), Term(1, "g", 2)),  # g(n) = F(n+1)
-        "v": (Term(1, "v", 1), Term(1, "v", 2), Term(1, "g", 0)),
+        "g": {"g": (0, 1, 1)},  # g(n) = F(n+1)
+        "v": {"v": (0, 1, 1), "g": (1,)},
     }
     init = {"g": (1, 1), "v": (1, 2)}
     return CoupledSystemSpec("v-inhomogeneous", eq, init)
@@ -259,20 +217,15 @@ def eval_v_route(route, upto):
 
 def w_ninth_order_spec():
     """The 9th-order recurrence for walk totals with squares and dominoes."""
-    return RecurrenceSpec(
-        coeffs=tuple((c,) for c in (8, -17, -7, 41, 1, -23, 3, 4, -1)),
-        initial=(1, 5, 28, 130, 569, 2352, 9363, 36183, 136663),
-        name="w",
-    )
+    return CoupledSystemSpec(
+        "w", {"w": {"w": (0, 8, -17, -7, 41, 1, -23, 3, 4, -1)}},
+        {"w": (1, 5, 28, 130, 569, 2352, 9363, 36183, 136663)})
 
 
 def domino_only_recurrence():
     """The 6th-order recurrence for walk totals on dominoes-only tilings."""
-    return RecurrenceSpec(
-        coeffs=tuple((c,) for c in (2, 2, -4, -2, 2, 1)),
-        initial=(1, 2, 6, 12, 26, 50),
-        name="w-domino",
-    )
+    return CoupledSystemSpec("w-domino", {"w-domino": {"w-domino": (0, 2, 2, -4, -2, 2, 1)}},
+                             {"w-domino": (1, 2, 6, 12, 26, 50)})
 
 
 @dataclass(frozen=True)
@@ -328,6 +281,16 @@ W_FACTORS = (
     (IntPoly([1, 1]), 1),
     (IntPoly([1, -3, 1]), 1),
     (IntPoly([1, -1, -3, 1]), 2),
+)
+_FIB_QUAD = IntPoly([-1, -1, 1])  # x^2 - x - 1
+
+# The factored characteristic polynomial of each one-member spec as rows
+# (check name, spec, (factor, power) pairs).
+CHARPOLY_FACTORS = (
+    ("charpoly-w-9th", w_ninth_order_spec, W_FACTORS),
+    ("charpoly-domino-6th", domino_only_recurrence,
+     ((IntPoly([-1, 1]), 1), (IntPoly([1, 1]), 1), (_FIB_QUAD, 2))),
+    ("charpoly-v-4th", v_fourth_order_spec, ((_FIB_QUAD, 2),)),
 )
 
 

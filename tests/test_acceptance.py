@@ -28,7 +28,6 @@ from tilewalks.recurrences import (
     composed_form_check,
     domino_only_recurrence,
     domino_only_system,
-    eval_recurrence,
     eval_system,
     eval_v_route,
     fibonacci_spec,
@@ -71,7 +70,7 @@ def test_criterion_02_table2_reproduction():
 
 def test_criterion_03_oracle_equivalence_2xn():
     system = eval_system(walk_system(), 12)["r2"]
-    ninth = eval_recurrence(w_ninth_order_spec(), 12)
+    ninth = eval_system(w_ninth_order_spec(), 12)["w"]
     brute = tuple(t[2] for t in brute_line_totals(2, 12))
     ok = brute == system.values == ninth.values
     _report(3, ok)
@@ -92,7 +91,7 @@ def test_criterion_05_theorem2_initial_values():
 
 
 def test_criterion_06_composed_form_and_negative_control():
-    w = eval_recurrence(w_ninth_order_spec(), 50)
+    w = eval_system(w_ninth_order_spec(), 50)["w"]
     ok = composed_form_check(w, 50)
     perturbed = list(w.values)
     perturbed[25] += 1
@@ -102,7 +101,7 @@ def test_criterion_06_composed_form_and_negative_control():
 
 def test_criterion_07_domino_only_four_routes():
     system = eval_system(domino_only_system(), 50)["r2"]
-    rec = eval_recurrence(domino_only_recurrence(), 50)
+    rec = eval_system(domino_only_recurrence(), 50)["w-domino"]
     ok = all(
         system[n] == rec[n] == w_domino_fibonacci_form(n) == w_domino_explicit(n)
         for n in range(51)
@@ -195,8 +194,8 @@ def test_criterion_13_oeis_fixture_matches():
     cases = [
         (list(eval_v_route(v_closed_recurrences()[0], 40).values), "A001629", 2),
         (list(eval_system(tiling_system(), 40)["r"].values), "A030186", 0),
-        (list(eval_recurrence(domino_only_recurrence(), 40).values), "A054454", 0),
-        (list(eval_recurrence(fibonacci_spec(), 44).values), "A000045", 0),
+        (list(eval_system(domino_only_recurrence(), 40)["w-domino"].values), "A054454", 0),
+        (list(eval_system(fibonacci_spec(), 44)["fib"].values), "A000045", 0),
     ]
     ok = True
     for values, seq_id, expected_shift in cases:

@@ -15,7 +15,7 @@ from tilewalks.closedforms import (
     w_domino_odd_form,
 )
 from tilewalks.qsqrt5 import QSqrt5
-from tilewalks.recurrences import domino_only_recurrence, eval_recurrence
+from tilewalks.recurrences import domino_only_recurrence, eval_system
 from tilewalks.walks import brute_v, brute_w_by_line
 
 
@@ -59,7 +59,7 @@ def test_explicit_form_examples():
 
 
 def test_four_routes_agree():
-    rec = eval_recurrence(domino_only_recurrence(), 50).values
+    rec = eval_system(domino_only_recurrence(), 50)["w-domino"].values
     for n in range(51):
         assert w_domino_fibonacci_form(n) == rec[n]
         assert w_domino_explicit(n) == rec[n]

@@ -8,12 +8,13 @@ from tilewalks.elimination import (
     TEN_TERM_RELATION,
     RatMatrix,
     build_matrix_m,
+    charpoly,
     charpoly_factorization_check,
     kernel,
     verify_la_lb_combination,
 )
-from tilewalks.polynomials import IntPoly, charpoly_of_recurrence, factored_str
-from tilewalks.recurrences import eval_system, w_ninth_order_spec, walk_system
+from tilewalks.polynomials import IntPoly, factored_str
+from tilewalks.recurrences import eval_system, fibonacci_spec, w_ninth_order_spec, walk_system
 
 KERNEL_VECTOR = (1, -5, 7, -3, -4, 2, 1, -3, 5, -2, -1)
 
@@ -54,8 +55,9 @@ def test_la_lb_combination():
 
 
 def test_ten_term_relation_is_the_ninth_order_spec():
-    coeffs = [int(c[0]) for c in w_ninth_order_spec().coeffs]
-    assert TEN_TERM_RELATION == (1, *(-c for c in coeffs))
+    row = w_ninth_order_spec().equations["w"]["w"]  # coefficients by shift, x^0 first
+    assert row[0] == 0
+    assert TEN_TERM_RELATION == (1, *(-c for c in row[1:]))
 
 
 def test_la_lb_perturbed_table_fails():
@@ -125,8 +127,9 @@ def test_poly_printing():
 
 
 def test_charpoly_of_recurrence():
-    # x(n) = x(n-1) + x(n-2)  ->  x^2 - x - 1
-    assert charpoly_of_recurrence([1, 1]) == IntPoly([-1, -1, 1])
+    # the row fib(n) = fib(n-1) + fib(n-2)  ->  x^2 - x - 1
+    assert charpoly(fibonacci_spec()) == IntPoly([-1, -1, 1])
+    assert charpoly(fibonacci_spec()).descending() == "x^2-x-1"
 
 
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(IntPoly)

@@ -72,13 +72,13 @@ def test_find_offset_shift_for_v():
 
 
 def test_fibonacci_alignment():
-    f = list(eval_recurrence(fibonacci_spec(), 44).values)
+    f = list(eval_system(fibonacci_spec(), 44)["fib"].values)
     report = find_offset_shift(f, load_fixture("A000045"))
     assert report.offset_shift == 0 and report.matched >= 40
 
 
 def test_domino_walk_alignment():
-    w = list(eval_recurrence(domino_only_recurrence(), 40).values)
+    w = list(eval_system(domino_only_recurrence(), 40)["w-domino"].values)
     report = find_offset_shift(w, load_fixture("A054454"))
     assert report.offset_shift == 0 and report.matched >= 20
 

@@ -7,7 +7,6 @@ from tilewalks.recurrences import (
     IDENTITIES,
     CoupledSystemSpec,
     RecurrenceSpec,
-    Term,
     composed_form_check,
     domino_only_recurrence,
     domino_only_system,
@@ -27,7 +26,7 @@ from tilewalks.walks import brute_v, brute_w_by_line
 
 
 def test_fibonacci_table():
-    assert eval_recurrence(fibonacci_spec(), 10).values == (0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55)
+    assert eval_system(fibonacci_spec(), 10)["fib"].values == (0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55)
 
 
 def test_theorem_spec_first_values():
@@ -49,7 +48,7 @@ def test_non_integral_step_raises():
 def test_recurrences_match_fibonacci_forms_at_large_n():
     n = 10**4
     assert eval_recurrence(v_theorem_spec(), n)[n] == v_fibonacci_form(n)
-    assert eval_recurrence(domino_only_recurrence(), n)[n] == w_domino_fibonacci_form(n)
+    assert eval_system(domino_only_recurrence(), n)["w-domino"][n] == w_domino_fibonacci_form(n)
 
 
 def test_theorem_divisibility():
@@ -90,11 +89,20 @@ def test_domino_only_system_values():
 def test_unstratifiable_system_detected():
     spec = CoupledSystemSpec(
         "cyclic",
-        {"x": (Term(1, "y", 0),), "y": (Term(1, "x", 0),)},
+        {"x": {"y": (1,)}, "y": {"x": (1,)}},
         {"x": (1,), "y": (1,)},
     )
     with pytest.raises(UnstratifiableSystem):
         eval_system(spec, 3)
+
+
+def test_shift_past_index_zero_detected():
+    # x(n) = x(n-3) from two initial values would read x[-1] at n = 2
+    spec = CoupledSystemSpec("wrapped", {"x": {"x": (0, 0, 0, 1)}}, {"x": (1, 2)})
+    with pytest.raises(ValueError, match="before index 0"):
+        eval_system(spec, 5)
+    spec = CoupledSystemSpec("reaches-0", {"x": {"x": (0, 0, 1)}}, {"x": (1, 2)})
+    assert eval_system(spec, 5)["x"].values == (1, 2, 1, 2, 1, 2)
 
 
 def test_three_v_routes_agree():
@@ -111,12 +119,12 @@ def test_v_routes_match_oracle():
 
 
 def test_ninth_order_initial_values():
-    w = eval_recurrence(w_ninth_order_spec(), 8)
+    w = eval_system(w_ninth_order_spec(), 8)["w"]
     assert w.values == (1, 5, 28, 130, 569, 2352, 9363, 36183, 136663)
 
 
 def test_ninth_order_matches_system():
-    w = eval_recurrence(w_ninth_order_spec(), 50)
+    w = eval_system(w_ninth_order_spec(), 50)["w"]
     r2 = eval_system(walk_system(), 50)["r2"]
     assert w.values == r2.values
 
@@ -128,24 +136,24 @@ def test_w_matches_oracle_small():
 
 
 def test_composed_form():
-    w = eval_recurrence(w_ninth_order_spec(), 20)
+    w = eval_system(w_ninth_order_spec(), 20)["w"]
     assert composed_form_check(w, 20)
     assert composed_form_check(w, 8)  # no admissible index yet, vacuous
 
 
 def test_composed_form_negative_control():
-    w = list(eval_recurrence(w_ninth_order_spec(), 20).values)
+    w = list(eval_system(w_ninth_order_spec(), 20)["w"].values)
     w[5] += 1
     assert not composed_form_check(w, 20)
 
 
 def test_domino_only_recurrence_extends():
-    t = eval_recurrence(domino_only_recurrence(), 6)
+    t = eval_system(domino_only_recurrence(), 6)["w-domino"]
     assert t.values == (1, 2, 6, 12, 26, 50, 97)
 
 
 def test_domino_only_matches_oracle():
-    t = eval_recurrence(domino_only_recurrence(), 12)
+    t = eval_system(domino_only_recurrence(), 12)["w-domino"]
     for n in range(13):
         assert brute_w_by_line(n, squares_allowed=False).w2 == t[n]
 

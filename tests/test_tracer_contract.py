@@ -61,3 +61,21 @@ def test_sequence_routes_are_a_table_of_callables():
     routes = _lookup("cli", "SEQUENCES")
     assert routes
     assert all(callable(fn) for table in routes.values() for fn in table.values())
+
+
+def test_hooked_results_have_the_shapes_the_hooks_read():
+    # the hooks count len(result.values) of eval_recurrence, the .values of
+    # every table in the dict that eval_system returns, and len(result) of
+    # the tiling lists
+    rec = importlib.import_module("tilewalks.recurrences")
+    boards = importlib.import_module("tilewalks.boards")
+    assert rec.eval_recurrence(rec.v_theorem_spec(), 4).values == (1, 2, 5, 10, 20)
+    for spec, member, first in ((rec.tiling_system(), "r", (1, 2, 7, 22)),
+                                (rec.fibonacci_spec(), "fib", (0, 1, 1, 2))):
+        tables = rec.eval_system(spec, 3)
+        assert isinstance(tables, dict)
+        assert all(isinstance(t.values, tuple) and len(t.values) == 4 for t in tables.values())
+        assert tables[member].values == first
+    board = boards.Board(2, 3)
+    assert len(boards.enumerate_tilings(board)) == 22
+    assert len(boards.enumerate_partial_tilings(board, boards.PartialKind.C)) == 10
