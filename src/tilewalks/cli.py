@@ -90,7 +90,7 @@ def _tiling_column(kind=None):
 
 def _system_column(system, *members):
     def route(upto, budget):
-        tables = recurrences.eval_system(system(), upto)
+        tables = recurrences.eval_system(system(), upto, members)
         return {member: list(tables[member].values) for member in members}
 
     return route
@@ -246,13 +246,10 @@ def _verify_theorems(report):
     report.add("v-three-routes-agree", tables[0] == tables[1] == tables[2])
     closed = [closedforms.v_fibonacci_form(n) for n in range(upto + 1)]
     report.add("v-fibonacci-closed-form", closed == tables[0])
-    divisible = all(
-        ((n + 1) * tables[0][n - 1] + (n + 2) * tables[0][n - 2]) % n == 0
-        for n in range(2, upto + 1)
-    )
-    report.add("v-polynomial-step-divisibility", divisible)
+    step = recurrences.theorem_step_check(tables[1], upto)  # the 4th-order table
+    report.add(step.name, step.passed)
     w9 = recurrences.eval_system(recurrences.w_ninth_order_spec(), 50)["w"]
-    sys_r2 = recurrences.eval_system(recurrences.walk_system(), 50)["r2"]
+    sys_r2 = recurrences.eval_system(recurrences.walk_system(), 50, ("r2",))["r2"]
     report.add("w-ninth-order-equals-system", w9.values == sys_r2.values)
     report.add("w-composed-form", recurrences.composed_form_check(w9, 50))
 
@@ -296,7 +293,8 @@ def _verify_closed_forms(report):
     report.add("binet-identities", binet.passed, first_failure=binet.first_failure)
     rec = list(recurrences.eval_system(recurrences.domino_only_recurrence(), 50)["w-domino"]
                .values)
-    sys_w = list(recurrences.eval_system(recurrences.domino_only_system(), 50)["r2"].values)
+    sys_w = list(recurrences.eval_system(recurrences.domino_only_system(), 50, ("r2",))["r2"]
+                 .values)
     fibo = [closedforms.w_domino_fibonacci_form(n) for n in range(51)]
     expl = [closedforms.w_domino_explicit(n) for n in range(51)]
     ceil = [closedforms.w_domino_ceiling(n) for n in range(51)]

@@ -147,7 +147,7 @@ def verify_la_lb_combination(upto, tables=None):
     if upto < 12:
         raise ValueError("need upto >= 12 to cover every shift")
     if tables is None:
-        tables = eval_system(walk_system(), upto + 1)
+        tables = eval_system(walk_system(), upto + 1, ("r2", "c2"))
     ninth = annihilator(w_ninth_order_spec()).coeffs
     weighted_r = (_ALPHA * _SIDES["R_A"], _BETA * _SIDES["R_B"])
     # relation X reads L_X(x) r2 at n = R_X(x) c2 at n + 1

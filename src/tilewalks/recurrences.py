@@ -8,14 +8,15 @@ backward shift x per sequence, {sequence: coefficients by shift}
   sum_s P_s(x) s(n), listed so that a same-step reference names an earlier
   member (d before c before r). The coupled 2xn systems and the one-member
   specs of fib, v, w and w-domino are all systems, and `eval_system` fills
-  them.
+  them, keeping whole tables only for the members a caller reads.
 * The paper's linear relations between shifted sequences (the intermediate
   identities, relations A and B, the composed form of w) are rows that sum
   to zero, and one `relation_check` applies any row to the sequence tables.
 
 RecurrenceSpec and `eval_recurrence` remain for the one recurrence whose
 coefficients are polynomials in n and whose every step is an exact
-division: n*v(n) = (n+1)v(n-1) + (n+2)v(n-2).
+division: n*v(n) = (n+1)v(n-1) + (n+2)v(n-2). `theorem_step_check`
+applies that step to a v table that no division built.
 """
 
 from dataclasses import dataclass
@@ -75,12 +76,17 @@ class CoupledSystemSpec:
     initial: dict
 
 
+def _step(spec, vals, n):
+    """(numerator, lhs) of the step at n, which reads lhs * x(n) = numerator."""
+    num = sum(poly_eval(c, n) * vals[n - 1 - k] for k, c in enumerate(spec.coeffs))
+    return num, poly_eval(spec.lhs_coeff, n)
+
+
 def eval_recurrence(spec, upto):
     """Fill a SequenceTable to index `upto`, checking every division is exact."""
     vals = list(spec.initial[: upto + 1])
     for n in range(len(vals), upto + 1):
-        num = sum(poly_eval(c, n) * vals[n - 1 - k] for k, c in enumerate(spec.coeffs))
-        lhs = poly_eval(spec.lhs_coeff, n)
+        num, lhs = _step(spec, vals, n)
         if lhs == 0:
             raise NonIntegralStep(f"{spec.name}: zero lhs coefficient at n={n}")
         x, rem = divmod(num, lhs)
@@ -90,15 +96,24 @@ def eval_recurrence(spec, upto):
     return SequenceTable(spec.name, tuple(vals))
 
 
-def eval_system(spec, upto):
-    """Fill every member table to index `upto`, members in equation order.
+def eval_system(spec, upto, members=None):
+    """Fill the member tables to index `upto`, members in equation order, and
+    return the tables of `members` (every member when None).
 
     A same-step reference must name an earlier member, and no shift may reach
     back past index 0 from a member's first computed index, so each step
-    reads only values already filled in.
+    reads only values already filled in. A member that is not returned keeps
+    only the values that a later step can still read: with `depth` the
+    largest shift of any row, each step sets the entry depth + 1 behind it
+    to None. A coefficient of +1 or -1 adds or subtracts its term without a
+    multiplication.
     """
+    keep = tuple(spec.equations) if members is None else tuple(members)
+    for s in keep:
+        if s not in spec.equations:
+            raise ValueError(f"system {spec.name!r} has no member {s!r}")
     tables = {s: list(spec.initial[s]) for s in spec.equations}
-    rows, earlier = [], set()
+    rows, earlier, depth = [], set(), 0
     for s, row in spec.equations.items():
         first = len(spec.initial[s])
         terms = [(c, t, k) for t, coeffs in row.items() for k, c in enumerate(coeffs) if c]
@@ -109,18 +124,30 @@ def eval_system(spec, upto):
             if k > first:
                 raise ValueError(f"system {spec.name!r}: {s!r} reads {t!r} {k} steps "
                                  f"back from n = {first}, before index 0")
+            depth = max(depth, k)
         earlier.add(s)
-        rows.append((tables[s], first, [(c, tables[t], k) for c, t, k in terms]))
+        rows.append((tables[s], first,
+                     [(tables[t], k) for c, t, k in terms if c == 1],
+                     [(tables[t], k) for c, t, k in terms if c == -1],
+                     [(c, tables[t], k) for c, t, k in terms if c not in (1, -1)]))
+    dropped = [tables[s] for s in spec.equations if s not in keep]
     start = min(len(v) for v in spec.initial.values())
     for n in range(start, upto + 1):
-        for table, first, terms in rows:
+        for table, first, plus, minus, scaled in rows:
             if n < first:
                 continue
             val = 0
-            for c, seq, k in terms:
+            for seq, k in plus:
+                val += seq[n - k]
+            for seq, k in minus:
+                val -= seq[n - k]
+            for c, seq, k in scaled:
                 val += c * seq[n - k]
             table.append(val)
-    return {s: SequenceTable(s, tuple(v[: upto + 1])) for s, v in tables.items()}
+        if n > depth:  # step n + 1 reads no index below n + 1 - depth
+            for table in dropped:
+                table[n - depth - 1] = None
+    return {s: SequenceTable(s, tuple(tables[s][: upto + 1])) for s in keep}
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +238,7 @@ def v_closed_recurrences():
 
 def eval_v_route(route, upto):
     if isinstance(route, CoupledSystemSpec):
-        return eval_system(route, upto)["v"]
+        return eval_system(route, upto, ("v",))["v"]
     return eval_recurrence(route, upto)
 
 
@@ -302,6 +329,15 @@ def relation_check(name, first, upto, lead, ops, tables):
         p.apply_shift(seq, n + lead) for p, seq in polys) == 0)
 
 
+def theorem_step_check(v, upto):
+    """The step of `v_theorem_spec` applied to a v table built another way:
+    (n+1)v(n-1) + (n+2)v(n-2) divides exactly by n, with quotient v(n), for
+    every n = 2..upto."""
+    spec = v_theorem_spec()
+    return _check("v-polynomial-step-divisibility", len(spec.initial), upto,
+                  lambda n: divmod(*_step(spec, v, n)) == (v[n], 0))
+
+
 def composed_form_check(w, upto):
     """The composed form: the reversed factors of W_FACTORS, applied to w
     one after another (w(n)+w(n-1), then y(n)-3y(n-1)+y(n-2), ...), leave 0
@@ -315,6 +351,7 @@ def composed_form_check(w, upto):
 
 def verify_intermediate_identities(upto):
     """Numeric verification of every intermediate identity of the 2xn derivation."""
-    t = eval_system(walk_system(), upto + 1)
+    named = {s for *_, ops in IDENTITIES for s in ops}
+    t = eval_system(walk_system(), upto + 1, named)
     return [relation_check(name, first, upto, lead, ops, t)
             for name, first, lead, ops in IDENTITIES]

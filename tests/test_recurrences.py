@@ -1,8 +1,13 @@
+import inspect
+import itertools
+import tracemalloc
+
 import pytest
 
 from tilewalks.closedforms import v_fibonacci_form, w_domino_fibonacci_form
 
 from tilewalks.errors import NonIntegralStep, UnstratifiableSystem
+from tilewalks import recurrences
 from tilewalks.recurrences import (
     IDENTITIES,
     CoupledSystemSpec,
@@ -15,8 +20,10 @@ from tilewalks.recurrences import (
     eval_v_route,
     fibonacci_spec,
     relation_check,
+    theorem_step_check,
     tiling_system,
     v_closed_recurrences,
+    v_fourth_order_spec,
     v_theorem_spec,
     verify_intermediate_identities,
     w_ninth_order_spec,
@@ -51,10 +58,29 @@ def test_recurrences_match_fibonacci_forms_at_large_n():
     assert eval_system(domino_only_recurrence(), n)["w-domino"][n] == w_domino_fibonacci_form(n)
 
 
+# every system spec that the module builds from no arguments
+SYSTEM_SPECS = [
+    fn for name, fn in vars(recurrences).items()
+    if inspect.isfunction(fn) and fn.__module__ == recurrences.__name__
+    and not name.startswith("_") and not inspect.signature(fn).parameters
+    and isinstance(fn(), CoupledSystemSpec)
+]
+
+
 def test_theorem_divisibility():
-    v = eval_recurrence(v_theorem_spec(), 200).values
+    # the theorem's step applied to the 4th-order table, which no division builds
+    v = eval_system(v_fourth_order_spec(), 200)["v"].values
     for n in range(2, 201):
-        assert ((n + 1) * v[n - 1] + (n + 2) * v[n - 2]) % n == 0
+        assert divmod((n + 1) * v[n - 1] + (n + 2) * v[n - 2], n) == (v[n], 0)
+    assert theorem_step_check(v, 200).passed
+
+
+def test_theorem_step_negative_control():
+    v = list(eval_system(v_fourth_order_spec(), 200)["v"].values)
+    v[50] += 1
+    check = theorem_step_check(v, 200)
+    assert not check.passed
+    assert check.first_failure == 50
 
 
 def test_tiling_system_reproduces_table():
@@ -103,6 +129,40 @@ def test_shift_past_index_zero_detected():
         eval_system(spec, 5)
     spec = CoupledSystemSpec("reaches-0", {"x": {"x": (0, 0, 1)}}, {"x": (1, 2)})
     assert eval_system(spec, 5)["x"].values == (1, 2, 1, 2, 1, 2)
+
+
+def test_every_system_spec_is_covered():
+    assert {fn.__name__ for fn in SYSTEM_SPECS} >= {
+        "fibonacci_spec", "tiling_system", "walk_system", "domino_only_system",
+        "v_fourth_order_spec", "v_inhomogeneous_system", "w_ninth_order_spec",
+        "domino_only_recurrence"}
+
+
+@pytest.mark.parametrize("factory", SYSTEM_SPECS, ids=lambda fn: fn.__name__)
+def test_member_subsets_match_the_full_run(factory):
+    spec = factory()
+    full = eval_system(spec, 300)
+    names = list(spec.equations)
+    for size in range(len(names)):
+        for members in itertools.combinations(names, size):
+            assert eval_system(spec, 300, members) == {s: full[s] for s in members}, members
+
+
+def test_unknown_member_detected():
+    with pytest.raises(ValueError, match="no member 'w'"):
+        eval_system(walk_system(), 5, ("r2", "w"))
+
+
+def test_one_member_peak_memory_is_a_fraction_of_all():
+    def peak(members):
+        tracemalloc.start()
+        try:
+            eval_system(walk_system(), 3000, members)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(("r2",)) < peak(None) / 4
 
 
 def test_three_v_routes_agree():

@@ -79,3 +79,16 @@ def test_hooked_results_have_the_shapes_the_hooks_read():
     board = boards.Board(2, 3)
     assert len(boards.enumerate_tilings(board)) == 22
     assert len(boards.enumerate_partial_tilings(board, boards.PartialKind.C)) == 10
+
+
+@pytest.mark.parametrize("factory", [
+    "fibonacci_spec", "tiling_system", "walk_system", "domino_only_system",
+    "v_fourth_order_spec", "v_inhomogeneous_system", "w_ninth_order_spec",
+    "domino_only_recurrence",
+])
+def test_eval_system_returns_every_member_by_default(factory):
+    # the eval_system hook reads every returned table, so a call without
+    # `members` must still return one table per equation
+    rec = importlib.import_module("tilewalks.recurrences")
+    spec = getattr(rec, factory)()
+    assert list(rec.eval_system(spec, 5)) == list(spec.equations)
