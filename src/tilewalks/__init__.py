@@ -35,7 +35,6 @@ from .recurrences import (
     eval_recurrence,
     eval_system,
     tiling_system,
-    v_closed_recurrences,
     verify_intermediate_identities,
     w_ninth_order_spec,
     walk_system,

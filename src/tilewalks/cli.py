@@ -1,45 +1,49 @@
-"""Command-line front end: compute, verify, render, and benchmark."""
+"""Command-line front end: compute, verify and render."""
 
 import argparse
 import json
 import sys
 import time
 from dataclasses import dataclass, field
+from math import comb
 
 from . import closedforms, elimination, oeis, recurrences, walks
 from .boards import Board, PartialKind, TileKind, _raw_tilings
 from .errors import OutputNotWritable, TileWalksError, UnknownSequence
 from .qsqrt5 import ALPHA, BETA
+from .recurrences import CheckResult, agreement_check
 from .render import svg_for_tiling
+
+
+def _text(value):
+    """One side of a check as the report prints it: str() of the object, so
+    an IntPoly reads as a polynomial."""
+    return None if value is None else str(value)
 
 
 @dataclass
 class RunReport:
+    """The argv a run parsed, its `CheckResult`s and its timings by name."""
+
     command: list
     checks: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
 
-    def add(self, name, passed, expected=None, actual=None, first_failure=None):
-        self.checks.append(
-            {
-                "name": name,
-                "passed": bool(passed),
-                "expected": None if expected is None else str(expected),
-                "actual": None if actual is None else str(actual),
-                "first_failure": first_failure,
-            }
-        )
-
     @property
     def ok(self):
-        return all(c["passed"] for c in self.checks)
+        return all(c.passed for c in self.checks)
 
-    def to_json(self):
+    def to_json(self, **extra):
         payload = {
             "command": self.command,
-            "checks": self.checks,
+            "checks": [
+                {"name": c.name, "passed": bool(c.passed), "expected": _text(c.expected),
+                 "actual": _text(c.actual), "first_failure": c.first_failure}
+                for c in self.checks
+            ],
             "ok": self.ok,
             "timings": {k: round(v, 6) for k, v in sorted(self.timings.items())},
+            **extra,
         }
         return json.dumps(payload, sort_keys=True, indent=2)
 
@@ -157,33 +161,10 @@ SEQUENCES = {
 }
 
 
-def _run_routes(report, name, routes, upto, budget):
-    """The columns of `name` by each of `routes`, timed in the report, with
-    one agreement check for each column after the first of each member."""
-    columns = {}
-    for route in routes:
-        t0 = time.perf_counter()
-        result = SEQUENCES[name][route](upto, budget)
-        report.timings[f"{name}:{route}"] = time.perf_counter() - t0
-        for member, values in result.items():
-            columns[route if len(result) == 1 else f"{route}:{member}"] = values
-    groups = {}
-    for key in sorted(columns):
-        groups.setdefault(key.partition(":")[2], []).append(key)
-    for first, *others in groups.values():
-        for other in others:
-            first_bad = next(
-                (i for i, (x, y) in enumerate(zip(columns[first], columns[other]))
-                 if x != y),
-                None,
-            )
-            report.add(f"agree:{name}:{first}={other}", first_bad is None,
-                       first_failure=first_bad)
-    return columns
-
-
-def cmd_seq(args):
-    report = RunReport(command=["seq", args.name] + _echo(args))
+def cmd_seq(args, report):
+    """The columns of the sequence by each route asked for, timed in the
+    report, with one agreement check for each column after the first of each
+    member."""
     if args.name not in SEQUENCES:
         raise UnknownSequence(f"unknown sequence {args.name!r}")
     available = SEQUENCES[args.name]
@@ -192,136 +173,127 @@ def cmd_seq(args):
             f"sequence {args.name!r} has no {args.route!r} route "
             f"(available: {', '.join(available)})"
         )
-    routes = list(available) if args.route == "all" else [args.route]
-    columns = _run_routes(report, args.name, routes, args.upto, args.budget)
-    _emit_table(args, columns)
-    for check in report.checks:  # the report itself is not printed by seq
-        if not check["passed"]:
-            print(f"error: check {check['name']} failed at n={check['first_failure']}",
+    columns = {}
+    for route in available if args.route == "all" else [args.route]:
+        t0 = time.perf_counter()
+        result = available[route](args.upto, args.budget)
+        report.timings[f"{args.name}:{route}"] = time.perf_counter() - t0
+        for member, values in result.items():
+            columns[route if len(result) == 1 else f"{route}:{member}"] = values
+    groups = {}
+    for key in sorted(columns):
+        groups.setdefault(key.partition(":")[2], []).append(key)
+    for first, *others in groups.values():
+        for other in others:
+            report.checks.append(agreement_check(
+                f"agree:{args.name}:{first}={other}", columns[first], columns[other]))
+    _emit_table(args, columns, report)
+    for check in report.checks:
+        if not check.passed:
+            print(f"error: check {check.name} failed at n={check.first_failure}",
                   file=sys.stderr)
-    return report
 
 
-def _emit_table(args, columns):
+def _emit_table(args, columns, report):
     keys = sorted(columns)
     length = args.upto + 1
-    if args.format == "json":
-        payload = {
-            "name": args.name,
-            "columns": {k: [str(v) for v in columns[k]] for k in keys},
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    elif args.format == "csv":
-        print(",".join(["n"] + keys))
-        for n in range(length):
-            print(",".join([str(n)] + [str(columns[k][n]) for k in keys]))
+    if args.format == "json":  # the run report, with the table
+        print(report.to_json(name=args.name,
+                             columns={k: [str(v) for v in columns[k]] for k in keys}))
     elif args.format == "bfile":
         if len(keys) != 1:
             print("# b-file output uses the first route only")
         for n in range(length):
             print(f"{n} {columns[keys[0]][n]}")
-    else:
-        header = "n\t" + "\t".join(keys)
-        print(header)
+    else:  # csv or text: a header, then one row per n
+        sep = "," if args.format == "csv" else "\t"
+        print(sep.join(["n"] + keys))
         for n in range(length):
-            print("\t".join([str(n)] + [str(columns[k][n]) for k in keys]))
-
-
-def _echo(args):
-    echo = []
-    for k in ("upto", "route", "format", "budget", "n_max", "suite"):
-        if hasattr(args, k) and getattr(args, k) is not None:
-            echo.append(f"--{k.replace('_', '-')}={getattr(args, k)}")
-    return echo
+            print(sep.join([str(n)] + [str(columns[k][n]) for k in keys]))
 
 
 # ---------------------------------------------------------------------------
 # verify suites
 
 
-def _verify_theorems(report):
+def _verify_theorems():
     upto = 200
-    specs = recurrences.v_closed_recurrences()
-    tables = [list(recurrences.eval_v_route(s, upto).values) for s in specs]
-    report.add("v-three-routes-agree", tables[0] == tables[1] == tables[2])
+    theorem = recurrences.eval_recurrence(recurrences.v_theorem_spec(), upto)
+    [fourth] = recurrences.eval_system(recurrences.v_fourth_order_spec(), upto).values()
+    [inhomogeneous] = recurrences.eval_system(recurrences.v_inhomogeneous_system(), upto,
+                                              ("v",)).values()
     closed = [closedforms.v_fibonacci_form(n) for n in range(upto + 1)]
-    report.add("v-fibonacci-closed-form", closed == tables[0])
-    step = recurrences.theorem_step_check(tables[1], upto)  # the 4th-order table
-    report.add(step.name, step.passed)
-    w9 = recurrences.eval_system(recurrences.w_ninth_order_spec(), 50)["w"]
-    sys_r2 = recurrences.eval_system(recurrences.walk_system(), 50, ("r2",))["r2"]
-    report.add("w-ninth-order-equals-system", w9.values == sys_r2.values)
-    report.add("w-composed-form", recurrences.composed_form_check(w9, 50))
+    [w9] = recurrences.eval_system(recurrences.w_ninth_order_spec(), 50).values()
+    [r2] = recurrences.eval_system(recurrences.walk_system(), 50, ("r2",)).values()
+    return [
+        agreement_check("v-three-routes-agree", theorem, fourth, inhomogeneous),
+        agreement_check("v-fibonacci-closed-form", theorem, closed),
+        recurrences.theorem_step_check(fourth, upto),
+        agreement_check("w-ninth-order-equals-system", w9, r2),
+        recurrences.composed_form_check(w9, 50),
+    ]
 
 
-def _verify_lemmas(report):
-    from math import comb
-
+def _verify_lemmas():
+    checks = []
     for n in range(17):
-        hist = {}
+        hist = [0] * (n // 2 + 1)  # tilings by their number of dominoes
         for raw in _raw_tilings(Board(1, n)):
-            k = sum(t.kind != TileKind.SQUARE for t in raw)
-            hist[k] = hist.get(k, 0) + 1
-        expected = {k: comb(n - k, k) for k in range(n // 2 + 1) if comb(n - k, k)}
-        report.add(f"domino-count-histogram-n{n}", hist == expected)
-    for check in recurrences.verify_intermediate_identities(30):
-        report.add(f"identity:{check.name}", check.passed,
-                   first_failure=check.first_failure)
+            hist[sum(t.kind != TileKind.SQUARE for t in raw)] += 1
+        checks.append(agreement_check(f"domino-count-histogram-n{n}",
+                                      [comb(n - k, k) for k in range(n // 2 + 1)], hist))
+    return checks + recurrences.verify_intermediate_identities(30)
 
 
-def _verify_elimination(report):
+def _verify_elimination():
     m = elimination.build_matrix_m()
-    report.add("matrix-matches-printed", m.entries == elimination.PRINTED_M)
     basis = elimination.kernel(m)
-    expected = elimination.ALPHA_WEIGHTS + elimination.BETA_WEIGHTS
-    report.add("kernel-dimension-one", len(basis) == 1, expected=1, actual=len(basis))
-    report.add("kernel-vector", basis == [expected], expected=expected,
-               actual=basis[0] if basis else None)
-    mv = m.mul_vector(basis[0]) if basis else None
-    report.add("kernel-annihilated", mv is not None and all(x == 0 for x in mv))
-    for check in elimination.verify_la_lb_combination(30):
-        report.add(f"elimination:{check.name}", check.passed,
-                   first_failure=check.first_failure)
-    for check in elimination.charpoly_factorization_check():
-        report.add(check.name, check.passed, actual=check.detail)
+    weights = elimination.ALPHA_WEIGHTS + elimination.BETA_WEIGHTS
+    return [
+        agreement_check("matrix-matches-printed", elimination.PRINTED_M, m.entries),
+        CheckResult("kernel-dimension-one", len(basis) == 1, 1, len(basis)),
+        CheckResult("kernel-vector", basis == [weights], weights, basis[0] if basis else None),
+        CheckResult("kernel-annihilated", bool(basis) and not any(m.mul_vector(basis[0]))),
+        *elimination.verify_la_lb_combination(30),
+        *elimination.charpoly_factorization_check(),
+    ]
 
 
-def _verify_closed_forms(report):
-    report.add("alpha-beta-product", ALPHA * BETA == -1)
-    report.add("alpha-beta-sum", ALPHA + BETA == 1)
-    binet = closedforms.binet_identity_check(100)
-    report.add("binet-identities", binet.passed, first_failure=binet.first_failure)
-    rec = list(recurrences.eval_system(recurrences.domino_only_recurrence(), 50)["w-domino"]
-               .values)
-    sys_w = list(recurrences.eval_system(recurrences.domino_only_system(), 50, ("r2",))["r2"]
-                 .values)
-    fibo = [closedforms.w_domino_fibonacci_form(n) for n in range(51)]
-    expl = [closedforms.w_domino_explicit(n) for n in range(51)]
-    ceil = [closedforms.w_domino_ceiling(n) for n in range(51)]
-    report.add("domino-system-vs-recurrence", sys_w == rec)
-    report.add("domino-fibonacci-vs-recurrence", fibo == rec)
-    report.add("domino-explicit-vs-recurrence", expl == rec)
-    report.add("domino-ceiling-vs-recurrence", ceil == rec)
-    splits = all(
-        closedforms.w_domino_even_form(k) == rec[2 * k]
-        and closedforms.w_domino_odd_form(k) == rec[2 * k + 1]
-        for k in range(25)
-    )
-    report.add("domino-even-odd-splits", splits)
+def _verify_closed_forms():
+    upto = 50
+    [rec] = recurrences.eval_system(recurrences.domino_only_recurrence(), upto).values()
+    [r2] = recurrences.eval_system(recurrences.domino_only_system(), upto, ("r2",)).values()
+    splits = [closedforms.w_domino_odd_form(n // 2) if n % 2
+              else closedforms.w_domino_even_form(n // 2) for n in range(upto)]
+
+    def column(term):
+        return [term(n) for n in range(upto + 1)]
+
+    return [
+        CheckResult("alpha-beta-product", ALPHA * BETA == -1),
+        CheckResult("alpha-beta-sum", ALPHA + BETA == 1),
+        closedforms.binet_identity_check(100),
+        agreement_check("domino-system-vs-recurrence", rec, r2),
+        agreement_check("domino-fibonacci-vs-recurrence", rec,
+                        column(closedforms.w_domino_fibonacci_form)),
+        agreement_check("domino-explicit-vs-recurrence", rec,
+                        column(closedforms.w_domino_explicit)),
+        agreement_check("domino-ceiling-vs-recurrence", rec,
+                        column(closedforms.w_domino_ceiling)),
+        agreement_check("domino-even-odd-splits", rec[:upto], splits),
+    ]
 
 
-def _verify_oeis(report):
+def _verify_oeis():
+    checks = []
     for name, seq_id, upto in [("fib", "A000045", 45), ("v", "A001629", 40),
                                ("r", "A030186", 40), ("w-domino", "A054454", 40)]:
         [values] = SEQUENCES[name]["recurrence"](upto, walks.DEFAULT_BUDGET).values()
-        bfile = oeis.load_fixture(seq_id)
-        match = oeis.find_offset_shift(values, bfile)
-        report.add(
-            f"oeis:{name}-vs-{seq_id}",
-            match.passed and match.matched >= 20,
-            expected=">=20 matched terms",
-            actual=f"shift {match.offset_shift}, matched {match.matched}",
-        )
+        match = oeis.find_offset_shift(values, oeis.load_fixture(seq_id))
+        checks.append(CheckResult(
+            f"oeis:{name}-vs-{seq_id}", match.passed and match.matched >= 20,
+            ">=20 matched terms", f"shift {match.offset_shift}, matched {match.matched}"))
+    return checks
 
 
 VERIFY_SUITES = {
@@ -333,38 +305,26 @@ VERIFY_SUITES = {
 }
 
 
-def cmd_verify(args):
-    report = RunReport(command=["verify", args.suite])
+def cmd_verify(args, report):
     suites = VERIFY_SUITES if args.suite == "all" else {args.suite: VERIFY_SUITES[args.suite]}
-    for name, fn in suites.items():
+    for name, suite in suites.items():
         t0 = time.perf_counter()
-        fn(report)
+        report.checks += suite()
         report.timings[name] = time.perf_counter() - t0
-    return report
 
 
 # ---------------------------------------------------------------------------
-# render and bench
+# render
 
 
-def cmd_render(args):
-    spec, board = args.board
-    svg = svg_for_tiling(board, args.index, squares_allowed=not args.dominoes_only)
+def cmd_render(args, report):
+    svg = svg_for_tiling(args.board, args.index, squares_allowed=not args.dominoes_only)
     try:
         with open(args.out, "w") as fh:
             fh.write(svg)
     except OSError as exc:
         raise OutputNotWritable(f"cannot write {args.out}: {exc.strerror}")
-    report = RunReport(command=["render", spec, str(args.index)])
-    report.add("svg-written", True, actual=args.out)
-    return report
-
-
-def cmd_bench(args):
-    report = RunReport(command=["bench"] + _echo(args))
-    for name in ("v", "w-domino"):
-        _run_routes(report, name, list(SEQUENCES[name]), args.n_max, args.budget)
-    return report
+    report.checks.append(CheckResult("svg-written", True, actual=args.out))
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +342,10 @@ def _size(text):
 
 
 def _board(text):
-    """ROWSxCOLS as (text, Board), so that the report echoes the text."""
+    """ROWSxCOLS as a Board."""
     try:
         rows, cols = (int(x) for x in text.lower().split("x"))
-        return text, Board(rows, cols)
+        return Board(rows, cols)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected ROWSxCOLS, 1 or 2 rows, got {text!r}")
 
@@ -418,22 +378,19 @@ def build_parser():
     p_ren.add_argument("--out", required=True)
     p_ren.add_argument("--dominoes-only", action="store_true")
     p_ren.set_defaults(fn=cmd_render)
-
-    p_ben = sub.add_parser("bench", help="time brute vs recurrence vs closed routes")
-    p_ben.add_argument("--n-max", type=_size, default=10)
-    p_ben.add_argument("--budget", type=_size, default=walks.DEFAULT_BUDGET)
-    p_ben.set_defaults(fn=cmd_bench)
     return parser
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    report = RunReport(argv)
     try:
-        report = args.fn(args)
+        args.fn(args, report)
     except TileWalksError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.cmd != "seq":
+    if args.cmd != "seq":  # seq prints its report only as --format json
         print(report.to_json())
     return 0 if report.ok else 1
 

@@ -149,23 +149,22 @@ def verify_la_lb_combination(upto, tables=None):
     if tables is None:
         tables = eval_system(walk_system(), upto + 1, ("r2", "c2"))
     ninth = annihilator(w_ninth_order_spec()).coeffs
-    weighted_r = (_ALPHA * _SIDES["R_A"], _BETA * _SIDES["R_B"])
+    alpha_r, beta_r = _ALPHA * _SIDES["R_A"], _BETA * _SIDES["R_B"]
     # relation X reads L_X(x) r2 at n = R_X(x) c2 at n + 1
     return [
-        relation_check(f"relation-{rel}", first, upto - 1, 1, {
+        relation_check(f"elimination:relation-{rel}", first, upto - 1, 1, {
             "r2": (_SHIFT * _SIDES[f"L_{rel}"]).coeffs,
             "c2": (-_SIDES[f"R_{rel}"]).coeffs,
         }, tables)
         for rel, first in (("A", 5), ("B", 6))
     ] + [
-        CheckResult("weighted-R-sides", weighted_r[0] == weighted_r[1],
-                    f"{weighted_r[0]} == {weighted_r[1]}"),
-        relation_check("weighted-L-sides", 10, upto, 0,
+        CheckResult("elimination:weighted-R-sides", alpha_r == beta_r, alpha_r, beta_r),
+        relation_check("elimination:weighted-L-sides", 10, upto, 0,
                        {"r2": _WEIGHTED_L.coeffs}, tables),
-        relation_check("ten-term-relation", 11, upto, 0,
+        relation_check("elimination:ten-term-relation", 11, upto, 0,
                        {"r2": (0, *TEN_TERM_RELATION)}, tables),
-        CheckResult("derives-w-9th", TEN_TERM_RELATION == ninth,
-                    f"{TEN_TERM_RELATION} == {ninth}"),
+        CheckResult("elimination:derives-w-9th", TEN_TERM_RELATION == ninth,
+                    ninth, TEN_TERM_RELATION),
     ]
 
 
@@ -181,14 +180,14 @@ def charpoly(spec):
 
 
 def charpoly_factorization_check():
-    """Expand the factor tables and compare with the recurrences."""
+    """Expand the factor tables and compare with the recurrences: each check
+    expects the factored form and reads the characteristic polynomial."""
     polys = {name: charpoly(spec()) for name, spec, _ in CHARPOLY_FACTORS}
-    quot, rem = polys["charpoly-w-9th"].divmod(W_FACTORS[-1][0])  # the tiling cubic
+    _, rem = polys["charpoly-w-9th"].divmod(W_FACTORS[-1][0])  # the tiling cubic
     return [
-        CheckResult(name, polys[name] == expand(factors),
-                    f"{polys[name]} == {factored_str(factors)}")
+        CheckResult(name, polys[name] == expand(factors), factored_str(factors),
+                    polys[name].descending())
         for name, _, factors in CHARPOLY_FACTORS
     ] + [
-        CheckResult("tiling-poly-divides-walk-poly", not rem,
-                    f"quotient {quot}, remainder {rem}"),
+        CheckResult("tiling-poly-divides-walk-poly", not rem, IntPoly([]), rem),
     ]

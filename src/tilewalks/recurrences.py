@@ -12,6 +12,9 @@ backward shift x per sequence, {sequence: coefficients by shift}
 * The paper's linear relations between shifted sequences (the intermediate
   identities, relations A and B, the composed form of w) are rows that sum
   to zero, and one `relation_check` applies any row to the sequence tables.
+* Every check returns a `CheckResult` under the name a report shows, and
+  `agreement_check` compares whole tables, reporting the first index where
+  they differ.
 
 RecurrenceSpec and `eval_recurrence` remain for the one recurrence whose
 coefficients are polynomials in n and whose every step is an exact
@@ -231,17 +234,6 @@ def v_inhomogeneous_system():
     return CoupledSystemSpec("v-inhomogeneous", eq, init)
 
 
-def v_closed_recurrences():
-    """The three equivalent routes to v; callers cross-check their outputs."""
-    return v_theorem_spec(), v_fourth_order_spec(), v_inhomogeneous_system()
-
-
-def eval_v_route(route, upto):
-    if isinstance(route, CoupledSystemSpec):
-        return eval_system(route, upto, ("v",))["v"]
-    return eval_recurrence(route, upto)
-
-
 def w_ninth_order_spec():
     """The 9th-order recurrence for walk totals with squares and dominoes."""
     return CoupledSystemSpec(
@@ -257,17 +249,30 @@ def domino_only_recurrence():
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check under the name a report shows: both sides where they are
+    single values, and the first n where a check over a range fails."""
+
     name: str
     passed: bool
-    detail: str = ""
+    expected: object = None
+    actual: object = None
     first_failure: int = None
 
 
 def _check(name, lo, hi, pred):
     for n in range(lo, hi + 1):
         if not pred(n):
-            return CheckResult(name, False, f"failed at n={n}", n)
-    return CheckResult(name, True, f"checked n={lo}..{hi}")
+            return CheckResult(name, False, first_failure=n)
+    return CheckResult(name, True)
+
+
+def agreement_check(name, *tables):
+    """The tables agree entry by entry. The first index where two of them
+    differ, or where one of them has ended, is the failure."""
+    def agree(n):
+        return all(n < len(t) and t[n] == tables[0][n] for t in tables)
+
+    return _check(name, 0, max(len(t) for t in tables) - 1, agree)
 
 
 # The paper's relations A and B as coefficients by shift: L sides apply to
@@ -345,13 +350,12 @@ def composed_form_check(w, upto):
     if len(w) <= upto:
         raise ValueError("w table too short for requested range")
     op = expand((IntPoly(p.coeffs[::-1]), k) for p, k in W_FACTORS)
-    return relation_check("w-composed-form", op.degree, upto, 0, {"w": op.coeffs},
-                          {"w": w}).passed
+    return relation_check("w-composed-form", op.degree, upto, 0, {"w": op.coeffs}, {"w": w})
 
 
 def verify_intermediate_identities(upto):
     """Numeric verification of every intermediate identity of the 2xn derivation."""
     named = {s for *_, ops in IDENTITIES for s in ops}
     t = eval_system(walk_system(), upto + 1, named)
-    return [relation_check(name, first, upto, lead, ops, t)
+    return [relation_check(f"identity:{name}", first, upto, lead, ops, t)
             for name, first, lead, ops in IDENTITIES]

@@ -28,11 +28,13 @@ from tilewalks.recurrences import (
     composed_form_check,
     domino_only_recurrence,
     domino_only_system,
+    eval_recurrence,
     eval_system,
-    eval_v_route,
     fibonacci_spec,
     tiling_system,
-    v_closed_recurrences,
+    v_fourth_order_spec,
+    v_inhomogeneous_system,
+    v_theorem_spec,
     w_ninth_order_spec,
     walk_system,
 )
@@ -78,7 +80,11 @@ def test_criterion_03_oracle_equivalence_2xn():
 
 def test_criterion_04_oracle_equivalence_1xn():
     oracle = [brute_v(n) for n in range(21)]
-    routes = [list(eval_v_route(r, 20).values) for r in v_closed_recurrences()]
+    routes = [
+        list(eval_recurrence(v_theorem_spec(), 20).values),
+        list(eval_system(v_fourth_order_spec(), 20)["v"].values),
+        list(eval_system(v_inhomogeneous_system(), 20, ("v",))["v"].values),
+    ]
     closed = [v_fibonacci_form(n) for n in range(21)]
     ok = all(route == oracle for route in routes) and closed == oracle
     _report(4, ok)
@@ -92,10 +98,10 @@ def test_criterion_05_theorem2_initial_values():
 
 def test_criterion_06_composed_form_and_negative_control():
     w = eval_system(w_ninth_order_spec(), 50)["w"]
-    ok = composed_form_check(w, 50)
+    ok = composed_form_check(w, 50).passed
     perturbed = list(w.values)
     perturbed[25] += 1
-    ok = ok and not composed_form_check(perturbed, 50)
+    ok = ok and not composed_form_check(perturbed, 50).passed
     _report(6, ok)
 
 
@@ -192,7 +198,7 @@ def test_criterion_12_corollary1_coefficient_solve():
 
 def test_criterion_13_oeis_fixture_matches():
     cases = [
-        (list(eval_v_route(v_closed_recurrences()[0], 40).values), "A001629", 2),
+        (list(eval_recurrence(v_theorem_spec(), 40).values), "A001629", 2),
         (list(eval_system(tiling_system(), 40)["r"].values), "A030186", 0),
         (list(eval_system(domino_only_recurrence(), 40)["w-domino"].values), "A054454", 0),
         (list(eval_system(fibonacci_spec(), 44)["fib"].values), "A000045", 0),

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import tilewalks
-from tilewalks import walks
-from tilewalks.cli import SEQUENCES, main
+from tilewalks import closedforms, walks
+from tilewalks.cli import SEQUENCES, build_parser, main
 from tilewalks.oeis import parse_bfile
 
 
@@ -88,7 +89,7 @@ def test_truncated_shape_budget_counts_the_shape(capsys):
     "seq w --upto 13 --route brute --budget 1000000",
     "seq w --upto 13 --route all --budget 1000000",
     "seq w-by-line --upto 13 --route brute --budget 1000000",
-    "bench --n-max 40 --budget 10000",
+    "seq v --upto 40 --route all --budget 10000",
 ])
 def test_busted_budget_fails_before_any_enumeration(capsys, monkeypatch, command):
     calls = []
@@ -117,10 +118,30 @@ def test_seq_names_the_failing_check(capsys, monkeypatch):
     assert code == 1
     assert out.splitlines()[3] == "2,5,6,5"
     assert err == "error: check agree:v:brute=closed failed at n=2\n"
-    code, out = run(capsys, "bench", "--n-max", "3")
+    code, out = run(capsys, "seq", "v", "--upto", "3", "--route", "all", "--format", "json")
     assert code == 1
     failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
     assert [(c["name"], c["first_failure"]) for c in failed] == [("agree:v:brute=closed", 2)]
+
+
+V_UPTO_8 = ["1", "2", "5", "10", "20", "38", "71", "130", "235"]
+
+
+@pytest.mark.parametrize("upto", [0, 8])
+def test_seq_json_is_the_run_report(capsys, upto):
+    argv = ["seq", "v", "--upto", str(upto), "--route", "all", "--format", "json"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    assert payload["command"] == argv
+    assert [c["name"] for c in payload["checks"]] == [
+        "agree:v:brute=closed", "agree:v:brute=recurrence"]
+    assert all(c["passed"] is True for c in payload["checks"])
+    assert sorted(payload["timings"]) == ["v:brute", "v:closed", "v:recurrence"]
+    assert payload["name"] == "v"
+    assert payload["columns"] == dict.fromkeys(
+        ["brute", "closed", "recurrence"], V_UPTO_8[:upto + 1])
 
 
 def test_seq_w_by_line(capsys):
@@ -186,7 +207,7 @@ BAD_INPUT = [
     ("render 2x30 99999999999999999999", "outside 0..1084493574452272"),
     ("render 2x20 999999999999", "outside 0..9211624462"),
     ("seq w --upto -3", "--upto: expected an integer >= 0"),
-    ("bench --n-max -2", "--n-max: expected an integer >= 0"),
+    ("bench", "invalid choice: 'bench'"),
     ("seq w --budget -5", "--budget: expected an integer >= 0"),
     ("seq nope", "unknown sequence"),
     ("seq w-by-line --route closed", "(available: brute, recurrence)"),
@@ -211,13 +232,6 @@ def test_bad_input_exits_2_with_one_line(tmp_path, command, message):
     assert message in proc.stderr
 
 
-def test_bench(capsys):
-    code, out = run(capsys, "bench", "--n-max", "8")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["ok"]
-
-
 def test_cli_import_loads_no_network_client():
     code = "import sys, tilewalks.cli; print('requests' in sys.modules)"
     src = str(Path(tilewalks.__file__).resolve().parents[1])
@@ -226,7 +240,52 @@ def test_cli_import_loads_no_network_client():
     assert out.strip() == "False"
 
 
-def test_bench_trivial(capsys):
-    code, out = run(capsys, "bench", "--n-max", "0")
-    assert code == 0
-    assert json.loads(out)["ok"]
+def _off_by_one(term, at):
+    return lambda n: term(n) + (n == at)
+
+
+@pytest.mark.parametrize("suite, term, at, check", [
+    ("closed-forms", "w_domino_explicit", 7, "domino-explicit-vs-recurrence"),
+    ("theorems", "v_fibonacci_form", 100, "v-fibonacci-closed-form"),
+])
+def test_verify_reports_the_first_failing_n(capsys, monkeypatch, suite, term, at, check):
+    monkeypatch.setattr(closedforms, term, _off_by_one(getattr(closedforms, term), at))
+    assert main(["verify", suite]) == 1
+    failed = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
+    assert [(c["name"], c["first_failure"]) for c in failed] == [(check, at)]
+
+
+# Per subcommand: argv that exits 0, argv that exits 1 once the closed form
+# of v is off by one at n = 2 (None where no check of the command can
+# fail), and argv with bad input, which exits 2.
+EXIT_CODES = {
+    "seq": ("seq v --upto 3 --route all", "seq v --upto 3 --route all",
+            "seq nope"),
+    "verify": ("verify theorems", "verify theorems", "verify nope"),
+    "render": ("render 2x3 0 --out {svg}", None, "render 2x3 22 --out {svg}"),
+}
+
+
+def test_exit_codes_cover_every_subcommand():
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(EXIT_CODES)
+
+
+@pytest.mark.parametrize("cmd", EXIT_CODES)
+def test_exit_code_contract(tmp_path, capsys, monkeypatch, cmd):
+    passing, failing, bad = EXIT_CODES[cmd]
+
+    def exit_code(command):  # argparse exits on bad options instead of returning
+        try:
+            return main(command.format(svg=tmp_path / "x.svg").split())
+        except SystemExit as exc:
+            return exc.code
+
+    assert exit_code(passing) == 0
+    assert exit_code(bad) == 2
+    if failing is not None:
+        bad_v = _off_by_one(closedforms.v_fibonacci_form, 2)
+        monkeypatch.setattr(closedforms, "v_fibonacci_form", bad_v)
+        monkeypatch.setitem(SEQUENCES["v"], "closed",
+                            lambda upto, budget: {"": [bad_v(n) for n in range(upto + 1)]})
+        assert exit_code(failing) == 1

@@ -51,7 +51,7 @@ def test_kernel_is_deterministic():
 
 def test_la_lb_combination():
     for check in verify_la_lb_combination(20):
-        assert check.passed, f"{check.name}: {check.detail}"
+        assert check.passed, f"{check.name} failed at {check.first_failure}"
 
 
 def test_ten_term_relation_is_the_ninth_order_spec():
@@ -79,14 +79,23 @@ def test_relations_a_b_perturbed_table_fail(seq):
     bad[15] += 1
     tables[seq] = type(tables[seq])(seq, tuple(bad))
     results = {c.name: c for c in verify_la_lb_combination(30, tables=tables)}
-    for name in ("relation-A", "relation-B"):
+    for name in ("elimination:relation-A", "elimination:relation-B"):
         assert not results[name].passed
         assert results[name].first_failure <= 15
 
 
 def test_charpoly_factorizations():
-    for check in charpoly_factorization_check():
-        assert check.passed, check.detail
+    checks = {c.name: c for c in charpoly_factorization_check()}
+    for check in checks.values():
+        assert check.passed, f"{check.name}: {check.expected} != {check.actual}"
+    v4 = checks["charpoly-v-4th"]  # the factored form against the polynomial
+    assert (v4.expected, v4.actual) == ("(x^2-x-1)^2", "x^4-2x^3-x^2+2x+1")
+
+
+def test_derivation_carries_both_sides():
+    [derives] = [c for c in verify_la_lb_combination(20)
+                 if c.name == "elimination:derives-w-9th"]
+    assert derives.expected == derives.actual == TEN_TERM_RELATION
 
 
 def test_charpoly_expansion_degree6():

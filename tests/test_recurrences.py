@@ -1,5 +1,4 @@
 import inspect
-import itertools
 import tracemalloc
 
 import pytest
@@ -12,18 +11,18 @@ from tilewalks.recurrences import (
     IDENTITIES,
     CoupledSystemSpec,
     RecurrenceSpec,
+    agreement_check,
     composed_form_check,
     domino_only_recurrence,
     domino_only_system,
     eval_recurrence,
     eval_system,
-    eval_v_route,
     fibonacci_spec,
     relation_check,
     theorem_step_check,
     tiling_system,
-    v_closed_recurrences,
     v_fourth_order_spec,
+    v_inhomogeneous_system,
     v_theorem_spec,
     verify_intermediate_identities,
     w_ninth_order_spec,
@@ -140,12 +139,16 @@ def test_every_system_spec_is_covered():
 
 @pytest.mark.parametrize("factory", SYSTEM_SPECS, ids=lambda fn: fn.__name__)
 def test_member_subsets_match_the_full_run(factory):
+    # Every member is computed whatever `members` is, and a dropped entry is
+    # None, so a read past the depth raises: the empty subset drops every
+    # member and so makes every such read, and the singletons and their
+    # complements compare every returned table with the full run.
     spec = factory()
     full = eval_system(spec, 300)
     names = list(spec.equations)
-    for size in range(len(names)):
-        for members in itertools.combinations(names, size):
-            assert eval_system(spec, 300, members) == {s: full[s] for s in members}, members
+    subsets = [(), *((s,) for s in names), *(tuple(t for t in names if t != s) for s in names)]
+    for members in subsets:
+        assert eval_system(spec, 300, members) == {s: full[s] for s in members}, members
 
 
 def test_unknown_member_detected():
@@ -165,17 +168,33 @@ def test_one_member_peak_memory_is_a_fraction_of_all():
     assert peak(("r2",)) < peak(None) / 4
 
 
+def _v_tables(upto):
+    """v by the theorem, the 4th-order recurrence and the inhomogeneous system."""
+    return [eval_recurrence(v_theorem_spec(), upto).values,
+            eval_system(v_fourth_order_spec(), upto)["v"].values,
+            eval_system(v_inhomogeneous_system(), upto, ("v",))["v"].values]
+
+
 def test_three_v_routes_agree():
-    routes = v_closed_recurrences()
-    tables = [eval_v_route(r, 200).values for r in routes]
+    tables = _v_tables(200)
     assert tables[0] == tables[1] == tables[2]
     assert tables[0][:4] == (1, 2, 5, 10)
 
 
 def test_v_routes_match_oracle():
-    oracle = [brute_v(n) for n in range(21)]
-    for route in v_closed_recurrences():
-        assert list(eval_v_route(route, 20).values) == oracle
+    oracle = tuple(brute_v(n) for n in range(21))
+    for table in _v_tables(20):
+        assert table == oracle
+
+
+def test_agreement_check_reports_the_first_difference():
+    assert agreement_check("same", (1, 2, 3), [1, 2, 3], (1, 2, 3)).passed
+    assert agreement_check("empty", (), []).passed
+    assert agreement_check("differs", (1, 2, 3, 4), (1, 2, 0, 0)).first_failure == 2
+    assert agreement_check("third", (1, 2, 3), (1, 2, 3), (1, 0, 3)).first_failure == 1
+    # a table that ends early differs where it ends, whichever argument it is
+    assert agreement_check("short", (1, 2), (1, 2, 3)).first_failure == 2
+    assert agreement_check("short", (1, 2, 3), (1, 2)).first_failure == 2
 
 
 def test_ninth_order_initial_values():
@@ -197,14 +216,17 @@ def test_w_matches_oracle_small():
 
 def test_composed_form():
     w = eval_system(w_ninth_order_spec(), 20)["w"]
-    assert composed_form_check(w, 20)
-    assert composed_form_check(w, 8)  # no admissible index yet, vacuous
+    assert composed_form_check(w, 20).passed
+    assert composed_form_check(w, 8).passed  # no admissible index yet, vacuous
+    assert composed_form_check(w, 20).name == "w-composed-form"
 
 
 def test_composed_form_negative_control():
     w = list(eval_system(w_ninth_order_spec(), 20)["w"].values)
     w[5] += 1
-    assert not composed_form_check(w, 20)
+    check = composed_form_check(w, 20)
+    assert not check.passed
+    assert check.first_failure == 9  # the first n whose window reads w[5]
 
 
 def test_domino_only_recurrence_extends():
@@ -219,8 +241,10 @@ def test_domino_only_matches_oracle():
 
 
 def test_intermediate_identities_all_pass():
-    for check in verify_intermediate_identities(20):
+    checks = verify_intermediate_identities(20)
+    for check in checks:
         assert check.passed, f"{check.name} failed at {check.first_failure}"
+    assert [c.name for c in checks] == [f"identity:{row[0]}" for row in IDENTITIES]
 
 
 @pytest.mark.parametrize("row", IDENTITIES, ids=[row[0] for row in IDENTITIES])
