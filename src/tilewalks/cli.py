@@ -383,7 +383,10 @@ def build_parser():
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # bad options (2) or --help (0), already printed
+        return exc.code
     report = RunReport(argv)
     try:
         args.fn(args, report)

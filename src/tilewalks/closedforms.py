@@ -79,9 +79,11 @@ def explicit_form_coeffs():
     )
 
 
+_COEFFS = explicit_form_coeffs()  # built once for the evaluators below
+
+
 def _dominant_term(n):
-    k = explicit_form_coeffs()
-    return (k.C + k.D * n) * ALPHA**n
+    return (_COEFFS.C + _COEFFS.D * n) * ALPHA**n
 
 
 def w_domino_explicit(n):
@@ -90,7 +92,7 @@ def w_domino_explicit(n):
     The sqrt(5) component must cancel exactly and the rational part must be
     an integer; anything else raises.
     """
-    k = explicit_form_coeffs()
+    k = _COEFFS
     sign = 1 if n % 2 == 0 else -1
     val = k.A + k.B * sign + _dominant_term(n) + (k.E + k.F * n) * BETA**n
     rat = val.rational_value()

@@ -1,65 +1,71 @@
 """Exact arithmetic in the field Q(sqrt 5).
 
-Values are a + b*sqrt(5) with rational a, b. Everything here is exact: floor
-is one integer square root, and sign, ceil and the comparisons derive from it.
+A value is the canonical triple (p, r, q) of (p + r*sqrt5)/q: q > 0, gcd(p, r, q) = 1.
+`Fraction` appears only in the constructor and in what a, b, norm and rational_value
+return. floor is one integer square root; sign, ceil and comparisons derive from it.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import RadicalResidue
 
 
-@dataclass(frozen=True)
 class QSqrt5:
-    a: Fraction
-    b: Fraction
+    __slots__ = ("p", "r", "q")
 
-    def __init__(self, a, b=0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+    def __new__(cls, a, b=0):
+        """a + b*sqrt(5) for rationals a, b."""
+        a, b = Fraction(a), Fraction(b)
+        q = lcm(a.denominator, b.denominator)
+        return _new(a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QSqrt5 is immutable: cannot set {name}")
+
+    a = property(lambda self: Fraction(self.p, self.q), doc="The rational part.")
+    b = property(lambda self: Fraction(self.r, self.q), doc="The coefficient of sqrt(5).")
 
     def __eq__(self, other):
         if isinstance(other, (QSqrt5, int, Fraction)):
             other = _coerce(other)
-            return self.a == other.a and self.b == other.b
+            return self.p == other.p and self.r == other.r and self.q == other.q
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.a, self.b))
+    def __hash__(self):  # a rational value hashes as the int or Fraction it equals
+        return hash(self.a) if self.r == 0 else hash((self.p, self.r, self.q))
 
     def __add__(self, other):
-        other = _coerce(other)
-        return QSqrt5(self.a + other.a, self.b + other.b)
+        o = _coerce(other)
+        return _new(self.p * o.q + o.p * self.q, self.r * o.q + o.r * self.q, self.q * o.q)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return QSqrt5(self.a - other.a, self.b - other.b)
+        o = _coerce(other)
+        return _new(self.p * o.q - o.p * self.q, self.r * o.q - o.r * self.q, self.q * o.q)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __neg__(self):
-        return QSqrt5(-self.a, -self.b)
+        return _new(-self.p, -self.r, self.q)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        return QSqrt5(
-            self.a * other.a + 5 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        o = _coerce(other)
+        p1, r1, p2, r2 = self.p, self.r, o.p, o.r
+        return _new(p1 * p2 + 5 * r1 * r2, p1 * r2 + r1 * p2, self.q * o.q)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        n = other.norm()
+        """Multiply by 1/other = q2 (p2 - r2*sqrt5) / (p2^2 - 5 r2^2)."""
+        o = _coerce(other)
+        p1, r1, p2, r2, q2 = self.p, self.r, o.p, o.r, o.q
+        n = p2 * p2 - 5 * r2 * r2
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt5)")
-        return self * QSqrt5(other.a / n, -other.b / n)
+        return _new((p1 * p2 - 5 * r1 * r2) * q2, (r1 * p2 - p1 * r2) * q2, self.q * n)
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
@@ -67,8 +73,7 @@ class QSqrt5:
     def __pow__(self, k):
         if k < 0:
             return QSqrt5(1) / self ** (-k)
-        result = QSqrt5(1)
-        base = self
+        result, base = QSqrt5(1), self
         while k:
             if k & 1:
                 result = result * base
@@ -77,13 +82,13 @@ class QSqrt5:
         return result
 
     def conjugate(self):
-        return QSqrt5(self.a, -self.b)
+        return _new(self.p, -self.r, self.q)
 
     def norm(self):
-        return self.a * self.a - 5 * self.b * self.b
+        return Fraction(self.p * self.p - 5 * self.r * self.r, self.q * self.q)
 
     def is_rational(self):
-        return self.b == 0
+        return self.r == 0
 
     def rational_value(self):
         if not self.is_rational():
@@ -91,31 +96,28 @@ class QSqrt5:
         return self.a
 
     def sign(self):
-        """Exact sign of a + b*sqrt(5), read off its floor."""
-        if self.a == 0 and self.b == 0:
+        """Exact sign of (p + r*sqrt5)/q, read off its floor."""
+        if self.p == 0 and self.r == 0:
             return 0
         return 1 if self.floor() >= 0 else -1
 
     def __lt__(self, other):
-        return (self - _coerce(other)).sign() < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other):
-        return (self - _coerce(other)).sign() <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other):
-        return (self - _coerce(other)).sign() > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other):
-        return (self - _coerce(other)).sign() >= 0
+        return (self - other).sign() >= 0
 
     def floor(self):
-        """Largest integer m <= value = (p + r*sqrt5)/q over integers, q > 0. s is
-        floor(r*sqrt5) exactly, as 5 r^2 is never a perfect square for r != 0."""
-        q = lcm(self.a.denominator, self.b.denominator)
-        p = self.a.numerator * (q // self.a.denominator)
-        r = self.b.numerator * (q // self.b.denominator)
-        s = isqrt(5 * r * r) if r >= 0 else -isqrt(5 * r * r) - 1
-        return (p + s) // q
+        """Largest integer <= (p + r*sqrt5)/q. s = floor(|r|*sqrt5) is exact, and as
+        5 r^2 is never a perfect square for r != 0, floor(r*sqrt5) = -s - 1 for r < 0."""
+        s = isqrt(5 * self.r * self.r)
+        return (self.p + (s if self.r >= 0 else -s - 1)) // self.q
 
     def ceil(self):
         return -(-self).floor()
@@ -123,11 +125,24 @@ class QSqrt5:
     def __str__(self):
         return f"{self.a} + {self.b}*sqrt(5)"
 
+    def __repr__(self):
+        return f"QSqrt5(a={self.a!r}, b={self.b!r})"
+
+
+def _new(p, r, q, _set=object.__setattr__):
+    """The canonical triple of (p + r*sqrt5)/q, for any q != 0."""
+    g = gcd(p, r, q) if q > 0 else -gcd(p, r, q)
+    x = object.__new__(QSqrt5)
+    _set(x, "p", p // g)
+    _set(x, "r", r // g)
+    _set(x, "q", q // g)
+    return x
+
 
 def _coerce(x):
-    if isinstance(x, QSqrt5):
-        return x
-    return QSqrt5(x)
+    if isinstance(x, int):
+        return _new(x, 0, 1)
+    return x if isinstance(x, QSqrt5) else QSqrt5(x)
 
 
 SQRT5 = QSqrt5(0, 1)

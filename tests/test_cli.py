@@ -275,11 +275,8 @@ def test_exit_codes_cover_every_subcommand():
 def test_exit_code_contract(tmp_path, capsys, monkeypatch, cmd):
     passing, failing, bad = EXIT_CODES[cmd]
 
-    def exit_code(command):  # argparse exits on bad options instead of returning
-        try:
-            return main(command.format(svg=tmp_path / "x.svg").split())
-        except SystemExit as exc:
-            return exc.code
+    def exit_code(command):
+        return main(command.format(svg=tmp_path / "x.svg").split())
 
     assert exit_code(passing) == 0
     assert exit_code(bad) == 2

@@ -1,4 +1,6 @@
+import operator
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -103,3 +105,106 @@ def test_rational_value_guard():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         ALPHA / QSqrt5(0)
+
+
+class _Pair:
+    """a + b*sqrt(5) as two Fractions, the reference the integer triple is
+    checked against. floor and sign are decided by `_at_most` alone."""
+
+    def __init__(self, a, b):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    def __add__(self, o):
+        return _Pair(self.a + o.a, self.b + o.b)
+
+    def __sub__(self, o):
+        return _Pair(self.a - o.a, self.b - o.b)
+
+    def __mul__(self, o):
+        return _Pair(self.a * o.a + 5 * self.b * o.b, self.a * o.b + self.b * o.a)
+
+    def __truediv__(self, o):
+        n = o.norm()
+        return self * _Pair(o.a / n, -o.b / n)
+
+    def __pow__(self, k):
+        acc = _Pair(1, 0)
+        for _ in range(abs(k)):
+            acc = acc * self
+        return acc if k >= 0 else _Pair(1, 0) / acc
+
+    def conjugate(self):
+        return _Pair(self.a, -self.b)
+
+    def norm(self):
+        return self.a * self.a - 5 * self.b * self.b
+
+    def sign(self):
+        return 0 if self.a == self.b == 0 else 1 if _at_most(-self.a, self.b) else -1
+
+    def floor(self):
+        m = int(self.a + self.b * Fraction(isqrt(5 * 10**20), 10**10)) - 2
+        while _at_most(m + 1 - self.a, self.b):  # m + 1 <= value
+            m += 1
+        return m
+
+    def ceil(self):
+        return -(_Pair(0, 0) - self).floor()
+
+
+def _canonical(x):
+    return x.q > 0 and gcd(x.p, x.r, x.q) == 1
+
+
+pairs = st.tuples(rationals, rationals)
+
+
+@given(pairs, pairs, st.integers(-6, 6))
+def test_matches_the_fraction_pair_reference(xy, uv, k):
+    x, y = QSqrt5(*xy), QSqrt5(*uv)
+    rx, ry = _Pair(*xy), _Pair(*uv)
+    results = [(op(x, y), op(rx, ry))
+               for op in (operator.add, operator.sub, operator.mul)]
+    results += [(x.conjugate(), rx.conjugate())]
+    if y != 0:
+        results.append((x / y, rx / ry))
+    if x != 0 or k >= 0:
+        results.append((x**k, rx**k))
+    for got, want in results:
+        assert (got.a, got.b) == (want.a, want.b)
+        assert _canonical(got)
+    assert x.norm() == rx.norm()
+    assert (x.floor(), x.ceil()) == (rx.floor(), rx.ceil())
+    sign = (rx - ry).sign()
+    assert (x < y, x <= y, x > y, x >= y) == (sign < 0, sign <= 0, sign > 0, sign >= 0)
+
+
+def test_zero_is_one_triple():
+    for zero in (QSqrt5(0), QSqrt5(Fraction(0, 7), 0), ALPHA - ALPHA, SQRT5 * 0,
+                 -QSqrt5(0)):
+        assert (zero.p, zero.r, zero.q) == (0, 0, 1)
+
+
+@given(pairs, nonzero)
+def test_equal_values_have_equal_triples(xy, y):
+    x = QSqrt5(*xy)
+    for same in (x * y / y, x + y - y, -(-x), x.conjugate().conjugate()):
+        assert (same.p, same.r, same.q) == (x.p, x.r, x.q)
+        assert hash(same) == hash(x)
+
+
+def test_spellings_of_one_value_have_one_triple():
+    x, y = QSqrt5(Fraction(2, 4), 3), QSqrt5(Fraction(1, 2), 3)
+    assert (x.p, x.r, x.q) == (y.p, y.r, y.q) == (1, 6, 2)
+    assert hash(x) == hash(y)
+    assert ALPHA * ALPHA == ALPHA + 1 and hash(ALPHA * ALPHA) == hash(ALPHA + 1)
+    assert QSqrt5(-2, -4) / -2 == QSqrt5(1, 2)
+    assert {QSqrt5(3), QSqrt5(Fraction(7, 2))} == {3, Fraction(7, 2)}
+
+
+def test_repr_round_trips_and_values_are_immutable():
+    x = QSqrt5(Fraction(-3, 4), Fraction(5, 6))
+    assert eval(repr(x)) == x
+    assert repr(x) == "QSqrt5(a=Fraction(-3, 4), b=Fraction(5, 6))"
+    with pytest.raises(AttributeError):
+        x.p = 1
