@@ -5,7 +5,9 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import tee
 from math import comb
+from operator import itemgetter
 
 from . import closedforms, elimination, oeis, recurrences, walks
 from .boards import Board, PartialKind, TileKind, _raw_tilings
@@ -97,6 +99,16 @@ def _system_column(system, *members):
         tables = recurrences.eval_system(system(), upto, members)
         return {member: list(tables[member].values) for member in members}
 
+    def base10(upto):
+        """The same members' values, each read from one exact base-10 run of
+        the system through `tee`; a member dropped unread buffers nothing."""
+        spec = system()
+        order = list(spec.equations)
+        runs = tee(recurrences.iter_decimal(spec, upto), len(members))
+        return {member: map(itemgetter(order.index(member)), run)
+                for member, run in zip(members, runs)}
+
+    route.base10 = base10
     return route
 
 
@@ -173,13 +185,17 @@ def cmd_seq(args, report):
             f"sequence {args.name!r} has no {args.route!r} route "
             f"(available: {', '.join(available)})"
         )
-    columns = {}
+    columns, base10 = {}, {}
     for route in available if args.route == "all" else [args.route]:
+        fn = available[route]
         t0 = time.perf_counter()
-        result = available[route](args.upto, args.budget)
+        result = fn(args.upto, args.budget)
         report.timings[f"{args.name}:{route}"] = time.perf_counter() - t0
         for member, values in result.items():
-            columns[route if len(result) == 1 else f"{route}:{member}"] = values
+            key = route if len(result) == 1 else f"{route}:{member}"
+            columns[key] = values
+            if hasattr(fn, "base10"):
+                base10[key] = (fn.base10, member)
     groups = {}
     for key in sorted(columns):
         groups.setdefault(key.partition(":")[2], []).append(key)
@@ -187,29 +203,48 @@ def cmd_seq(args, report):
         for other in others:
             report.checks.append(agreement_check(
                 f"agree:{args.name}:{first}={other}", columns[first], columns[other]))
-    _emit_table(args, columns, report)
+    _emit_table(args, columns, base10, report)
     for check in report.checks:
         if not check.passed:
             print(f"error: check {check.name} failed at n={check.first_failure}",
                   file=sys.stderr)
 
 
-def _emit_table(args, columns, report):
+def _rows(keys, columns, base10, upto):
+    """The strings of the columns `keys`, one list per n = 0..upto. A system
+    column, `base10[key]` = (run, member), reads one exact base-10 run per
+    route: str() of a Decimal takes linear time, of an int quadratic time. A
+    value past the int-to-str digit limit goes through str(int(value)), to
+    raise the ValueError that str() of the int raises."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    runs = {run: run(upto) for run in {base10[k][0] for k in keys if k in base10}}
+    table = zip(*[runs[base10[k][0]][base10[k][1]] if k in base10 else columns[k] for k in keys])
+    del runs  # the members that are not printed must not hold their run's rows
+    for row in table:
+        texts = []
+        for value in row:
+            text = str(value)
+            if limit and len(text) - text.startswith("-") > limit:
+                text = str(int(value))
+            texts.append(text)
+        yield texts
+
+
+def _emit_table(args, columns, base10, report):
     keys = sorted(columns)
-    length = args.upto + 1
     if args.format == "json":  # the run report, with the table
-        print(report.to_json(name=args.name,
-                             columns={k: [str(v) for v in columns[k]] for k in keys}))
+        table = zip(*_rows(keys, columns, base10, args.upto))
+        print(report.to_json(name=args.name, columns=dict(zip(keys, map(list, table)))))
     elif args.format == "bfile":
         if len(keys) != 1:
             print("# b-file output uses the first route only")
-        for n in range(length):
-            print(f"{n} {columns[keys[0]][n]}")
+        for n, (text,) in enumerate(_rows(keys[:1], columns, base10, args.upto)):
+            print(f"{n} {text}")
     else:  # csv or text: a header, then one row per n
         sep = "," if args.format == "csv" else "\t"
         print(sep.join(["n"] + keys))
-        for n in range(length):
-            print(sep.join([str(n)] + [str(columns[k][n]) for k in keys]))
+        for n, texts in enumerate(_rows(keys, columns, base10, args.upto)):
+            print(sep.join([str(n)] + texts))
 
 
 # ---------------------------------------------------------------------------

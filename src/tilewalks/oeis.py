@@ -63,7 +63,7 @@ def compare_prefix(computed, reference, offset_shift):
 
     Reports the full-match length or the first mismatching computed index.
     """
-    values = list(computed.values if hasattr(computed, "values") else computed)
+    values = list(computed)
     lookup = dict(reference.entries)
     overlap = [n for n in range(len(values)) if n + offset_shift in lookup]
     if len(overlap) < MIN_OVERLAP:

@@ -2,13 +2,16 @@
 
 Every constant-coefficient relation is one row format: a polynomial in the
 backward shift x per sequence, {sequence: coefficients by shift}
-(`polynomials.IntPoly`). Integer arithmetic only.
+(`polynomials.IntPoly`). Integer arithmetic only, on `int` or on
+integer-valued `Decimal`.
 
 * CoupledSystemSpec - each member is a row read as member(n) =
   sum_s P_s(x) s(n), listed so that a same-step reference names an earlier
   member (d before c before r). The coupled 2xn systems and the one-member
   specs of fib, v, w and w-domino are all systems, and `eval_system` fills
   them, keeping whole tables only for the members a caller reads.
+  `iter_decimal` runs the same steps over `Decimal` seeds in a context that
+  traps any rounding, so that a table prints in time linear in its digits.
 * The paper's linear relations between shifted sequences (the intermediate
   identities, relations A and B, the composed form of w) are rows that sum
   to zero, and one `relation_check` applies any row to the sequence tables.
@@ -22,7 +25,10 @@ division: n*v(n) = (n+1)v(n-1) + (n+2)v(n-2). `theorem_step_check`
 applies that step to a v table that no division built.
 """
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, replace
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact,
+                     InvalidOperation, Overflow, Rounded, localcontext)
 
 from .errors import NonIntegralStep, UnstratifiableSystem
 from .polynomials import IntPoly, expand
@@ -99,24 +105,22 @@ def eval_recurrence(spec, upto):
     return SequenceTable(spec.name, tuple(vals))
 
 
-def eval_system(spec, upto, members=None):
-    """Fill the member tables to index `upto`, members in equation order, and
-    return the tables of `members` (every member when None).
+def _steps(spec, upto):
+    """Yield, for n = 0..upto, the tuple of every member's value at n, members
+    in equation order.
 
     A same-step reference must name an earlier member, and no shift may reach
     back past index 0 from a member's first computed index, so each step
-    reads only values already filled in. A member that is not returned keeps
-    only the values that a later step can still read: with `depth` the
-    largest shift of any row, each step sets the entry depth + 1 behind it
-    to None. A coefficient of +1 or -1 adds or subtracts its term without a
-    multiplication.
+    reads only values already filled in. With `depth` the largest shift of
+    any row, a member keeps only its last depth + 1 values: at the step of
+    member s, a member filled earlier in the step holds its value at n last,
+    and any other member its value at n - 1. A coefficient of +1 or -1 adds
+    or subtracts its term without a multiplication.
     """
-    keep = tuple(spec.equations) if members is None else tuple(members)
-    for s in keep:
-        if s not in spec.equations:
-            raise ValueError(f"system {spec.name!r} has no member {s!r}")
-    tables = {s: list(spec.initial[s]) for s in spec.equations}
-    rows, earlier, depth = [], set(), 0
+    depth = max((k for row in spec.equations.values() for coeffs in row.values()
+                 for k, c in enumerate(coeffs) if c), default=0)
+    tables = {s: deque(maxlen=depth + 1) for s in spec.equations}
+    rows, earlier = [], set()
     for s, row in spec.equations.items():
         first = len(spec.initial[s])
         terms = [(c, t, k) for t, coeffs in row.items() for k, c in enumerate(coeffs) if c]
@@ -127,30 +131,67 @@ def eval_system(spec, upto, members=None):
             if k > first:
                 raise ValueError(f"system {spec.name!r}: {s!r} reads {t!r} {k} steps "
                                  f"back from n = {first}, before index 0")
-            depth = max(depth, k)
+        terms = [(c, tables[t], k + (t in earlier)) for c, t, k in terms]
         earlier.add(s)
-        rows.append((tables[s], first,
-                     [(tables[t], k) for c, t, k in terms if c == 1],
-                     [(tables[t], k) for c, t, k in terms if c == -1],
-                     [(c, tables[t], k) for c, t, k in terms if c not in (1, -1)]))
-    dropped = [tables[s] for s in spec.equations if s not in keep]
-    start = min(len(v) for v in spec.initial.values())
-    for n in range(start, upto + 1):
-        for table, first, plus, minus, scaled in rows:
+        rows.append((tables[s], spec.initial[s], first,
+                     [(seq, back) for c, seq, back in terms if c == 1],
+                     [(seq, back) for c, seq, back in terms if c == -1],
+                     [(c, seq, back) for c, seq, back in terms if c not in (1, -1)]))
+    for n in range(upto + 1):
+        values = []
+        for table, initial, first, plus, minus, scaled in rows:
             if n < first:
-                continue
-            val = 0
-            for seq, k in plus:
-                val += seq[n - k]
-            for seq, k in minus:
-                val -= seq[n - k]
-            for c, seq, k in scaled:
-                val += c * seq[n - k]
+                val = initial[n]
+            else:
+                val = 0
+                for seq, back in plus:
+                    val += seq[-back]
+                for seq, back in minus:
+                    val -= seq[-back]
+                for c, seq, back in scaled:
+                    val += c * seq[-back]
             table.append(val)
-        if n > depth:  # step n + 1 reads no index below n + 1 - depth
-            for table in dropped:
-                table[n - depth - 1] = None
-    return {s: SequenceTable(s, tuple(tables[s][: upto + 1])) for s in keep}
+            values.append(val)
+        yield tuple(values)
+
+
+def eval_system(spec, upto, members=None):
+    """Fill the member tables to index `upto`, members in equation order, and
+    return the tables of `members` (every member when None). Only those
+    members' whole tables are kept; see `_steps`."""
+    keep = tuple(spec.equations) if members is None else tuple(members)
+    for s in keep:
+        if s not in spec.equations:
+            raise ValueError(f"system {spec.name!r} has no member {s!r}")
+    order = list(spec.equations)
+    columns = [(order.index(s), []) for s in keep]
+    for values in _steps(spec, upto):
+        for i, column in columns:
+            column.append(values[i])
+    return {s: SequenceTable(s, tuple(column)) for s, (_, column) in zip(keep, columns)}
+
+
+# The context of the base-10 runs: integers of any size, and an error where a
+# result would be rounded, inexactly or by dropping trailing zeros into an
+# exponent that str() would print.
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
+
+
+def iter_decimal(spec, upto):
+    """The steps of `eval_system` over `Decimal` seeds: for n = 0..upto, the
+    tuple of every member's value at n, members in equation order. The values
+    equal the integers of `eval_system`, and str() of them takes linear time.
+    Each step runs in the `EXACT` context, entered around that step only, so
+    the caller's context holds between steps."""
+    seeds = replace(spec, initial={s: tuple(map(Decimal, v)) for s, v in spec.initial.items()})
+    steps = _steps(seeds, upto)
+    while True:
+        with localcontext(EXACT):
+            values = next(steps, None)
+        if values is None:
+            return
+        yield values
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tilewalks
-from tilewalks import closedforms, walks
+from tilewalks import closedforms, recurrences, walks
 from tilewalks.cli import SEQUENCES, build_parser, main
 from tilewalks.oeis import parse_bfile
 
@@ -151,6 +151,85 @@ def test_seq_w_by_line(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n,brute:r,brute:r1,brute:r2,recurrence:r,recurrence:r1,recurrence:r2"
     assert lines[3] == "2,7,14,28,7,14,28"
+
+
+# The system column of every sequence: its spec and the members it prints.
+SYSTEM_COLUMNS = {
+    "w": (recurrences.walk_system, ("r2",)),
+    "w-domino": (recurrences.domino_only_recurrence, ("w-domino",)),
+    "r": (recurrences.tiling_system, ("r",)),
+    "a": (recurrences.tiling_system, ("a",)),
+    "c": (recurrences.tiling_system, ("c",)),
+    "d": (recurrences.tiling_system, ("d",)),
+    "r1": (recurrences.walk_system, ("r1",)),
+    "fib": (recurrences.fibonacci_spec, ("fib",)),
+    "w-by-line": (recurrences.walk_system, ("r", "r1", "r2")),
+}
+
+
+def test_every_system_column_is_covered():
+    assert set(SYSTEM_COLUMNS) == {name for name, routes in SEQUENCES.items()
+                                   if hasattr(routes.get("recurrence"), "base10")}
+
+
+def _int_columns(name, upto):
+    """str() of the int tables of eval_system, keyed as seq prints them."""
+    system, members = SYSTEM_COLUMNS[name]
+    tables = recurrences.eval_system(system(), upto, members)
+    return {"recurrence" if len(members) == 1 else f"recurrence:{m}":
+            [str(v) for v in tables[m].values] for m in members}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text", "bfile", "json"])
+@pytest.mark.parametrize("name", SYSTEM_COLUMNS)
+def test_system_columns_print_the_int_tables(capsys, name, fmt):
+    # seq prints a system column from a base-10 run; it must read exactly
+    # as str() of the int table, w(600) having 300 digits
+    columns = _int_columns(name, 600)
+    keys = sorted(columns)
+    code, out = run(capsys, "seq", name, "--upto", "600", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out)["columns"] == columns
+        return
+    if fmt == "bfile":
+        lines = ["# b-file output uses the first route only"] if len(keys) > 1 else []
+        lines += [f"{n} {v}" for n, v in enumerate(columns[keys[0]])]
+    else:
+        sep = "," if fmt == "csv" else "\t"
+        lines = [sep.join(["n"] + keys)]
+        lines += [sep.join((str(n), *row)) for n, row in enumerate(zip(*map(columns.get, keys)))]
+    assert out == "".join(line + "\n" for line in lines)
+
+
+@pytest.fixture
+def int_max_str_digits_640():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the lowest limit the interpreter accepts
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def test_seq_stops_where_str_of_the_int_fails(capsys, int_max_str_digits_640):
+    # The rows before the first value that str(int) refuses print, then the
+    # interpreter's own ValueError ends the run. Lifting the limit for output
+    # (ROADMAP item 6) changes this test on purpose.
+    values = recurrences.eval_system(recurrences.walk_system(), 1300, ("r2",))["r2"].values
+    rows = ["n,recurrence"]
+    for n, value in enumerate(values):
+        try:
+            rows.append(f"{n},{value}")
+        except ValueError as exc:
+            refused, message = n, str(exc)
+            break
+    assert 1000 < refused < 1300
+    with pytest.raises(ValueError) as raised:
+        main(["seq", "w", "--upto", "1300", "--route", "recurrence", "--format", "csv"])
+    assert str(raised.value) == message
+    assert "Exceeds the limit (640 digits)" in message
+    assert capsys.readouterr().out == "".join(row + "\n" for row in rows)
 
 
 @pytest.mark.parametrize("suite", ["theorems", "lemmas", "elimination",

@@ -1,3 +1,4 @@
+import decimal
 import inspect
 import tracemalloc
 
@@ -18,6 +19,7 @@ from tilewalks.recurrences import (
     eval_recurrence,
     eval_system,
     fibonacci_spec,
+    iter_decimal,
     relation_check,
     theorem_step_check,
     tiling_system,
@@ -139,16 +141,60 @@ def test_every_system_spec_is_covered():
 
 @pytest.mark.parametrize("factory", SYSTEM_SPECS, ids=lambda fn: fn.__name__)
 def test_member_subsets_match_the_full_run(factory):
-    # Every member is computed whatever `members` is, and a dropped entry is
-    # None, so a read past the depth raises: the empty subset drops every
-    # member and so makes every such read, and the singletons and their
-    # complements compare every returned table with the full run.
+    # Every member is computed whatever `members` is, and each keeps only
+    # its last depth + 1 values, so a read past the depth raises: the empty
+    # subset returns no table but still makes every read, and the singletons
+    # and their complements compare every returned table with the full run.
     spec = factory()
     full = eval_system(spec, 300)
     names = list(spec.equations)
     subsets = [(), *((s,) for s in names), *(tuple(t for t in names if t != s) for s in names)]
     for members in subsets:
         assert eval_system(spec, 300, members) == {s: full[s] for s in members}, members
+
+
+@pytest.mark.parametrize("factory", SYSTEM_SPECS, ids=lambda fn: fn.__name__)
+def test_base10_run_equals_the_int_tables(factory):
+    spec = factory()
+    tables = eval_system(spec, 300)
+    rows = list(iter_decimal(spec, 300))
+    assert all(isinstance(v, decimal.Decimal) for row in rows for v in row)
+    assert [tuple(map(int, row)) for row in rows] == list(zip(*(t.values for t in tables.values())))
+    # an exact integer prints as its digits: no exponent, no trailing ".0"
+    assert [str(row[0]) for row in rows] == [str(v) for v in tables[next(iter(tables))].values]
+
+
+def test_base10_run_leaves_the_callers_context_alone():
+    ctx = decimal.getcontext()
+    before = (ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding, dict(ctx.traps))
+    run = iter_decimal(walk_system(), 3000)
+    for _ in range(2500):  # values of about 1,250 digits, past the caller's 28
+        next(run)
+    assert decimal.getcontext() is ctx
+    assert (ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding, dict(ctx.traps)) == before
+    assert +decimal.Decimal(10**40 + 1) == decimal.Decimal("1.000000000000000000000000000E+40")
+    run.close()
+
+
+def test_base10_run_in_a_28_digit_context_stops_at_the_first_rounding(monkeypatch):
+    # negative control: the same runs in a copy of the exact context cut to
+    # the default 28 digits
+    short = recurrences.EXACT.copy()
+    short.prec = 28
+    monkeypatch.setattr(recurrences, "EXACT", short)
+    # a fib step's sum is its value, so the run yields every value of at most
+    # 28 digits and stops, inexact, at the first longer one
+    short_values = [v for v in eval_system(fibonacci_spec(), 600)["fib"].values
+                    if len(str(v)) <= 28]
+    run = iter_decimal(fibonacci_spec(), 600)
+    assert [int(next(run)[0]) for _ in short_values] == short_values
+    with pytest.raises(decimal.Inexact):
+        next(run)
+    # w's partial sums pass 28 digits first, and one of them rounds away a
+    # trailing zero: exact, but it would print with an exponent
+    with pytest.raises(decimal.Rounded):
+        for _ in iter_decimal(w_ninth_order_spec(), 600):
+            pass
 
 
 def test_unknown_member_detected():

@@ -81,14 +81,26 @@ def test_hooked_results_have_the_shapes_the_hooks_read():
     assert len(boards.enumerate_partial_tilings(board, boards.PartialKind.C)) == 10
 
 
-@pytest.mark.parametrize("factory", [
+SYSTEM_FACTORIES = [
     "fibonacci_spec", "tiling_system", "walk_system", "domino_only_system",
     "v_fourth_order_spec", "v_inhomogeneous_system", "w_ninth_order_spec",
     "domino_only_recurrence",
-])
+]
+
+
+@pytest.mark.parametrize("factory", SYSTEM_FACTORIES)
 def test_eval_system_returns_every_member_by_default(factory):
     # the eval_system hook reads every returned table, so a call without
     # `members` must still return one table per equation
     rec = importlib.import_module("tilewalks.recurrences")
     spec = getattr(rec, factory)()
     assert list(rec.eval_system(spec, 5)) == list(spec.equations)
+
+
+@pytest.mark.parametrize("factory", SYSTEM_FACTORIES)
+def test_eval_system_tables_hold_ints(factory):
+    # the eval_system hook reads abs(v).bit_length() of every value, which a
+    # Decimal (of the base-10 run that seq prints from) does not have
+    rec = importlib.import_module("tilewalks.recurrences")
+    for table in rec.eval_system(getattr(rec, factory)(), 40).values():
+        assert all(type(v) is int for v in table.values)
