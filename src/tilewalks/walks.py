@@ -5,6 +5,7 @@ package is cross-checked against the sums computed here.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add
 
 from .boards import (
@@ -33,21 +34,26 @@ class WalkCountByLine:
     w2: int
 
 
-def _column_step(ways, spill, cross):
-    """Walk counts on grid line x from those on line x-1.
+@lru_cache(maxsize=None)
+def _column_step(rows, spill, cross):
+    """The map from the rows + 1 walk counts on grid line x-1 to the tuple
+    of counts on line x, compiled to straight-line additions on first use.
 
     `spill` and `cross` are the masks of column x from `_column_fills`: bit
     y-1 of `spill` blocks the climb from (x, y-1) to (x, y), bit y of `cross`
-    blocks the step from (x-1, y) to (x, y). Line 0 is the step from
-    [1, 0, ..., 0] with nothing blocked.
+    blocks the step from (x-1, y) to (x, y), so n[y] = (w[y] unless cross)
+    + (n[y-1] unless spill). The source is built from the three ints alone.
+    Line 0 is the step from (1, 0, ..., 0) with nothing blocked.
     """
-    nxt, below, climb = [], 0, spill << 1
-    for w in ways:  # bit 0 of cross and climb is the row at hand
-        below = (0 if cross & 1 else w) + (0 if climb & 1 else below)
-        nxt.append(below)
-        cross >>= 1
-        climb >>= 1
-    return nxt
+    lines, climb = range(rows + 1), spill << 1 | 1  # row 0 has no climb
+    sums = [" + ".join([f"w{y}"] * (not cross >> y & 1)
+                       + [f"n{y - 1}"] * (not climb >> y & 1)) or "0" for y in lines]
+    source = (f"def step({', '.join(f'w{y}' for y in lines)}):\n"
+              + "".join(f"    n{y} = {term}\n" for y, term in enumerate(sums))
+              + f"    return ({''.join(f'n{y}, ' for y in lines)})\n")
+    namespace = {}
+    exec(source, namespace)
+    return namespace["step"]
 
 
 def count_walks_for_tiling(tiling, end_line):
@@ -60,12 +66,12 @@ def count_walks_for_tiling(tiling, end_line):
         tiles[t.col] += ((t.kind, t.row),)
     for j, r in tiling.removed:
         removed[j] |= 1 << (r - 1)
-    ways, spill = _column_step([1] + [0] * rows, 0, 0), 0
+    ways, spill = _column_step(rows, 0, 0)(1, *[0] * rows), 0
     for x in range(1, n + 1):
         # the masks of the column fill that places this tiling's column-x tiles
         spill, cross = next((s, c) for fill, s, c in _column_fills(
             rows, spill | removed[x], 0, True) if fill == tiles[x])
-        ways = _column_step(ways, spill, cross)
+        ways = _column_step(rows, spill, cross)(*ways)
     return ways[end_line]
 
 
@@ -97,13 +103,24 @@ def enumerate_walks(tiling):
     return out
 
 
+def _count_text(total):
+    """`total` in digits when it has at most 30, else "more than 10^k" with
+    10^k < total, found without str(), which refuses long ints."""
+    if total < 10**30:
+        return str(total)
+    k = int((total.bit_length() - 1) * 0.30103) - 2  # 0.30103 ~ log10(2): k is low
+    while 10 ** (k + 1) < total:
+        k += 1
+    return f"more than 10^{k}"
+
+
 def _check_budget(board, budget, squares_allowed=True, partial=None):
     total = count_tilings(board, squares_allowed, partial)
     if total > budget:
         shape = f"{board.rows}x{board.cols} board"
         if partial is not None:
             shape = f"shape {partial.name} of the {shape}"
-        raise BudgetExceeded(f"{shape} has {total} tilings, budget {budget}")
+        raise BudgetExceeded(f"{shape} has {_count_text(total)} tilings, budget {budget}")
 
 
 def brute_tiling_count(board, budget=DEFAULT_BUDGET, partial=None):
@@ -122,17 +139,23 @@ def _line_totals(board, squares_allowed=True):
     node at depth j with no spill into column j+1 is a tiling of the
     j-column board, and its vector is that tiling's walk counts; it is
     added when it is made, and the nodes at depth n are never pushed.
+    Before the search, the fills become two tables of (spill out, compiled
+    step) indexed by the spill in: one for the inner columns and one for
+    the last, which is closed on every row. A node only indexes a list.
     """
     n, rows = board.cols, board.rows
-    start = _column_step([1] + [0] * rows, 0, 0)
-    totals = [start] + [[0] * (rows + 1) for _ in range(n)]
+    start = _column_step(rows, 0, 0)(1, *[0] * rows)
+    inner, last = ([[(out, _column_step(rows, out, cross)) for _, out, cross
+                     in _column_fills(rows, spill, closed, squares_allowed)]
+                    for spill in range(1 << rows)] for closed in (0, (1 << rows) - 1))
+    fills = [inner] * (n - 1) + [last]
+    totals = [list(start)] + [[0] * (rows + 1) for _ in range(n)]
     # (columns filled, spill into the next column, walk counts on the last line)
     stack = [(0, 0, start)] if n else []
     while stack:
         j, spill, ways = stack.pop()
-        closed = (1 << rows) - 1 if j + 1 == n else 0
-        for _, out, cross in _column_fills(rows, spill, closed, squares_allowed):
-            nxt = _column_step(ways, out, cross)
+        for out, step in fills[j][spill]:
+            nxt = step(*ways)
             if not out:
                 totals[j + 1] = list(map(add, totals[j + 1], nxt))
             if j + 1 < n:

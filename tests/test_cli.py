@@ -232,6 +232,17 @@ def test_seq_stops_where_str_of_the_int_fails(capsys, int_max_str_digits_640):
     assert capsys.readouterr().out == "".join(row + "\n" for row in rows)
 
 
+def test_busted_budget_names_a_long_count_by_its_power_of_ten(capsys, int_max_str_digits_640):
+    # r(1300) has 660 digits, more than str(int) takes under this limit
+    total = tilewalks.count_tilings(tilewalks.Board(2, 1300))
+    code = main("seq w --upto 1300 --route brute --budget 10".split())
+    err = capsys.readouterr().err
+    k = int(err.partition("more than 10^")[2].split()[0])
+    assert 10**k < total <= 10**(k + 1)
+    assert err == f"error: 2x1300 board has more than 10^{k} tilings, budget 10\n"
+    assert code == 2
+
+
 @pytest.mark.parametrize("suite", ["theorems", "lemmas", "elimination",
                                    "closed-forms", "oeis"])
 def test_verify_suites_pass(capsys, suite):

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -12,6 +13,7 @@ from tilewalks.boards import (
     enumerate_tilings,
 )
 from tilewalks import walks
+from tilewalks.boards import _column_fills
 from tilewalks.errors import BudgetExceeded
 from tilewalks.walks import (
     brute_line_totals,
@@ -121,6 +123,66 @@ def test_enumerate_walks_matches_count():
         for kind in PartialKind:
             for til in enumerate_partial_tilings(Board(2, n + 1), kind):
                 assert len(enumerate_walks(til)) == count_walks_for_tiling(til, 2)
+
+
+def per_vertex_step(tiles, ways):
+    """Walk counts on grid line x from those on line x-1, vertex by vertex,
+    from the tiles one fill places in column x: the interior edge of a
+    vertical domino on rows r, r+1 blocks the step right onto (x, r), that
+    of a horizontal domino in row r the climb from (x, r-1) to (x, r)."""
+    no_step = {r for kind, r in tiles if kind == TileKind.VDOMINO}
+    no_climb = {r for kind, r in tiles if kind == TileKind.HDOMINO}
+    counts = []
+    for y, w in enumerate(ways):
+        counts.append((0 if y in no_step else w)
+                      + (0 if y == 0 or y in no_climb else counts[y - 1]))
+    return tuple(counts)
+
+
+def column_step_mismatches(column_step):
+    """(rows, tiles, vector) for every fill of a 1- to 4-row column where
+    column_step(rows, spill, cross) disagrees with per_vertex_step, on each
+    unit vector and on one random vector."""
+    rng, bad = random.Random(1), []
+    for rows in range(1, 5):
+        vectors = [tuple(int(i == y) for i in range(rows + 1)) for y in range(rows + 1)]
+        vectors.append(tuple(rng.randrange(10**9) for _ in range(rows + 1)))
+        for occupied in range(1 << rows):
+            for closed in (0, (1 << rows) - 1):
+                for squares in (True, False):
+                    for tiles, spill, cross in _column_fills(rows, occupied, closed, squares):
+                        step = column_step(rows, spill, cross)
+                        bad += [(rows, tiles, ways) for ways in vectors
+                                if step(*ways) != per_vertex_step(tiles, ways)]
+    return bad
+
+
+def test_compiled_column_step_matches_a_per_vertex_model():
+    # rows 3 and 4 are past Board's limit: the step itself is row-generic
+    assert column_step_mismatches(walks._column_step) == []
+
+
+def test_per_vertex_model_catches_a_column_step_that_ignores_spill():
+    def mutant(rows, spill, cross):
+        return walks._column_step(rows, 0, cross)
+
+    assert column_step_mismatches(mutant)
+
+
+def test_a_search_compiles_one_step_per_spill_and_cross_pair():
+    fills = [f for spill in range(4) for closed in (0, 3)
+             for f in _column_fills(2, spill, closed, True)]
+    walks._column_step.cache_clear()
+    brute_line_totals(2, 12)  # 808,395 tilings of the 2x12 board alone
+    info = walks._column_step.cache_info()
+    assert info.misses == info.currsize == len({(0, 0)} | {(s, c) for _, s, c in fills})
+    assert info.hits + info.misses == 1 + len(fills)  # the start, then each table entry
+
+
+def test_count_text_is_exact_to_30_digits():
+    assert walks._count_text(10**30 - 1) == "9" * 30
+    assert walks._count_text(10**30) == "more than 10^29"
+    assert walks._count_text(10**30 + 1) == "more than 10^30"
 
 
 def test_sum_is_order_independent():
