@@ -2,12 +2,11 @@
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import tee
 from math import comb
-from operator import itemgetter
 
 from . import closedforms, elimination, oeis, recurrences, walks
 from .boards import Board, PartialKind, TileKind, _raw_tilings
@@ -53,7 +52,8 @@ class RunReport:
 # ---------------------------------------------------------------------------
 # sequence routes
 #
-# Every route is route(upto, budget) -> {member: [values for n = 0..upto]}.
+# Every route is route(upto, budget) -> {member: [values for n = 0..upto]}:
+# ints, or for a system column the Decimals of one exact base-10 run.
 # A one-member result is the column `route`, whatever its member is named
 # ("" where a route computes the sequence itself), and all such columns of
 # a sequence must agree. A many-member result is the columns
@@ -96,19 +96,8 @@ def _tiling_column(kind=None):
 
 def _system_column(system, *members):
     def route(upto, budget):
-        tables = recurrences.eval_system(system(), upto, members)
-        return {member: list(tables[member].values) for member in members}
+        return recurrences.decimal_columns(system(), upto, members)
 
-    def base10(upto):
-        """The same members' values, each read from one exact base-10 run of
-        the system through `tee`; a member dropped unread buffers nothing."""
-        spec = system()
-        order = list(spec.equations)
-        runs = tee(recurrences.iter_decimal(spec, upto), len(members))
-        return {member: map(itemgetter(order.index(member)), run)
-                for member, run in zip(members, runs)}
-
-    route.base10 = base10
     return route
 
 
@@ -185,17 +174,13 @@ def cmd_seq(args, report):
             f"sequence {args.name!r} has no {args.route!r} route "
             f"(available: {', '.join(available)})"
         )
-    columns, base10 = {}, {}
+    columns = {}
     for route in available if args.route == "all" else [args.route]:
-        fn = available[route]
         t0 = time.perf_counter()
-        result = fn(args.upto, args.budget)
+        result = available[route](args.upto, args.budget)
         report.timings[f"{args.name}:{route}"] = time.perf_counter() - t0
         for member, values in result.items():
-            key = route if len(result) == 1 else f"{route}:{member}"
-            columns[key] = values
-            if hasattr(fn, "base10"):
-                base10[key] = (fn.base10, member)
+            columns[route if len(result) == 1 else f"{route}:{member}"] = values
     groups = {}
     for key in sorted(columns):
         groups.setdefault(key.partition(":")[2], []).append(key)
@@ -203,24 +188,19 @@ def cmd_seq(args, report):
         for other in others:
             report.checks.append(agreement_check(
                 f"agree:{args.name}:{first}={other}", columns[first], columns[other]))
-    _emit_table(args, columns, base10, report)
+    _emit_table(args, columns, report)
     for check in report.checks:
         if not check.passed:
             print(f"error: check {check.name} failed at n={check.first_failure}",
                   file=sys.stderr)
 
 
-def _rows(keys, columns, base10, upto):
-    """The strings of the columns `keys`, one list per n = 0..upto. A system
-    column, `base10[key]` = (run, member), reads one exact base-10 run per
-    route: str() of a Decimal takes linear time, of an int quadratic time. A
-    value past the int-to-str digit limit goes through str(int(value)), to
-    raise the ValueError that str() of the int raises."""
+def _rows(keys, columns):
+    """The strings of the columns `keys`, one list per row. A value past the
+    int-to-str digit limit goes through str(int(value)), so that a `Decimal`
+    column raises the ValueError that str() of the int raises."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    runs = {run: run(upto) for run in {base10[k][0] for k in keys if k in base10}}
-    table = zip(*[runs[base10[k][0]][base10[k][1]] if k in base10 else columns[k] for k in keys])
-    del runs  # the members that are not printed must not hold their run's rows
-    for row in table:
+    for row in zip(*map(columns.get, keys)):
         texts = []
         for value in row:
             text = str(value)
@@ -230,20 +210,20 @@ def _rows(keys, columns, base10, upto):
         yield texts
 
 
-def _emit_table(args, columns, base10, report):
+def _emit_table(args, columns, report):
     keys = sorted(columns)
     if args.format == "json":  # the run report, with the table
-        table = zip(*_rows(keys, columns, base10, args.upto))
+        table = zip(*_rows(keys, columns))
         print(report.to_json(name=args.name, columns=dict(zip(keys, map(list, table)))))
     elif args.format == "bfile":
         if len(keys) != 1:
             print("# b-file output uses the first route only")
-        for n, (text,) in enumerate(_rows(keys[:1], columns, base10, args.upto)):
+        for n, (text,) in enumerate(_rows(keys[:1], columns)):
             print(f"{n} {text}")
     else:  # csv or text: a header, then one row per n
         sep = "," if args.format == "csv" else "\t"
         print(sep.join(["n"] + keys))
-        for n, texts in enumerate(_rows(keys, columns, base10, args.upto)):
+        for n, texts in enumerate(_rows(keys, columns)):
             print(sep.join([str(n)] + texts))
 
 
@@ -425,11 +405,18 @@ def main(argv=None):
     report = RunReport(argv)
     try:
         args.fn(args, report)
+        if args.cmd != "seq":  # seq prints its report only as --format json
+            print(report.to_json())
+        sys.stdout.flush()  # a closed pipe raises here at the latest, not at exit
     except TileWalksError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.cmd != "seq":  # seq prints its report only as --format json
-        print(report.to_json())
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        # what is still buffered goes nowhere, so the flush at exit is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # the shell's code for a writer killed by SIGPIPE
     return 0 if report.ok else 1
 
 

@@ -8,10 +8,10 @@ integer-valued `Decimal`.
 * CoupledSystemSpec - each member is a row read as member(n) =
   sum_s P_s(x) s(n), listed so that a same-step reference names an earlier
   member (d before c before r). The coupled 2xn systems and the one-member
-  specs of fib, v, w and w-domino are all systems, and `eval_system` fills
-  them, keeping whole tables only for the members a caller reads.
-  `iter_decimal` runs the same steps over `Decimal` seeds in a context that
-  traps any rounding, so that a table prints in time linear in its digits.
+  specs of fib, v, w and w-domino are all systems. One step loop fills them:
+  `eval_system` returns the `int` tables of the members a caller reads, and
+  `decimal_columns` the same columns from `Decimal` seeds in a context that
+  traps any rounding, so that `seq` prints them in time linear in digits.
 * The paper's linear relations between shifted sequences (the intermediate
   identities, relations A and B, the composed form of w) are rows that sum
   to zero, and one `relation_check` applies any row to the sequence tables.
@@ -155,10 +155,10 @@ def _steps(spec, upto):
         yield tuple(values)
 
 
-def eval_system(spec, upto, members=None):
-    """Fill the member tables to index `upto`, members in equation order, and
-    return the tables of `members` (every member when None). Only those
-    members' whole tables are kept; see `_steps`."""
+def _columns(spec, upto, members):
+    """{member: list of its values for n = 0..upto} for each of `members`
+    (every member, in equation order, when None). Every member is computed,
+    but only these members' whole columns are kept; see `_steps`."""
     keep = tuple(spec.equations) if members is None else tuple(members)
     for s in keep:
         if s not in spec.equations:
@@ -168,7 +168,13 @@ def eval_system(spec, upto, members=None):
     for values in _steps(spec, upto):
         for i, column in columns:
             column.append(values[i])
-    return {s: SequenceTable(s, tuple(column)) for s, (_, column) in zip(keep, columns)}
+    return {s: column for s, (_, column) in zip(keep, columns)}
+
+
+def eval_system(spec, upto, members=None):
+    """The `int` tables of `members` (every member when None) to index `upto`."""
+    return {s: SequenceTable(s, tuple(column))
+            for s, column in _columns(spec, upto, members).items()}
 
 
 # The context of the base-10 runs: integers of any size, and an error where a
@@ -178,20 +184,15 @@ EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                 traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
 
 
-def iter_decimal(spec, upto):
-    """The steps of `eval_system` over `Decimal` seeds: for n = 0..upto, the
-    tuple of every member's value at n, members in equation order. The values
-    equal the integers of `eval_system`, and str() of them takes linear time.
-    Each step runs in the `EXACT` context, entered around that step only, so
-    the caller's context holds between steps."""
+def decimal_columns(spec, upto, members):
+    """The columns of `eval_system` as `Decimal`s, from one run of the same
+    steps over `Decimal` seeds in the `EXACT` context: each value equals the
+    integer, and str() of it takes time linear in its digits where str() of
+    an `int` takes quadratic time. The caller's context is restored on
+    return and on any error."""
     seeds = replace(spec, initial={s: tuple(map(Decimal, v)) for s, v in spec.initial.items()})
-    steps = _steps(seeds, upto)
-    while True:
-        with localcontext(EXACT):
-            values = next(steps, None)
-        if values is None:
-            return
-        yield values
+    with localcontext(EXACT):
+        return _columns(seeds, upto, members)
 
 
 # ---------------------------------------------------------------------------

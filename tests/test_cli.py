@@ -1,4 +1,5 @@
 import argparse
+import decimal
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tilewalks
-from tilewalks import closedforms, recurrences, walks
+from tilewalks import boards, closedforms, recurrences, walks
 from tilewalks.cli import SEQUENCES, build_parser, main
 from tilewalks.oeis import parse_bfile
 
@@ -167,9 +168,31 @@ SYSTEM_COLUMNS = {
 }
 
 
+def _is_system_column(route):
+    """A system column is one exact base-10 run: its values are Decimals."""
+    return route is not None and all(isinstance(v, decimal.Decimal)
+                                     for column in route(3, walks.DEFAULT_BUDGET).values()
+                                     for v in column)
+
+
 def test_every_system_column_is_covered():
     assert set(SYSTEM_COLUMNS) == {name for name, routes in SEQUENCES.items()
-                                   if hasattr(routes.get("recurrence"), "base10")}
+                                   if _is_system_column(routes.get("recurrence"))}
+
+
+def test_seq_runs_each_system_column_once(capsys, monkeypatch):
+    # the printed table and the agreement checks read one run of the steps
+    runs, tables = [], []
+    steps, eval_system = recurrences._steps, recurrences.eval_system
+    monkeypatch.setattr(recurrences, "_steps",
+                        lambda spec, upto: runs.append(spec.name) or steps(spec, upto))
+    monkeypatch.setattr(recurrences, "eval_system",
+                        lambda *args: tables.append(args) or eval_system(*args))
+    code, out = run(capsys, "seq", "w-by-line", "--upto", "50", "--route", "recurrence")
+    assert code == 0
+    assert len(out.splitlines()) == 52
+    assert runs == ["walk"]
+    assert tables == []
 
 
 def _int_columns(name, upto):
@@ -234,7 +257,7 @@ def test_seq_stops_where_str_of_the_int_fails(capsys, int_max_str_digits_640):
 
 def test_busted_budget_names_a_long_count_by_its_power_of_ten(capsys, int_max_str_digits_640):
     # r(1300) has 660 digits, more than str(int) takes under this limit
-    total = tilewalks.count_tilings(tilewalks.Board(2, 1300))
+    total = boards.count_tilings(boards.Board(2, 1300))
     code = main("seq w --upto 1300 --route brute --budget 10".split())
     err = capsys.readouterr().err
     k = int(err.partition("more than 10^")[2].split()[0])
@@ -320,6 +343,23 @@ def test_bad_input_exits_2_with_one_line(tmp_path, command, message):
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+
+
+def test_closed_pipe_exits_141_without_a_traceback(tmp_path):
+    # w to 3000 is about 2 MB of text, far more than a pipe buffers, so the
+    # run is still writing when the reader goes, as under `| head -1`
+    src = str(Path(tilewalks.__file__).resolve().parents[1])
+    with open(tmp_path / "err", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tilewalks.cli", "seq", "w", "--upto", "3000"],
+            stdout=subprocess.PIPE, stderr=err, env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.readline() == b"n\trecurrence\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        err.seek(0)
+        stderr = err.read()
+    assert "Traceback" not in stderr
+    assert "Exception ignored" not in stderr
 
 
 def test_cli_import_loads_no_network_client():

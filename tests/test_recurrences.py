@@ -14,12 +14,12 @@ from tilewalks.recurrences import (
     RecurrenceSpec,
     agreement_check,
     composed_form_check,
+    decimal_columns,
     domino_only_recurrence,
     domino_only_system,
     eval_recurrence,
     eval_system,
     fibonacci_spec,
-    iter_decimal,
     relation_check,
     theorem_step_check,
     tiling_system,
@@ -155,25 +155,39 @@ def test_member_subsets_match_the_full_run(factory):
 
 @pytest.mark.parametrize("factory", SYSTEM_SPECS, ids=lambda fn: fn.__name__)
 def test_base10_run_equals_the_int_tables(factory):
+    # the subsets of test_member_subsets_match_the_full_run, each run once
     spec = factory()
-    tables = eval_system(spec, 300)
-    rows = list(iter_decimal(spec, 300))
-    assert all(isinstance(v, decimal.Decimal) for row in rows for v in row)
-    assert [tuple(map(int, row)) for row in rows] == list(zip(*(t.values for t in tables.values())))
-    # an exact integer prints as its digits: no exponent, no trailing ".0"
-    assert [str(row[0]) for row in rows] == [str(v) for v in tables[next(iter(tables))].values]
+    full = eval_system(spec, 300)
+    names = list(spec.equations)
+    subsets = [(), *((s,) for s in names), *(tuple(t for t in names if t != s) for s in names)]
+    for members in subsets:
+        columns = decimal_columns(spec, 300, members)
+        assert list(columns) == list(members)
+        for s, column in columns.items():
+            assert all(isinstance(v, decimal.Decimal) for v in column)
+            assert [int(v) for v in column] == list(full[s].values)
+            # an exact integer prints as its digits: no exponent, no trailing ".0"
+            assert [str(v) for v in column] == [str(v) for v in full[s].values]
 
 
-def test_base10_run_leaves_the_callers_context_alone():
+def _caller_context():
     ctx = decimal.getcontext()
-    before = (ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding, dict(ctx.traps))
-    run = iter_decimal(walk_system(), 3000)
-    for _ in range(2500):  # values of about 1,250 digits, past the caller's 28
-        next(run)
-    assert decimal.getcontext() is ctx
-    assert (ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding, dict(ctx.traps)) == before
+    return ctx, (ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding, dict(ctx.traps), dict(ctx.flags))
+
+
+def test_base10_run_leaves_the_callers_context_alone(monkeypatch):
+    ctx, before = _caller_context()
+    # values of about 1,250 digits, past the caller's 28
+    assert len(str(decimal_columns(walk_system(), 2500, ("r2",))["r2"][-1])) > 1000
+    assert _caller_context() == (ctx, before)
+    # and when the run raises mid-way, here at fib's first value past 28 digits
+    short = recurrences.EXACT.copy()
+    short.prec = 28
+    monkeypatch.setattr(recurrences, "EXACT", short)
+    with pytest.raises(decimal.Inexact):
+        decimal_columns(fibonacci_spec(), 600, ("fib",))
+    assert _caller_context() == (ctx, before)
     assert +decimal.Decimal(10**40 + 1) == decimal.Decimal("1.000000000000000000000000000E+40")
-    run.close()
 
 
 def test_base10_run_in_a_28_digit_context_stops_at_the_first_rounding(monkeypatch):
@@ -182,19 +196,17 @@ def test_base10_run_in_a_28_digit_context_stops_at_the_first_rounding(monkeypatc
     short = recurrences.EXACT.copy()
     short.prec = 28
     monkeypatch.setattr(recurrences, "EXACT", short)
-    # a fib step's sum is its value, so the run yields every value of at most
+    # a fib step's sum is its value, so the run holds every value of at most
     # 28 digits and stops, inexact, at the first longer one
-    short_values = [v for v in eval_system(fibonacci_spec(), 600)["fib"].values
-                    if len(str(v)) <= 28]
-    run = iter_decimal(fibonacci_spec(), 600)
-    assert [int(next(run)[0]) for _ in short_values] == short_values
+    fib = eval_system(fibonacci_spec(), 600)["fib"].values
+    last = max(n for n, v in enumerate(fib) if len(str(v)) <= 28)
+    assert decimal_columns(fibonacci_spec(), last, ("fib",))["fib"] == list(fib[:last + 1])
     with pytest.raises(decimal.Inexact):
-        next(run)
+        decimal_columns(fibonacci_spec(), last + 1, ("fib",))
     # w's partial sums pass 28 digits first, and one of them rounds away a
     # trailing zero: exact, but it would print with an exponent
     with pytest.raises(decimal.Rounded):
-        for _ in iter_decimal(w_ninth_order_spec(), 600):
-            pass
+        decimal_columns(w_ninth_order_spec(), 600, ("w",))
 
 
 def test_unknown_member_detected():
