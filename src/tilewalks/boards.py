@@ -127,6 +127,34 @@ def _column_fills(rows, occupied, closed, squares_allowed):
     return tuple(fills)
 
 
+def _taken(board, partial):
+    """Rows of each column 0..n+1 covered before the search, as masks, with
+    column n+1 closed, and the (kind, row) pairs of the tiles that a
+    `partial` shape forces in each column; None for a shape that does not
+    fit the board."""
+    n, rows = board.cols, board.rows
+    taken = [0] * (n + 2)
+    taken[n + 1] = (1 << rows) - 1
+    forced = [()] * (n + 1)
+    if partial is not None:
+        if n < (1 if partial == PartialKind.C else 2):
+            return None
+        removed, forced_tiles = _partial_setup(board, partial)
+        for t in forced_tiles:
+            forced[t.col] += ((t.kind, t.row),)
+        for j, r in removed.union(*(t.covered_cells() for t in forced_tiles)):
+            taken[j] |= 1 << (r - 1)
+    return taken, forced
+
+
+def _completions(rows, after, occupied, closed, squares_allowed):
+    """Covers of columns j..n per spill into column j, from `after`, the
+    covers of columns j+1..n per spill into column j+1; `occupied` and
+    `closed` are the taken rows of columns j and j+1."""
+    return [sum(after[out] for _, out, _ in _column_fills(
+        rows, spill | occupied, closed, squares_allowed)) for spill in range(1 << rows)]
+
+
 @lru_cache(maxsize=16)  # shared by every caller, so read only
 def _fill_table(board, squares_allowed=True, partial=None):
     """The fills of every column and their completion counts.
@@ -140,17 +168,10 @@ def _fill_table(board, squares_allowed=True, partial=None):
     board has no tilings.
     """
     n, rows = board.cols, board.rows
-    taken = [0] * (n + 2)  # rows of column j covered before the search; n+1 is closed
-    taken[n + 1] = (1 << rows) - 1
-    forced = [()] * (n + 1)
-    if partial is not None:
-        if n < (1 if partial == PartialKind.C else 2):
-            return None, [None, [0]]
-        removed, forced_tiles = _partial_setup(board, partial)
-        for t in forced_tiles:
-            forced[t.col] += ((t.kind, t.row),)
-        for j, r in removed.union(*(t.covered_cells() for t in forced_tiles)):
-            taken[j] |= 1 << (r - 1)
+    shape = _taken(board, partial)
+    if shape is None:
+        return None, [None, [0]]
+    taken, forced = shape
     fills = [None] + [
         [[(tuple(TilePlacement(k, j, r)
                  for k, r in sorted(tiles + forced[j], key=itemgetter(1))), out)
@@ -161,7 +182,7 @@ def _fill_table(board, squares_allowed=True, partial=None):
     ]
     after = [None] * (n + 1) + [[1] + [0] * ((1 << rows) - 1)]
     for j in range(n, 0, -1):
-        after[j] = [sum(after[j + 1][out] for _, out in f) for f in fills[j]]
+        after[j] = _completions(rows, after[j + 1], taken[j], taken[j + 1], squares_allowed)
     return fills, after
 
 
@@ -198,15 +219,22 @@ def enumerate_tilings(board, squares_allowed=True):
 
 
 def count_tilings(board, squares_allowed=True, partial=None):
-    """Tilings of the board, or of its truncated `partial` shape, from the
-    completion counts of the fill table, without enumerating."""
-    return _fill_table(board, squares_allowed, partial)[1][1][0]
+    """Tilings of the board, or of its truncated `partial` shape, from one
+    row of completion counts carried from the last column to the first,
+    without enumerating or keeping a table."""
+    shape = _taken(board, partial)
+    if shape is None:
+        return 0
+    taken, after = shape[0], [1] + [0] * ((1 << board.rows) - 1)
+    for j in range(board.cols, 0, -1):
+        after = _completions(board.rows, after, taken[j], taken[j + 1], squares_allowed)
+    return after[0]
 
 
 def tiling_at(board, index, squares_allowed=True):
     """The tiling at `index` of the enumeration order, in O(n 2^rows) steps:
     each column skips the fills whose completions all come before it."""
-    fills, after = _fill_table(board, squares_allowed, None)  # count_tilings' cache key
+    fills, after = _fill_table(board, squares_allowed, None)  # _raw_tilings' cache key
     if not 0 <= index < after[1][0]:
         raise IndexError(f"tiling index {index} outside 0..{after[1][0] - 1}")
     tiles, spill = [], 0

@@ -6,7 +6,6 @@ package is cross-checked against the sums computed here.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
 
 from .boards import (
     Board,
@@ -34,26 +33,65 @@ class WalkCountByLine:
     w2: int
 
 
-@lru_cache(maxsize=None)
-def _column_step(rows, spill, cross):
-    """The map from the rows + 1 walk counts on grid line x-1 to the tuple
-    of counts on line x, compiled to straight-line additions on first use.
+def _step_source(rows, spill, cross, out):
+    """The lines of straight-line source that step the rows + 1 walk counts
+    w0, w1, ... on grid line x-1 to out0, out1, ... on line x.
 
     `spill` and `cross` are the masks of column x from `_column_fills`: bit
     y-1 of `spill` blocks the climb from (x, y-1) to (x, y), bit y of `cross`
     blocks the step from (x-1, y) to (x, y), so n[y] = (w[y] unless cross)
     + (n[y-1] unless spill). The source is built from the three ints alone.
-    Line 0 is the step from (1, 0, ..., 0) with nothing blocked.
     """
-    lines, climb = range(rows + 1), spill << 1 | 1  # row 0 has no climb
-    sums = [" + ".join([f"w{y}"] * (not cross >> y & 1)
-                       + [f"n{y - 1}"] * (not climb >> y & 1)) or "0" for y in lines]
-    source = (f"def step({', '.join(f'w{y}' for y in lines)}):\n"
-              + "".join(f"    n{y} = {term}\n" for y, term in enumerate(sums))
-              + f"    return ({''.join(f'n{y}, ' for y in lines)})\n")
+    climb = spill << 1 | 1  # row 0 has no climb
+    return "".join(
+        f"    {out}{y} = " + (" + ".join([f"w{y}"] * (not cross >> y & 1)
+                                     + [f"{out}{y - 1}"] * (not climb >> y & 1)) or "0") + "\n"
+        for y in range(rows + 1))
+
+
+def _compile(rows, head, body):
+    """The function `def f(<head>w0, ..., w<rows>):` + body, compiled."""
     namespace = {}
-    exec(source, namespace)
-    return namespace["step"]
+    exec(f"def f({head}{', '.join(f'w{y}' for y in range(rows + 1))}):\n{body}", namespace)
+    return namespace["f"]
+
+
+def _vector(rows, out):
+    return f"({''.join(f'{out}{y}, ' for y in range(rows + 1))})"
+
+
+@lru_cache(maxsize=None)
+def _column_step(rows, spill, cross):
+    """The map from the rows + 1 walk counts on grid line x-1 to the tuple
+    of counts on line x through the column fill with masks (spill, cross),
+    compiled to straight-line additions on first use. Line 0 is the step
+    from (1, 0, ..., 0) with nothing blocked.
+    """
+    return _compile(rows, "", _step_source(rows, spill, cross, "n")
+                    + f"    return {_vector(rows, 'n')}\n")
+
+
+@lru_cache(maxsize=None)
+def _column_fan(rows, spill, closed, squares_allowed):
+    """Every child of a search node, compiled to straight-line source.
+
+    fan(j, totals_row, *ways) steps the walk counts `ways` through each
+    fill of `_column_fills(rows, spill, closed, squares_allowed)` in turn,
+    adds the vectors of the fills that spill nothing out into `totals_row`
+    in place, one += per grid line, and returns every fill as a
+    (j, spill out, vector) child, in fill order, unless `closed` is every
+    row: the last column has no children.
+    """
+    fills, full = _column_fills(rows, spill, closed, squares_allowed), (1 << rows) - 1
+    body = "".join(_step_source(rows, out, cross, f"n{i}_")
+                   for i, (_, out, cross) in enumerate(fills))
+    done = [i for i, (_, out, _) in enumerate(fills) if not out]
+    if done:
+        body += "".join(f"    t[{y}] += {' + '.join(f'n{i}_{y}' for i in done)}\n"
+                        for y in range(rows + 1))
+    children = "".join(f"(j, {out}, {_vector(rows, f'n{i}_')}), "
+                       for i, (_, out, _) in enumerate(fills)) if ~closed & full else ""
+    return _compile(rows, "j, t, ", body + f"    return ({children})\n")
 
 
 def count_walks_for_tiling(tiling, end_line):
@@ -139,27 +177,22 @@ def _line_totals(board, squares_allowed=True):
     node at depth j with no spill into column j+1 is a tiling of the
     j-column board, and its vector is that tiling's walk counts; it is
     added when it is made, and the nodes at depth n are never pushed.
-    Before the search, the fills become two tables of (spill out, compiled
-    step) indexed by the spill in: one for the inner columns and one for
-    the last, which is closed on every row. A node only indexes a list.
+    Before the search, the compiled fans of `_column_fan` become two tables
+    indexed by the spill in: one for the inner columns and one for the
+    last, which is closed on every row. A node is one call of its fan.
     """
     n, rows = board.cols, board.rows
     start = _column_step(rows, 0, 0)(1, *[0] * rows)
-    inner, last = ([[(out, _column_step(rows, out, cross)) for _, out, cross
-                     in _column_fills(rows, spill, closed, squares_allowed)]
+    inner, last = ([_column_fan(rows, spill, closed, squares_allowed)
                     for spill in range(1 << rows)] for closed in (0, (1 << rows) - 1))
-    fills = [inner] * (n - 1) + [last]
+    fans = [inner] * (n - 1) + [last]
     totals = [list(start)] + [[0] * (rows + 1) for _ in range(n)]
     # (columns filled, spill into the next column, walk counts on the last line)
     stack = [(0, 0, start)] if n else []
+    pop, extend = stack.pop, stack.extend
     while stack:
-        j, spill, ways = stack.pop()
-        for out, step in fills[j][spill]:
-            nxt = step(*ways)
-            if not out:
-                totals[j + 1] = list(map(add, totals[j + 1], nxt))
-            if j + 1 < n:
-                stack.append((j + 1, out, nxt))
+        j, spill, ways = pop()
+        extend(fans[j][spill](j + 1, totals[j + 1], *ways))
     return totals
 
 

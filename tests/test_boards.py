@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,22 @@ def test_count_tilings_examples():
     assert count_tilings(Board(1, 5)) == 8
     assert count_tilings(Board(2, 6)) == 733
     assert count_tilings(Board(2, 0)) == 1
+
+
+def test_count_tilings_of_a_long_board_keeps_one_row_of_counts():
+    # the budget check counts the largest board of a brute column first,
+    # so refusing a long one must not build its fill table
+    tracemalloc.start()
+    try:
+        total = count_tilings(Board(2, 20000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    r = [1, 2, 7]  # 2xn tilings: r(n) = 3 r(n-1) + r(n-2) - r(n-3)
+    for _ in range(20000 - 2):
+        r = [r[1], r[2], 3 * r[2] + r[1] - r[0]]
+    assert total == r[2]
 
 
 @pytest.mark.parametrize("n", range(21))

@@ -266,6 +266,13 @@ def test_busted_budget_names_a_long_count_by_its_power_of_ten(capsys, int_max_st
     assert code == 2
 
 
+def test_refusing_a_long_board_answers_at_once(capsys):
+    code = main("seq w --upto 20000 --route brute --budget 10".split())
+    assert capsys.readouterr().err == (
+        "error: 2x20000 board has more than 10^10141 tilings, budget 10\n")
+    assert code == 2
+
+
 @pytest.mark.parametrize("suite", ["theorems", "lemmas", "elimination",
                                    "closed-forms", "oeis"])
 def test_verify_suites_pass(capsys, suite):

@@ -1,5 +1,7 @@
 import random
+from collections import namedtuple
 from math import comb
+from operator import add
 
 import pytest
 
@@ -169,14 +171,81 @@ def test_per_vertex_model_catches_a_column_step_that_ignores_spill():
     assert column_step_mismatches(mutant)
 
 
-def test_a_search_compiles_one_step_per_spill_and_cross_pair():
-    fills = [f for spill in range(4) for closed in (0, 3)
-             for f in _column_fills(2, spill, closed, True)]
+def column_fan_mismatches(column_fan):
+    """(rows, spill, closed, squares, vector) for every 1- to 4-row column
+    where column_fan(rows, spill, closed, squares) disagrees with
+    per_vertex_step, on each unit vector and on one random vector: its
+    children must be (j, out, step) of every fill in fill order, none when
+    the column is closed on every row, and its increment of the totals row
+    the sum of the steps of the fills with no spill out."""
+    rng, bad = random.Random(1), []
+    for rows in range(1, 5):
+        full = (1 << rows) - 1
+        vectors = [tuple(int(i == y) for i in range(rows + 1)) for y in range(rows + 1)]
+        vectors.append(tuple(rng.randrange(10**9) for _ in range(rows + 1)))
+        for spill in range(1 << rows):
+            for closed in (0, full):
+                for squares in (True, False):
+                    fan = column_fan(rows, spill, closed, squares)
+                    for ways in vectors:
+                        steps = [(out, per_vertex_step(tiles, ways)) for tiles, out, _
+                                 in _column_fills(rows, spill, closed, squares)]
+                        row = [3] * (rows + 1)  # the fan adds to what is there
+                        children = list(fan(7, row, *ways))
+                        done = [vector for out, vector in steps if not out]
+                        if (children != [(7, out, vector) for out, vector in steps
+                                         if closed != full]
+                                or row != [3 + sum(v[y] for v in done) for y in range(rows + 1)]):
+                            bad.append((rows, spill, closed, squares, ways))
+    return bad
+
+
+def test_compiled_column_fan_matches_a_per_vertex_model():
+    assert column_fan_mismatches(walks._column_fan) == []
+
+
+def test_per_vertex_model_catches_a_fan_that_drops_a_fill():
+    def mutant(*key):
+        fan = walks._column_fan(*key)
+        return lambda j, row, *ways: fan(j, row, *ways)[:-1]
+
+    assert column_fan_mismatches(mutant)
+
+
+def test_per_vertex_model_catches_a_fan_that_adds_an_open_child_to_the_totals():
+    def mutant(*key):
+        fan = walks._column_fan(*key)
+
+        def wrong(j, row, *ways):
+            children = fan(j, row, *ways)
+            for _, out, vector in children:
+                if out:
+                    row[:] = map(add, row, vector)
+                    break
+            return children
+        return wrong
+
+    assert column_fan_mismatches(mutant)
+
+
+def test_a_search_compiles_one_fan_per_spill_and_closed_pair():
+    walks._column_fan.cache_clear()
     walks._column_step.cache_clear()
     brute_line_totals(2, 12)  # 808,395 tilings of the 2x12 board alone
-    info = walks._column_step.cache_info()
-    assert info.misses == info.currsize == len({(0, 0)} | {(s, c) for _, s, c in fills})
-    assert info.hits + info.misses == 1 + len(fills)  # the start, then each table entry
+    fans, steps = walks._column_fan.cache_info(), walks._column_step.cache_info()
+    # 4 spills into a column, times inner and last: each fan is looked up
+    # once, before the search, and the only column step is the start vector
+    assert fans.misses == fans.currsize == fans.hits + fans.misses == 4 * 2
+    assert steps.misses == steps.hits + steps.misses == 1
+
+
+def test_the_search_is_row_generic():
+    # 3 rows is past Board's limit, so a stand-in board with rows and cols
+    totals = walks._line_totals(namedtuple("B", "rows cols")(3, 6))
+    assert [t[3] for t in totals] == [1, 10, 130, 1312, 12401, 108672, 907185]
+    # the 3x1 board is the 1x3 board transposed, the 3x2 board the 2x3 board
+    assert totals[1][3] == brute_v(3) == 10
+    assert totals[2][3] == brute_w_by_line(3).w2 == 130
 
 
 def test_count_text_is_exact_to_30_digits():
