@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from . import closedforms, elimination, oeis, recurrences, walks
-from .boards import Board, PartialKind, TileKind, _raw_tilings
+from .boards import Board, PartialKind, _raw_tilings
 from .errors import OutputNotWritable, TileWalksError, UnknownSequence
 from .qsqrt5 import ALPHA, BETA
 from .recurrences import CheckResult, agreement_check
@@ -60,18 +60,6 @@ class RunReport:
 # `route:member`, and the columns of one member must agree.
 
 
-def _per_board(count):
-    """A brute column counted board by board, from count(n, budget).
-
-    The largest board goes first, so a busted budget fails before any
-    enumeration.
-    """
-    def route(upto, budget):
-        return {"": [count(n, budget) for n in range(upto, -1, -1)][::-1]}
-
-    return route
-
-
 def _line_column(rows, squares_allowed=True, **lines):
     """The brute walk totals on the grid lines `lines` names (member=line)
     for every board up to `upto`, from one search of the largest board."""
@@ -82,16 +70,14 @@ def _line_column(rows, squares_allowed=True, **lines):
     return route
 
 
-@_per_board
-def _brute_fib(n, budget):
-    return walks.brute_tiling_count(Board(1, n - 1), budget) if n else 0
+def _brute_fib(upto, budget):
+    """F(n) counts the tilings of the 1x(n-1) board, so F(0) = 0 comes first."""
+    return {"": [0] + (walks.brute_tiling_counts(1, upto - 1, budget=budget) if upto else [])}
 
 
 def _tiling_column(kind=None):
-    """Tilings of the 2xn board, or of its truncated `kind` shape, counted on
-    the stream."""
-    return _per_board(
-        lambda n, budget: walks.brute_tiling_count(Board(2, n), budget, kind))
+    """Tilings of the 2xn board, or of its truncated `kind` shape, for n = 0..upto."""
+    return lambda upto, budget: {"": walks.brute_tiling_counts(2, upto, kind, budget)}
 
 
 def _system_column(system, *members):
@@ -254,7 +240,7 @@ def _verify_lemmas():
     for n in range(17):
         hist = [0] * (n // 2 + 1)  # tilings by their number of dominoes
         for raw in _raw_tilings(Board(1, n)):
-            hist[sum(t.kind != TileKind.SQUARE for t in raw)] += 1
+            hist[n - len(raw)] += 1  # k dominoes leave n - k tiles
         checks.append(agreement_check(f"domino-count-histogram-n{n}",
                                       [comb(n - k, k) for k in range(n // 2 + 1)], hist))
     return checks + recurrences.verify_intermediate_identities(30)

@@ -12,7 +12,7 @@ from .boards import (
     EdgeId,
     Orientation,
     _column_fills,
-    _raw_tilings,
+    _taken,
     count_tilings,
     forbidden_edges,
 )
@@ -72,17 +72,18 @@ def _column_step(rows, spill, cross):
 
 
 @lru_cache(maxsize=None)
-def _column_fan(rows, spill, closed, squares_allowed):
+def _column_fan(rows, spill, closed, squares_allowed, last):
     """Every child of a search node, compiled to straight-line source.
 
     fan(j, totals_row, *ways) steps the walk counts `ways` through each
     fill of `_column_fills(rows, spill, closed, squares_allowed)` in turn,
     adds the vectors of the fills that spill nothing out into `totals_row`
     in place, one += per grid line, and returns every fill as a
-    (j, spill out, vector) child, in fill order, unless `closed` is every
-    row: the last column has no children.
+    (j, spill out, vector) child, in fill order, unless `last`: the last
+    column has none, while an inner column closed on every row, as the
+    first column of a mirrored D shape is, has them.
     """
-    fills, full = _column_fills(rows, spill, closed, squares_allowed), (1 << rows) - 1
+    fills = _column_fills(rows, spill, closed, squares_allowed)
     body = "".join(_step_source(rows, out, cross, f"n{i}_")
                    for i, (_, out, cross) in enumerate(fills))
     done = [i for i, (_, out, _) in enumerate(fills) if not out]
@@ -90,7 +91,7 @@ def _column_fan(rows, spill, closed, squares_allowed):
         body += "".join(f"    t[{y}] += {' + '.join(f'n{i}_{y}' for i in done)}\n"
                         for y in range(rows + 1))
     children = "".join(f"(j, {out}, {_vector(rows, f'n{i}_')}), "
-                       for i, (_, out, _) in enumerate(fills)) if ~closed & full else ""
+                       for i, (_, out, _) in enumerate(fills)) if not last else ""
     return _compile(rows, "j, t, ", body + f"    return ({children})\n")
 
 
@@ -161,31 +162,30 @@ def _check_budget(board, budget, squares_allowed=True, partial=None):
         raise BudgetExceeded(f"{shape} has {_count_text(total)} tilings, budget {budget}")
 
 
-def brute_tiling_count(board, budget=DEFAULT_BUDGET, partial=None):
-    """Number of tilings of the board, or of its truncated `partial` shape,
-    counted on the enumeration stream."""
-    _check_budget(board, budget, partial=partial)
-    return sum(1 for _ in _raw_tilings(board, partial=partial))
-
-
-def _line_totals(board, squares_allowed=True):
+def _line_totals(board, squares_allowed=True, partial=None):
     """Walk totals per ending grid line, summed over every tiling of each
-    prefix board: entry j belongs to the board's first j columns.
+    prefix board: entry j belongs to the board's first j columns. The bottom
+    walk is never blocked, so line 0 counts the tilings.
 
     A depth-first search over column fills that carries each partial
     tiling's walk vector, so a tiling costs O(1) column steps amortized. A
     node at depth j with no spill into column j+1 is a tiling of the
-    j-column board, and its vector is that tiling's walk counts; it is
-    added when it is made, and the nodes at depth n are never pushed.
-    Before the search, the compiled fans of `_column_fan` become two tables
-    indexed by the spill in: one for the inner columns and one for the
-    last, which is closed on every row. A node is one call of its fan.
+    j-column board; its vector is added when it is made, and the nodes at
+    depth n are never pushed. A node is one call of its compiled fan, from
+    one table per (taken, next column taken, last) key: two for a full board.
+
+    A `partial` shape is searched as its mirror image, the taken masks of
+    `boards._taken` in reverse column order, which has the same tilings, so
+    entry j is the shape on the j-column board where it fits. Only line 0
+    has a meaning for a shape.
     """
     n, rows = board.cols, board.rows
+    taken = [0, *_taken(board, partial)[0][n:0:-1], (1 << rows) - 1]  # mirrored
+    keys = [(taken[j], taken[j + 1], j == n) for j in range(1, n + 1)]
+    tables = {key: [_column_fan(rows, spill | key[0], key[1], squares_allowed, key[2])
+                    for spill in range(1 << rows)] for key in dict.fromkeys(keys)}
+    fans = [tables[key] for key in keys]
     start = _column_step(rows, 0, 0)(1, *[0] * rows)
-    inner, last = ([_column_fan(rows, spill, closed, squares_allowed)
-                    for spill in range(1 << rows)] for closed in (0, (1 << rows) - 1))
-    fans = [inner] * (n - 1) + [last]
     totals = [list(start)] + [[0] * (rows + 1) for _ in range(n)]
     # (columns filled, spill into the next column, walk counts on the last line)
     stack = [(0, 0, start)] if n else []
@@ -194,6 +194,18 @@ def _line_totals(board, squares_allowed=True):
         j, spill, ways = pop()
         extend(fans[j][spill](j + 1, totals[j + 1], *ways))
     return totals
+
+
+def brute_tiling_counts(rows, upto, partial=None, budget=DEFAULT_BUDGET):
+    """Tilings of the rows x j board, or of its truncated `partial` shape,
+    for every j = 0..upto, from line 0 of one search of the largest; 0 where
+    the shape does not fit. The budget is checked on the largest first."""
+    board = Board(rows, upto)
+    _check_budget(board, budget, partial=partial)
+    fits = [_taken(Board(rows, j), partial) is not None for j in range(upto + 1)]
+    if not fits[-1]:  # a shape too wide for the largest board fits none
+        return [0] * (upto + 1)
+    return [t[0] if fit else 0 for fit, t in zip(fits, _line_totals(board, True, partial))]
 
 
 def brute_line_totals(rows, upto, squares_allowed=True, budget=DEFAULT_BUDGET):

@@ -91,6 +91,11 @@ def test_truncated_shape_budget_counts_the_shape(capsys):
     "seq w --upto 13 --route all --budget 1000000",
     "seq w-by-line --upto 13 --route brute --budget 1000000",
     "seq v --upto 40 --route all --budget 10000",
+    "seq r --upto 13 --route brute --budget 1000000",
+    "seq a --upto 8 --route brute --budget 1000",
+    "seq c --upto 8 --route brute --budget 1000",
+    "seq d --upto 10 --route brute --budget 1000",
+    "seq fib --upto 40 --route brute --budget 10",
 ])
 def test_busted_budget_fails_before_any_enumeration(capsys, monkeypatch, command):
     calls = []

@@ -11,14 +11,19 @@ from tilewalks.boards import (
     TileKind,
     TilePlacement,
     Tiling,
+    count_tilings,
     enumerate_partial_tilings,
     enumerate_tilings,
 )
 from tilewalks import walks
-from tilewalks.boards import _column_fills
+from tilewalks.boards import _column_fills, _raw_tilings, _taken
+from tilewalks.cli import SEQUENCES
+from tilewalks.closedforms import fib
 from tilewalks.errors import BudgetExceeded
 from tilewalks.walks import (
+    DEFAULT_BUDGET,
     brute_line_totals,
+    brute_tiling_counts,
     brute_v,
     brute_w_by_line,
     count_walks_for_tiling,
@@ -172,31 +177,33 @@ def test_per_vertex_model_catches_a_column_step_that_ignores_spill():
 
 
 def column_fan_mismatches(column_fan):
-    """(rows, spill, closed, squares, vector) for every 1- to 4-row column
-    where column_fan(rows, spill, closed, squares) disagrees with
-    per_vertex_step, on each unit vector and on one random vector: its
-    children must be (j, out, step) of every fill in fill order, none when
-    the column is closed on every row, and its increment of the totals row
-    the sum of the steps of the fills with no spill out."""
+    """(rows, spill, closed, squares, last, vector) for every 1- to 4-row
+    column where column_fan(rows, spill, closed, squares, last) disagrees
+    with per_vertex_step, on each unit vector and on one random vector: its
+    children must be (j, out, step) of every fill in fill order, none in the
+    last column, also for an inner column closed on every row, and its
+    increment of the totals row the sum of the steps of the fills with no
+    spill out."""
     rng, bad = random.Random(1), []
     for rows in range(1, 5):
-        full = (1 << rows) - 1
         vectors = [tuple(int(i == y) for i in range(rows + 1)) for y in range(rows + 1)]
         vectors.append(tuple(rng.randrange(10**9) for _ in range(rows + 1)))
         for spill in range(1 << rows):
-            for closed in (0, full):
+            for closed in (0, (1 << rows) - 1):
                 for squares in (True, False):
-                    fan = column_fan(rows, spill, closed, squares)
-                    for ways in vectors:
-                        steps = [(out, per_vertex_step(tiles, ways)) for tiles, out, _
-                                 in _column_fills(rows, spill, closed, squares)]
-                        row = [3] * (rows + 1)  # the fan adds to what is there
-                        children = list(fan(7, row, *ways))
-                        done = [vector for out, vector in steps if not out]
-                        if (children != [(7, out, vector) for out, vector in steps
-                                         if closed != full]
-                                or row != [3 + sum(v[y] for v in done) for y in range(rows + 1)]):
-                            bad.append((rows, spill, closed, squares, ways))
+                    for last in (False, True):
+                        fan = column_fan(rows, spill, closed, squares, last)
+                        for ways in vectors:
+                            steps = [(out, per_vertex_step(tiles, ways)) for tiles, out, _
+                                     in _column_fills(rows, spill, closed, squares)]
+                            row = [3] * (rows + 1)  # the fan adds to what is there
+                            children = list(fan(7, row, *ways))
+                            done = [vector for out, vector in steps if not out]
+                            if (children != [(7, out, vector) for out, vector in steps
+                                             if not last]
+                                    or row != [3 + sum(v[y] for v in done)
+                                               for y in range(rows + 1)]):
+                                bad.append((rows, spill, closed, squares, last, ways))
     return bad
 
 
@@ -224,6 +231,16 @@ def test_per_vertex_model_catches_a_fan_that_adds_an_open_child_to_the_totals():
                     break
             return children
         return wrong
+
+    assert column_fan_mismatches(mutant)
+
+
+def test_per_vertex_model_catches_a_fan_that_ends_at_a_closed_inner_column():
+    # a fan that takes "closed on every row" for the last column, as the
+    # first column of a mirrored D shape is closed on every row
+    def mutant(rows, spill, closed, squares, last):
+        return walks._column_fan(rows, spill, closed, squares,
+                                 last or closed == (1 << rows) - 1)
 
     assert column_fan_mismatches(mutant)
 
@@ -289,6 +306,43 @@ def test_brute_line_totals_checks_the_budget_on_the_largest_board(monkeypatch):
     monkeypatch.setattr(walks, "_line_totals", no_enumeration)
     with pytest.raises(BudgetExceeded):  # 2x13 has 2,598,440 tilings, 2x12 fewer
         brute_line_totals(2, 13, budget=10**6)
+
+
+SHAPES = {"r": None, "a": PartialKind.A, "c": PartialKind.C, "d": PartialKind.D}
+
+
+def stream_count(board, kind=None):
+    return sum(1 for _ in _raw_tilings(board, True, kind))
+
+
+@pytest.mark.parametrize("kind", SHAPES.values(), ids=SHAPES)
+def test_brute_tiling_counts_match_the_stream_of_each_board(kind):
+    # one search of the largest shape counts every smaller one, 0 where it does not fit
+    counts = brute_tiling_counts(2, 10, kind)
+    assert counts == [stream_count(Board(2, n), kind) for n in range(11)]
+    assert counts == [count_tilings(Board(2, n), True, kind) for n in range(11)]
+
+
+def test_brute_tiling_counts_of_one_row_and_fib():
+    ones = brute_tiling_counts(1, 16)
+    assert ones == [stream_count(Board(1, n)) for n in range(17)]
+    assert ones == [count_tilings(Board(1, n)) for n in range(17)]
+    assert SEQUENCES["fib"]["brute"](17, DEFAULT_BUDGET) == {"": [0] + ones}
+    assert [0] + ones == [fib(n) for n in range(18)]
+
+
+@pytest.mark.parametrize("kind", list(PartialKind), ids=lambda kind: kind.name)
+def test_the_shape_search_without_mirroring_disagrees(monkeypatch, kind):
+    def unmirrored(board, partial):  # the search mirrors these back
+        shape = _taken(board, partial)
+        if shape is None:
+            return None
+        taken, forced = shape
+        return [0, *taken[board.cols:0:-1], taken[-1]], forced
+
+    monkeypatch.setattr(walks, "_taken", unmirrored)
+    assert brute_tiling_counts(2, 10, kind) != [stream_count(Board(2, n), kind)
+                                                 for n in range(11)]
 
 
 def test_budget_exceeded():
