@@ -155,51 +155,34 @@ def _completions(rows, after, occupied, closed, squares_allowed):
         rows, spill | occupied, closed, squares_allowed)) for spill in range(1 << rows)]
 
 
-@lru_cache(maxsize=16)  # shared by every caller, so read only
-def _fill_table(board, squares_allowed=True, partial=None):
-    """The fills of every column and their completion counts.
-
-    fills[j][spill] lists the covers of column j, given the rows `spill`
-    that column j-1's horizontal dominoes cover, as (TilePlacements, spill
-    into column j+1) in canonical order; after[j][spill] is the number of
-    covers of columns j..n from there, so after[1][0] counts the tilings.
-    A `partial` shape starts with its removed and forced cells taken and
-    places each forced tile with its column; a shape that does not fit the
-    board has no tilings.
-    """
-    n, rows = board.cols, board.rows
-    shape = _taken(board, partial)
-    if shape is None:
-        return None, [None, [0]]
-    taken, forced = shape
-    fills = [None] + [
-        [[(tuple(TilePlacement(k, j, r)
-                 for k, r in sorted(tiles + forced[j], key=itemgetter(1))), out)
-          for tiles, out, _ in _column_fills(
-              rows, spill | taken[j], taken[j + 1], squares_allowed)]
-         for spill in range(1 << rows)]
-        for j in range(1, n + 1)
-    ]
-    after = [None] * (n + 1) + [[1] + [0] * ((1 << rows) - 1)]
-    for j in range(n, 0, -1):
-        after[j] = _completions(rows, after[j + 1], taken[j], taken[j + 1], squares_allowed)
-    return fills, after
-
-
 def _raw_tilings(board, squares_allowed=True, partial=None):
     """Cover stream in canonical order; yields a live list of TilePlacements,
     consume at once.
 
-    A depth-first search over the fill table of `_fill_table`, so the
-    stream is lexicographic over sorted tile lists.
+    A depth-first search over a table of every column's fills, built once
+    per call: fills[j][spill] lists the covers of column j, given the rows
+    `spill` that column j-1's horizontal dominoes cover, as (TilePlacements,
+    spill into column j+1) in canonical order, so the stream is
+    lexicographic over sorted tile lists. A `partial` shape starts with its
+    removed and forced cells taken and places each forced tile with its
+    column; a shape that does not fit the board has no tilings.
     """
-    fills, after = _fill_table(board, squares_allowed, partial)
-    n, tiles = board.cols, []
-    if not after[1][0]:
+    shape = _taken(board, partial)
+    if shape is None:
         return
+    taken, forced = shape
+    n, rows, tiles = board.cols, board.rows, []
     if n == 0:
         yield tiles
         return
+    fills = [None] + [
+        [[(tuple(TilePlacement(k, j, r)
+                 for k, r in sorted(fill + forced[j], key=itemgetter(1))), out)
+          for fill, out, _ in _column_fills(
+              rows, spill | taken[j], taken[j + 1], squares_allowed)]
+         for spill in range(1 << rows)]
+        for j in range(1, n + 1)
+    ]
     stack = [(0, iter(fills[1][0]))]  # (length of `tiles` before the column, fills)
     while stack:
         mark, it = stack[-1]
@@ -233,17 +216,22 @@ def count_tilings(board, squares_allowed=True, partial=None):
 
 def tiling_at(board, index, squares_allowed=True):
     """The tiling at `index` of the enumeration order, in O(n 2^rows) steps:
-    each column skips the fills whose completions all come before it."""
-    fills, after = _fill_table(board, squares_allowed, None)  # _raw_tilings' cache key
+    each column skips the fills whose completions all come before it, from
+    the completion rows of `count_tilings`, kept for every column."""
+    rows, n = board.rows, board.cols
+    taken = _taken(board, None)[0]
+    after = [None] * (n + 1) + [[1] + [0] * ((1 << rows) - 1)]
+    for j in range(n, 0, -1):
+        after[j] = _completions(rows, after[j + 1], taken[j], taken[j + 1], squares_allowed)
     if not 0 <= index < after[1][0]:
         raise IndexError(f"tiling index {index} outside 0..{after[1][0] - 1}")
     tiles, spill = [], 0
-    for j in range(1, board.cols + 1):
-        for col_tiles, out in fills[j][spill]:
+    for j in range(1, n + 1):
+        for fill, out, _ in _column_fills(rows, spill, taken[j + 1], squares_allowed):
             if index < after[j + 1][out]:
                 break
             index -= after[j + 1][out]
-        tiles += col_tiles
+        tiles += (TilePlacement(k, j, r) for k, r in fill)
         spill = out
     return Tiling(board, tuple(tiles))
 

@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import BFileParseError, InsufficientOverlap, UnknownFixture
 
@@ -46,49 +47,23 @@ def load_fixture(sequence_id):
     return parse_bfile(sequence_id, text)
 
 
-@dataclass(frozen=True)
-class PrefixReport:
-    sequence_id: str
+class OffsetMatch(NamedTuple):
     offset_shift: int
-    matched: int
-    first_mismatch: int = None  # computed-side index
-
-    @property
-    def passed(self):
-        return self.first_mismatch is None
-
-
-def compare_prefix(computed, reference, offset_shift):
-    """Compare computed[n] with reference index n + offset_shift.
-
-    Reports the full-match length or the first mismatching computed index.
-    """
-    values = list(computed)
-    lookup = dict(reference.entries)
-    overlap = [n for n in range(len(values)) if n + offset_shift in lookup]
-    if len(overlap) < MIN_OVERLAP:
-        raise InsufficientOverlap(
-            f"{reference.sequence_id}: only {len(overlap)} overlapping indices"
-        )
-    matched = 0
-    for n in overlap:
-        if values[n] != lookup[n + offset_shift]:
-            return PrefixReport(reference.sequence_id, offset_shift, matched, n)
-        matched += 1
-    return PrefixReport(reference.sequence_id, offset_shift, matched)
+    matched: int  # shared indices, all of them equal
 
 
 def find_offset_shift(computed, reference):
-    """Best shift within +/-SHIFT_WINDOW; data-driven because OEIS offsets
-    differ from the n-indexing used elsewhere in this package."""
+    """The shift within +/-SHIFT_WINDOW with the most shared indices, at
+    least MIN_OVERLAP, on every one of which computed[n] equals the reference
+    at index n + shift. Data-driven, because OEIS offsets differ from the
+    n-indexing used elsewhere in this package."""
+    values, lookup = list(computed), dict(reference.entries)
     best = None
     for shift in range(-SHIFT_WINDOW, SHIFT_WINDOW + 1):
-        try:
-            report = compare_prefix(computed, reference, shift)
-        except InsufficientOverlap:
-            continue
-        if report.passed and (best is None or report.matched > best.matched):
-            best = report
+        shared = [n for n in range(len(values)) if n + shift in lookup]
+        if (len(shared) >= MIN_OVERLAP and (best is None or len(shared) > best.matched)
+                and all(values[n] == lookup[n + shift] for n in shared)):
+            best = OffsetMatch(shift, len(shared))
     if best is None:
         raise InsufficientOverlap(
             f"{reference.sequence_id}: no full-prefix match within +/-{SHIFT_WINDOW}"

@@ -196,27 +196,20 @@ def _line_totals(board, squares_allowed=True, partial=None):
     return totals
 
 
-def brute_tiling_counts(rows, upto, partial=None, budget=DEFAULT_BUDGET):
-    """Tilings of the rows x j board, or of its truncated `partial` shape,
-    for every j = 0..upto, from line 0 of one search of the largest; 0 where
-    the shape does not fit. The budget is checked on the largest first."""
-    board = Board(rows, upto)
-    _check_budget(board, budget, partial=partial)
-    fits = [_taken(Board(rows, j), partial) is not None for j in range(upto + 1)]
-    if not fits[-1]:  # a shape too wide for the largest board fits none
-        return [0] * (upto + 1)
-    return [t[0] if fit else 0 for fit, t in zip(fits, _line_totals(board, True, partial))]
-
-
-def brute_line_totals(rows, upto, squares_allowed=True, budget=DEFAULT_BUDGET):
+def brute_line_totals(rows, upto, squares_allowed=True, budget=DEFAULT_BUDGET, partial=None):
     """Per-ending-line walk totals over all tilings of the rows x j board,
-    for every j = 0..upto, from one search of the largest board.
+    or of its truncated `partial` shape, for every j = 0..upto, from one
+    search of the largest; rows of zeros where the shape does not fit.
 
     The budget is checked against the largest board before any enumeration.
     """
     board = Board(rows, upto)
-    _check_budget(board, budget, squares_allowed)
-    return _line_totals(board, squares_allowed)
+    _check_budget(board, budget, squares_allowed, partial)
+    fits = [_taken(Board(rows, j), partial) is not None for j in range(upto + 1)]
+    if not fits[-1]:  # a shape too wide for the largest board fits none: no search
+        return [[0] * (rows + 1) for _ in fits]
+    totals = _line_totals(board, squares_allowed, partial)
+    return [t if fit else [0] * (rows + 1) for fit, t in zip(fits, totals)]
 
 
 def brute_v(n, budget=DEFAULT_BUDGET):

@@ -198,6 +198,17 @@ def test_tiling_at_follows_the_stream(board, squares_allowed):
         tiling_at(board, len(stream), squares_allowed)
 
 
+def test_tiling_at_keeps_nothing_once_it_returns():
+    # the completion rows of a 2x5000 board take about 25 MiB while it runs
+    tracemalloc.start()
+    try:
+        tiling_at(Board(2, 5000), 0)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
+
+
 def test_boards_imports_no_package_module():
     # the lowest layer: tiling counts come from its own fill table
     tree = ast.parse(Path(tilewalks.__file__).with_name("boards.py").read_text())

@@ -86,6 +86,13 @@ def test_truncated_shape_budget_counts_the_shape(capsys):
     assert "shape A of the 2x8 board has 1064 tilings" in capsys.readouterr().err
 
 
+def test_a_shape_that_fits_no_board_prints_zeros_under_any_budget(capsys):
+    code, out = run(capsys, "seq", "a", "--upto", "1", "--route", "brute", "--budget", "0",
+                    "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["n,brute", "0,0", "1,0"]
+
+
 @pytest.mark.parametrize("command", [
     "seq w --upto 13 --route brute --budget 1000000",
     "seq w --upto 13 --route all --budget 1000000",

@@ -2,7 +2,6 @@ import pytest
 
 from tilewalks.errors import BFileParseError, InsufficientOverlap, UnknownFixture
 from tilewalks.oeis import (
-    compare_prefix,
     find_offset_shift,
     load_fixture,
     parse_bfile,
@@ -48,20 +47,25 @@ def test_parse_errors_carry_line_numbers():
 
 def test_compare_prefix_match():
     r = list(eval_system(tiling_system(), 40)["r"].values)
-    report = compare_prefix(r, load_fixture("A030186"), 0)
-    assert report.passed and report.matched >= 20
+    assert find_offset_shift(r, load_fixture("A030186")) == (0, 41)
 
 
 def test_compare_prefix_mismatch():
     v = list(eval_recurrence(v_theorem_spec(), 40).values)
-    report = compare_prefix(v, load_fixture("A030186"), 0)
-    assert not report.passed
-    assert report.first_mismatch is not None and report.first_mismatch < 5
+    with pytest.raises(InsufficientOverlap):
+        find_offset_shift(v, load_fixture("A030186"))
+
+
+def test_one_perturbed_term_breaks_the_match():
+    r = list(eval_system(tiling_system(), 40)["r"].values)
+    r[17] += 1
+    with pytest.raises(InsufficientOverlap):
+        find_offset_shift(r, load_fixture("A030186"))
 
 
 def test_compare_prefix_insufficient_overlap():
     with pytest.raises(InsufficientOverlap):
-        compare_prefix([1, 2, 3], load_fixture("A030186"), 0)
+        find_offset_shift([1, 2, 3], load_fixture("A030186"))
 
 
 def test_find_offset_shift_for_v():
@@ -88,6 +92,6 @@ def test_equal_shift_invariance():
     ref = load_fixture("A030186")
     shifted_ref = type(ref)(ref.sequence_id,
                             tuple((i + 3, v) for i, v in ref.entries))
-    base = compare_prefix(r, ref, 0)
-    moved = compare_prefix(r, shifted_ref, 3)
-    assert (base.matched, base.first_mismatch) == (moved.matched, moved.first_mismatch)
+    base = find_offset_shift(r, ref)
+    moved = find_offset_shift(r, shifted_ref)
+    assert (moved.offset_shift, moved.matched) == (base.offset_shift + 3, base.matched)

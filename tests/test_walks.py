@@ -23,7 +23,6 @@ from tilewalks.errors import BudgetExceeded
 from tilewalks.walks import (
     DEFAULT_BUDGET,
     brute_line_totals,
-    brute_tiling_counts,
     brute_v,
     brute_w_by_line,
     count_walks_for_tiling,
@@ -315,20 +314,33 @@ def stream_count(board, kind=None):
     return sum(1 for _ in _raw_tilings(board, True, kind))
 
 
+def tiling_counts(rows, upto, kind=None):
+    return [t[0] for t in brute_line_totals(rows, upto, partial=kind)]
+
+
 @pytest.mark.parametrize("kind", SHAPES.values(), ids=SHAPES)
 def test_brute_tiling_counts_match_the_stream_of_each_board(kind):
-    # one search of the largest shape counts every smaller one, 0 where it does not fit
-    counts = brute_tiling_counts(2, 10, kind)
+    # line 0 of one search of the largest shape counts every smaller one,
+    # 0 where it does not fit
+    counts = tiling_counts(2, 10, kind)
     assert counts == [stream_count(Board(2, n), kind) for n in range(11)]
     assert counts == [count_tilings(Board(2, n), True, kind) for n in range(11)]
 
 
 def test_brute_tiling_counts_of_one_row_and_fib():
-    ones = brute_tiling_counts(1, 16)
+    ones = tiling_counts(1, 16)
     assert ones == [stream_count(Board(1, n)) for n in range(17)]
     assert ones == [count_tilings(Board(1, n)) for n in range(17)]
     assert SEQUENCES["fib"]["brute"](17, DEFAULT_BUDGET) == {"": [0] + ones}
     assert [0] + ones == [fib(n) for n in range(18)]
+
+
+def test_a_shape_that_fits_no_board_searches_nothing(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched a shape that fits no board")
+
+    monkeypatch.setattr(walks, "_line_totals", no_search)
+    assert brute_line_totals(2, 1, partial=PartialKind.A) == [[0, 0, 0], [0, 0, 0]]
 
 
 @pytest.mark.parametrize("kind", list(PartialKind), ids=lambda kind: kind.name)
@@ -341,8 +353,8 @@ def test_the_shape_search_without_mirroring_disagrees(monkeypatch, kind):
         return [0, *taken[board.cols:0:-1], taken[-1]], forced
 
     monkeypatch.setattr(walks, "_taken", unmirrored)
-    assert brute_tiling_counts(2, 10, kind) != [stream_count(Board(2, n), kind)
-                                                 for n in range(11)]
+    assert tiling_counts(2, 10, kind) != [stream_count(Board(2, n), kind)
+                                          for n in range(11)]
 
 
 def test_budget_exceeded():
