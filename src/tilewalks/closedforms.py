@@ -1,6 +1,5 @@
 """Fibonacci and Q(sqrt5) closed forms for the tiling-walking sequences."""
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
@@ -8,8 +7,6 @@ from operator import mul
 from .errors import NonIntegralStep
 from .qsqrt5 import ALPHA, BETA, SQRT5, QSqrt5
 from .recurrences import _check
-
-RATIO_DIGITS = 40  # decimal digits kept by asymptotic_ratio
 
 
 def fib(n):
@@ -55,35 +52,18 @@ def w_domino_odd_form(n):
                       "odd split form")
 
 
-@dataclass(frozen=True)
-class ExplicitFormCoeffs:
-    """Constants of the explicit dominoes-only formula
-    w(n) = A + B(-1)^n + (C + D n) alpha^n + (E + F n) beta^n."""
-
-    A: QSqrt5
-    B: QSqrt5
-    C: QSqrt5
-    D: QSqrt5
-    E: QSqrt5
-    F: QSqrt5
-
-
-def explicit_form_coeffs():
-    return ExplicitFormCoeffs(
-        A=QSqrt5(Fraction(1, 2)),
-        B=QSqrt5(Fraction(1, 2)),
-        C=QSqrt5(0, Fraction(3, 25)),
-        D=QSqrt5(Fraction(2, 5), Fraction(1, 5)),
-        E=QSqrt5(0, Fraction(-3, 25)),
-        F=QSqrt5(Fraction(2, 5), Fraction(-1, 5)),
-    )
-
-
-_COEFFS = explicit_form_coeffs()  # built once for the evaluators below
+# Constants of the explicit dominoes-only formula
+# w(n) = A + B(-1)^n + (C + D n) alpha^n + (E + F n) beta^n.
+EXPLICIT_A = QSqrt5(Fraction(1, 2))
+EXPLICIT_B = QSqrt5(Fraction(1, 2))
+EXPLICIT_C = QSqrt5(0, Fraction(3, 25))
+EXPLICIT_D = QSqrt5(Fraction(2, 5), Fraction(1, 5))
+EXPLICIT_E = QSqrt5(0, Fraction(-3, 25))
+EXPLICIT_F = QSqrt5(Fraction(2, 5), Fraction(-1, 5))
 
 
 def _dominant_term(n):
-    return (_COEFFS.C + _COEFFS.D * n) * ALPHA**n
+    return (EXPLICIT_C + EXPLICIT_D * n) * ALPHA**n
 
 
 def w_domino_explicit(n):
@@ -92,9 +72,9 @@ def w_domino_explicit(n):
     The sqrt(5) component must cancel exactly and the rational part must be
     an integer; anything else raises.
     """
-    k = _COEFFS
     sign = 1 if n % 2 == 0 else -1
-    val = k.A + k.B * sign + _dominant_term(n) + (k.E + k.F * n) * BETA**n
+    val = (EXPLICIT_A + EXPLICIT_B * sign + _dominant_term(n)
+           + (EXPLICIT_E + EXPLICIT_F * n) * BETA**n)
     rat = val.rational_value()
     if rat.denominator != 1:
         raise NonIntegralStep(f"explicit form gave non-integer {rat} at n={n}")
@@ -122,18 +102,3 @@ def binet_identity_check(upto):
                 and (n < upto or (an, bn) == (ALPHA**n, BETA**n)))
 
     return _check("binet-identities", 0, upto, holds)
-
-
-def asymptotic_ratio(n):
-    """w(n) divided by the dominant part of the explicit form.
-
-    This is the one approximate quantity in the module: the exact Q(sqrt5)
-    ratio is truncated to RATIO_DIGITS decimal digits, which dwarfs the 10^-6
-    tolerance the ratio is tested against.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    w = w_domino_fibonacci_form(n)
-    dom = _dominant_term(n) + ((1 + (-1) ** n) // 2)
-    scale = 10**RATIO_DIGITS
-    return Fraction((w / dom * scale).floor(), scale)

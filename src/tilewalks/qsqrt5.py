@@ -1,8 +1,8 @@
 """Exact arithmetic in the field Q(sqrt 5).
 
 A value is the canonical triple (p, r, q) of (p + r*sqrt5)/q: q > 0, gcd(p, r, q) = 1.
-`Fraction` appears only in the constructor and in what a, b, norm and rational_value
-return. floor is one integer square root; sign, ceil and comparisons derive from it.
+`Fraction` appears only in the constructor and in what a, b and rational_value
+return. floor is one integer square root, and ceil derives from it.
 """
 
 from fractions import Fraction
@@ -81,37 +81,10 @@ class QSqrt5:
             k >>= 1
         return result
 
-    def conjugate(self):
-        return _new(self.p, -self.r, self.q)
-
-    def norm(self):
-        return Fraction(self.p * self.p - 5 * self.r * self.r, self.q * self.q)
-
-    def is_rational(self):
-        return self.r == 0
-
     def rational_value(self):
-        if not self.is_rational():
+        if self.r:
             raise RadicalResidue(f"nonzero sqrt(5) component: {self}")
         return self.a
-
-    def sign(self):
-        """Exact sign of (p + r*sqrt5)/q, read off its floor."""
-        if self.p == 0 and self.r == 0:
-            return 0
-        return 1 if self.floor() >= 0 else -1
-
-    def __lt__(self, other):
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
 
     def floor(self):
         """Largest integer <= (p + r*sqrt5)/q. s = floor(|r|*sqrt5) is exact, and as

@@ -4,7 +4,6 @@ This is the ground-truth oracle: every recurrence and closed form in the
 package is cross-checked against the sums computed here.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .boards import (
@@ -21,16 +20,6 @@ from .errors import BudgetExceeded
 # Cap on the number of tilings a single brute-force sum may enumerate.
 # 10**7 admits 2xn boards up to n = 14.
 DEFAULT_BUDGET = 10**7
-
-
-@dataclass(frozen=True)
-class WalkCountByLine:
-    """Walk totals of a 2xn board split by the ending grid line."""
-
-    n: int
-    w0: int
-    w1: int
-    w2: int
 
 
 def _step_source(rows, spill, cross, out):
@@ -218,5 +207,5 @@ def brute_v(n, budget=DEFAULT_BUDGET):
 
 
 def brute_w_by_line(n, squares_allowed=True, budget=DEFAULT_BUDGET):
-    """Per-ending-line walk totals over all tilings of the 2xn board."""
-    return WalkCountByLine(n, *brute_line_totals(2, n, squares_allowed, budget)[n])
+    """Per-ending-line walk totals [w0, w1, w2] over all tilings of the 2xn board."""
+    return brute_line_totals(2, n, squares_allowed, budget)[n]

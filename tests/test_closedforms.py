@@ -2,10 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from tilewalks import closedforms
 from tilewalks.closedforms import (
-    asymptotic_ratio,
+    EXPLICIT_A,
+    EXPLICIT_B,
+    EXPLICIT_C,
+    EXPLICIT_D,
+    EXPLICIT_E,
+    EXPLICIT_F,
     binet_identity_check,
-    explicit_form_coeffs,
     fib,
     v_fibonacci_form,
     w_domino_ceiling,
@@ -14,9 +19,10 @@ from tilewalks.closedforms import (
     w_domino_fibonacci_form,
     w_domino_odd_form,
 )
+from tilewalks.errors import NonIntegralStep, RadicalResidue
 from tilewalks.qsqrt5 import QSqrt5
 from tilewalks.recurrences import domino_only_recurrence, eval_system
-from tilewalks.walks import brute_v, brute_w_by_line
+from tilewalks.walks import brute_line_totals, brute_v
 
 
 def test_v_fibonacci_form_examples():
@@ -45,12 +51,25 @@ def test_split_forms_agree_with_general():
 
 
 def test_explicit_coeffs_values():
-    k = explicit_form_coeffs()
-    assert k.A == Fraction(1, 2) and k.B == Fraction(1, 2)
-    assert k.C == QSqrt5(0, Fraction(3, 25))
-    assert k.D == QSqrt5(Fraction(2, 5), Fraction(1, 5))
-    assert k.E == -k.C
-    assert k.F == k.D.conjugate()
+    assert EXPLICIT_A == Fraction(1, 2) and EXPLICIT_B == Fraction(1, 2)
+    assert EXPLICIT_C == QSqrt5(0, Fraction(3, 25))
+    assert EXPLICIT_D == QSqrt5(Fraction(2, 5), Fraction(1, 5))
+    assert EXPLICIT_E == -EXPLICIT_C
+    assert EXPLICIT_F == QSqrt5(Fraction(2, 5), Fraction(-1, 5))
+
+
+@pytest.mark.parametrize("name", [f"EXPLICIT_{k}" for k in "ABCDEF"])
+@pytest.mark.parametrize("shift", [QSqrt5(Fraction(1, 25)), QSqrt5(0, Fraction(1, 25))],
+                         ids=["1/25", "sqrt5/25"])
+def test_each_explicit_constant_matters(monkeypatch, name, shift):
+    # negative control: a shifted constant must raise or miss the recurrence
+    monkeypatch.setattr(closedforms, name, getattr(closedforms, name) + shift)
+    rec = eval_system(domino_only_recurrence(), 50)["w-domino"].values
+    try:
+        terms = tuple(w_domino_explicit(n) for n in range(51))
+    except (NonIntegralStep, RadicalResidue):
+        return
+    assert terms != rec
 
 
 def test_explicit_form_examples():
@@ -67,8 +86,9 @@ def test_four_routes_agree():
 
 
 def test_routes_match_oracle():
+    brute = brute_line_totals(2, 12, squares_allowed=False)
     for n in range(13):
-        assert w_domino_fibonacci_form(n) == brute_w_by_line(n, squares_allowed=False).w2
+        assert w_domino_fibonacci_form(n) == brute[n][2]
 
 
 def test_ceiling_examples():
@@ -104,14 +124,3 @@ def test_binet_sample_values():
     # F(10) = 55 and 2F(11) - F(10) = 123 (a Lucas number)
     assert fib(10) == 55
     assert 2 * fib(11) - fib(10) == 123
-
-
-def test_asymptotic_ratio_converges():
-    assert abs(asymptotic_ratio(5) - 1) < Fraction(1, 100)
-    assert abs(asymptotic_ratio(20) - 1) < Fraction(1, 10**8)
-    assert asymptotic_ratio(1) > 0
-
-
-def test_asymptotic_ratio_rejects_zero():
-    with pytest.raises(ValueError):
-        asymptotic_ratio(0)

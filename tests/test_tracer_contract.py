@@ -1,8 +1,8 @@
-"""The names and parameters that the benchmark tracer looks up in the package.
+"""The names and parameters that the benchmark looks up in the package.
 
 `perfbench/tracer.py` wraps these by name and reads these parameters in its
-work counters, so a rename would otherwise show only in a traced benchmark
-run.
+work counters, and `perfbench/workloads.py` calls the closed forms by name,
+so a rename would otherwise show only in a benchmark run.
 """
 
 import importlib
@@ -19,6 +19,8 @@ FUNCTIONS = [
     ("boards", "enumerate_partial_tilings"),
     ("render", "svg_for_tiling"),
     ("boards", "count_tilings"),
+    ("closedforms", "w_domino_ceiling"),
+    ("closedforms", "w_domino_explicit"),
 ]
 CLASSES = [
     ("boards", "Board"),
@@ -32,6 +34,8 @@ PARAMETERS = [
     ("walks", "brute_w_by_line", "squares_allowed"),
     ("render", "svg_for_tiling", "board"),
     ("render", "svg_for_tiling", "squares_allowed"),
+    ("closedforms", "w_domino_ceiling", "n"),
+    ("closedforms", "w_domino_explicit", "n"),
 ]
 
 

@@ -74,19 +74,19 @@ def test_brute_v_aggregation_identity():
 
 
 def test_brute_w_by_line_values():
-    by2 = brute_w_by_line(2)
-    assert (by2.w0, by2.w1, by2.w2) == (7, 14, 28)
-    by1 = brute_w_by_line(1)
-    assert (by1.w1, by1.w2) == (3, 5)
+    totals = brute_line_totals(2, 2)
+    assert totals[2] == brute_w_by_line(2) == [7, 14, 28]
+    assert totals[1][1:] == [3, 5]
 
 
 def test_brute_w_domino_only():
-    assert brute_w_by_line(5, squares_allowed=False).w2 == 50
+    assert brute_line_totals(2, 5, squares_allowed=False)[5][2] == 50
 
 
 def test_w0_equals_tiling_count():
+    totals = brute_line_totals(2, 8)
     for n in range(9):
-        assert brute_w_by_line(n).w0 == len(enumerate_tilings(Board(2, n)))
+        assert totals[n][0] == len(enumerate_tilings(Board(2, n)))
 
 
 def test_domino_only_tiling_count_is_fibonacci():
@@ -261,7 +261,7 @@ def test_the_search_is_row_generic():
     assert [t[3] for t in totals] == [1, 10, 130, 1312, 12401, 108672, 907185]
     # the 3x1 board is the 1x3 board transposed, the 3x2 board the 2x3 board
     assert totals[1][3] == brute_v(3) == 10
-    assert totals[2][3] == brute_w_by_line(3).w2 == 130
+    assert totals[2][3] == brute_line_totals(2, 3)[3][2] == 130
 
 
 def test_count_text_is_exact_to_30_digits():
@@ -275,14 +275,14 @@ def test_sum_is_order_independent():
     tilings = enumerate_tilings(Board(2, n))
     forward = sum(count_walks_for_tiling(t, 2) for t in tilings)
     backward = sum(count_walks_for_tiling(t, 2) for t in reversed(tilings))
-    assert forward == backward == brute_w_by_line(n).w2
+    assert forward == backward == brute_line_totals(2, n)[n][2]
     # per-tiling counts summed line by line equal the brute column search
-    for n in range(7):
-        for squares in (True, False):
+    for squares in (True, False):
+        totals = brute_line_totals(2, 6, squares_allowed=squares)
+        for n in range(7):
             tilings = enumerate_tilings(Board(2, n), squares_allowed=squares)
-            by = brute_w_by_line(n, squares_allowed=squares)
             assert [sum(count_walks_for_tiling(t, y) for t in tilings)
-                    for y in range(3)] == [by.w0, by.w1, by.w2]
+                    for y in range(3)] == totals[n]
 
 
 def test_brute_line_totals_matches_each_board():
