@@ -9,9 +9,9 @@ from .qsqrt5 import ALPHA, BETA, SQRT5, QSqrt5
 from .recurrences import _check
 
 
-def fib(n):
-    """F(n), n >= 0, by fast doubling: (a, b) = (F(k), F(k+1)) for k the bits of n
-    read so far, using F(2k) = F(k)(2F(k+1) - F(k)), F(2k+1) = F(k)^2 + F(k+1)^2."""
+def _fib_pair(n):
+    """(F(n), F(n+1)), n >= 0, by fast doubling: (a, b) = (F(k), F(k+1)) for k the
+    bits of n read so far, using F(2k) = F(k)(2F(k+1) - F(k)), F(2k+1) = F(k)^2 + F(k+1)^2."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     a, b = 0, 1
@@ -19,7 +19,12 @@ def fib(n):
         a, b = a * (2 * b - a), a * a + b * b
         if bit == "1":
             a, b = b, a + b
-    return a
+    return a, b
+
+
+def fib(n):
+    """F(n), n >= 0."""
+    return _fib_pair(n)[0]
 
 
 def _exact_div(num, d, what):
@@ -31,25 +36,27 @@ def _exact_div(num, d, what):
 
 def v_fibonacci_form(n):
     """5 v(n) = 2(n+2) F(n+1) + (n+1) F(n+2), solved for v(n)."""
-    return _exact_div(2 * (n + 2) * fib(n + 1) + (n + 1) * fib(n + 2), 5, "v closed form")
+    f1, f2 = _fib_pair(n + 1)
+    return _exact_div(2 * (n + 2) * f1 + (n + 1) * f2, 5, "v closed form")
 
 
 def w_domino_fibonacci_form(n):
     """Dominoes-only walk total as a rational combination of Fibonacci numbers."""
-    num = 5 * ((1 + (-1) ** n) // 2) + 3 * (1 + n) * fib(n) + 4 * n * fib(n + 1)
+    f0, f1 = _fib_pair(n)
+    num = 5 * ((1 + (-1) ** n) // 2) + 3 * (1 + n) * f0 + 4 * n * f1
     return _exact_div(num, 5, "domino-only closed form")
 
 
 def w_domino_even_form(n):
     """5 w(2n) = 5 + (3 + 6n) F(2n) + 8n F(2n+1)."""
-    return _exact_div(5 + (3 + 6 * n) * fib(2 * n) + 8 * n * fib(2 * n + 1), 5,
-                      "even split form")
+    f0, f1 = _fib_pair(2 * n)
+    return _exact_div(5 + (3 + 6 * n) * f0 + 8 * n * f1, 5, "even split form")
 
 
 def w_domino_odd_form(n):
     """5 w(2n+1) = (6 + 6n) F(2n+1) + (4 + 8n) F(2n+2)."""
-    return _exact_div((6 + 6 * n) * fib(2 * n + 1) + (4 + 8 * n) * fib(2 * n + 2), 5,
-                      "odd split form")
+    f1, f2 = _fib_pair(2 * n + 1)
+    return _exact_div((6 + 6 * n) * f1 + (4 + 8 * n) * f2, 5, "odd split form")
 
 
 # Constants of the explicit dominoes-only formula
@@ -97,8 +104,9 @@ def binet_identity_check(upto):
 
     def holds(n):  # called for n = 0..upto in order
         an, bn = next(powers)
-        return ((an - bn) / SQRT5 == QSqrt5(fib(n))
-                and an + bn == QSqrt5(2 * fib(n + 1) - fib(n))
+        f0, f1 = _fib_pair(n)
+        return ((an - bn) / SQRT5 == QSqrt5(f0)
+                and an + bn == QSqrt5(2 * f1 - f0)
                 and (n < upto or (an, bn) == (ALPHA**n, BETA**n)))
 
     return _check("binet-identities", 0, upto, holds)

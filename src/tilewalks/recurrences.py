@@ -8,7 +8,9 @@ integer-valued `Decimal`.
 * CoupledSystemSpec - each member is a row read as member(n) =
   sum_s P_s(x) s(n), listed so that a same-step reference names an earlier
   member (d before c before r). The coupled 2xn systems and the one-member
-  specs of fib, v, w and w-domino are all systems. One step loop fills them:
+  specs of fib, v, w and w-domino are all systems. Each system's step is
+  compiled once to straight-line additions, as the brute column step is
+  (`walks._column_step`), and one run of it fills the columns:
   `eval_system` returns the `int` tables of the members a caller reads, and
   `decimal_columns` the same columns from `Decimal` seeds in a context that
   traps any rounding, so that `seq` prints them in time linear in digits.
@@ -25,10 +27,10 @@ division: n*v(n) = (n+1)v(n-1) + (n+2)v(n-2). `theorem_step_check`
 applies that step to a v table that no division built.
 """
 
-from collections import deque
 from dataclasses import dataclass, replace
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact,
                      InvalidOperation, Overflow, Rounded, localcontext)
+from functools import lru_cache
 
 from .errors import NonIntegralStep, UnstratifiableSystem
 from .polynomials import IntPoly, expand
@@ -105,70 +107,71 @@ def eval_recurrence(spec, upto):
     return SequenceTable(spec.name, tuple(vals))
 
 
-def _steps(spec, upto):
-    """Yield, for n = 0..upto, the tuple of every member's value at n, members
-    in equation order.
-
-    A same-step reference must name an earlier member, and no shift may reach
-    back past index 0 from a member's first computed index, so each step
-    reads only values already filled in. With `depth` the largest shift of
-    any row, a member keeps only its last depth + 1 values: at the step of
-    member s, a member filled earlier in the step holds its value at n last,
-    and any other member its value at n - 1. A coefficient of +1 or -1 adds
-    or subtracts its term without a multiplication.
-    """
-    depth = max((k for row in spec.equations.values() for coeffs in row.values()
-                 for k, c in enumerate(coeffs) if c), default=0)
-    tables = {s: deque(maxlen=depth + 1) for s in spec.equations}
-    rows, earlier = [], set()
-    for s, row in spec.equations.items():
-        first = len(spec.initial[s])
-        terms = [(c, t, k) for t, coeffs in row.items() for k, c in enumerate(coeffs) if c]
-        for _, t, k in terms:
-            if k == 0 and t not in earlier:
-                raise UnstratifiableSystem(f"system {spec.name!r}: {s!r} refers to {t!r} "
-                                           "at the same step before it is filled in")
-            if k > first:
-                raise ValueError(f"system {spec.name!r}: {s!r} reads {t!r} {k} steps "
-                                 f"back from n = {first}, before index 0")
-        terms = [(c, tables[t], k + (t in earlier)) for c, t, k in terms]
-        earlier.add(s)
-        rows.append((tables[s], spec.initial[s], first,
-                     [(seq, back) for c, seq, back in terms if c == 1],
-                     [(seq, back) for c, seq, back in terms if c == -1],
-                     [(c, seq, back) for c, seq, back in terms if c not in (1, -1)]))
-    for n in range(upto + 1):
-        values = []
-        for table, initial, first, plus, minus, scaled in rows:
-            if n < first:
-                val = initial[n]
-            else:
-                val = 0
-                for seq, back in plus:
-                    val += seq[-back]
-                for seq, back in minus:
-                    val -= seq[-back]
-                for c, seq, back in scaled:
-                    val += c * seq[-back]
-            table.append(val)
-            values.append(val)
-        yield tuple(values)
+@lru_cache(maxsize=None)
+def _compile_loop(source):
+    """The function `run` that `source` defines, compiled on first use."""
+    namespace = {}
+    exec(source, namespace)
+    return namespace["run"]
 
 
 def _columns(spec, upto, members):
     """{member: list of its values for n = 0..upto} for each of `members`
-    (every member, in equation order, when None). Every member is computed,
-    but only these members' whole columns are kept; see `_steps`."""
+    (every member, in equation order, when None).
+
+    Every member has equally many initial values, and the steps from the
+    first index past them run in one function compiled from straight-line
+    source, run(steps, state, a<i>, ...), where the local s<i>_k holds
+    member i's value at n - k. Each step assigns s<i>_0 once per member, in
+    equation order, from its row's nonzero terms (a coefficient of +1 or -1
+    adds or subtracts its term without a multiplication), appends it
+    through a<i> if member i is kept, and rotates each member's history,
+    kept to the largest shift any row reads of it, by one tuple assignment.
+    A same-step reference must name an earlier member, and no shift may
+    reach back past index 0, so each step reads only values already filled in.
+    """
     keep = tuple(spec.equations) if members is None else tuple(members)
     for s in keep:
         if s not in spec.equations:
             raise ValueError(f"system {spec.name!r} has no member {s!r}")
-    order = list(spec.equations)
-    columns = [(order.index(s), []) for s in keep]
-    for values in _steps(spec, upto):
-        for i, column in columns:
-            column.append(values[i])
-    return {s: column for s, (_, column) in zip(keep, columns)}
+    counts = {len(spec.initial[s]) for s in spec.equations}
+    if len(counts) != 1:
+        raise ValueError(f"system {spec.name!r}: its members have different numbers "
+                         "of initial values")
+    [first] = counts
+    index = {s: i for i, s in enumerate(spec.equations)}
+    depth = dict.fromkeys(index, 0)
+    body = ""
+    for s, row in spec.equations.items():
+        terms = ""
+        for t, coeffs in row.items():
+            for k, c in enumerate(coeffs):
+                if not c:
+                    continue
+                if k == 0 and index.get(t, len(index)) >= index[s]:
+                    raise UnstratifiableSystem(f"system {spec.name!r}: {s!r} refers to {t!r} "
+                                               "at the same step before it is filled in")
+                if k > first:
+                    raise ValueError(f"system {spec.name!r}: {s!r} reads {t!r} {k} steps "
+                                     f"back from n = {first}, before index 0")
+                depth[t] = max(depth[t], k)
+                sign, scale = "-" if c < 0 else "+", f"{abs(c)} * " * (abs(c) != 1)
+                terms += f" {sign} {scale}s{index[t]}_{k}"
+        body += f"        s{index[s]}_0 = {('0' + terms).removeprefix('0 + ')}\n"
+    columns = {s: list(spec.initial[s][:upto + 1]) for s in keep}
+    body += "".join(f"        a{index[s]}(s{index[s]}_0)\n" for s in columns)
+    history = {s: [f"s{index[s]}_{k}" for k in range(depth[s] + 1)] for s in index if depth[s]}
+    body += "".join(f"        {', '.join(h[:0:-1])} = {', '.join(h[-2::-1])}\n"
+                    for h in history.values())
+    state = "".join(f"{local}, " for h in history.values() for local in h[1:])
+    source = (f"def run(steps, state{''.join(f', a{index[s]}' for s in columns)}):\n"
+              + f"    {state}= state\n" * bool(state) + "    for _ in steps:\n" + body)
+    if upto >= first:
+        _compile_loop(source)(range(upto + 1 - first),
+                              [spec.initial[s][first - k] for s in history
+                               for k in range(1, depth[s] + 1)],
+                              *(column.append for column in columns.values()))
+    return columns
 
 
 def eval_system(spec, upto, members=None):

@@ -195,9 +195,9 @@ def test_every_system_column_is_covered():
 def test_seq_runs_each_system_column_once(capsys, monkeypatch):
     # the printed table and the agreement checks read one run of the steps
     runs, tables = [], []
-    steps, eval_system = recurrences._steps, recurrences.eval_system
-    monkeypatch.setattr(recurrences, "_steps",
-                        lambda spec, upto: runs.append(spec.name) or steps(spec, upto))
+    columns, eval_system = recurrences._columns, recurrences.eval_system
+    monkeypatch.setattr(recurrences, "_columns", lambda spec, upto, members:
+                        runs.append(spec.name) or columns(spec, upto, members))
     monkeypatch.setattr(recurrences, "eval_system",
                         lambda *args: tables.append(args) or eval_system(*args))
     code, out = run(capsys, "seq", "w-by-line", "--upto", "50", "--route", "recurrence")

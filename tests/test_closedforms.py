@@ -110,6 +110,7 @@ def test_fib_fast_doubling_matches_iteration():
     a, b = 0, 1
     for n in range(2001):
         assert fib(n) == a, n
+        assert closedforms._fib_pair(n) == (a, b), n
         a, b = b, a + b
     with pytest.raises(ValueError):
         fib(-1)

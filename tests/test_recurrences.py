@@ -1,6 +1,8 @@
+import ast
 import decimal
 import inspect
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -170,6 +172,58 @@ def test_base10_run_equals_the_int_tables(factory):
             assert [str(v) for v in column] == [str(v) for v in full[s].values]
 
 
+def _plain_columns(spec, upto):
+    """Every member's whole list to index `upto` straight from the rows,
+    member(n) = sum of c * table[t][n - k]: the reference for the compiled
+    steps, with no history window and no generated source."""
+    tables = {s: list(spec.initial[s][:upto + 1]) for s in spec.equations}
+    for n in range(len(spec.initial[next(iter(spec.equations))]), upto + 1):
+        for s, row in spec.equations.items():
+            tables[s].append(sum(c * tables[t][n - k] for t, coeffs in row.items()
+                                 for k, c in enumerate(coeffs) if c))
+    return tables
+
+
+@pytest.mark.parametrize("factory", SYSTEM_SPECS, ids=lambda fn: fn.__name__)
+def test_compiled_steps_match_the_plain_evaluator(factory):
+    spec = factory()
+    reference = _plain_columns(spec, 300)
+    assert {s: list(t.values) for s, t in eval_system(spec, 300).items()} == reference
+    assert {s: [str(v) for v in column] for s, column in decimal_columns(spec, 300, None).items()
+            } == {s: [str(v) for v in column] for s, column in reference.items()}
+    # negative control: a copy with any one coefficient changed by 1 disagrees
+    for s, row in spec.equations.items():
+        for t, coeffs in row.items():
+            for k in range(len(coeffs)):
+                if k == 0 and list(spec.equations).index(t) >= list(spec.equations).index(s):
+                    continue  # a same-step reference to itself or a later member
+                bumped = coeffs[:k] + (coeffs[k] + 1,) + coeffs[k + 1:]
+                equations = {**spec.equations, s: {**row, t: bumped}}
+                tables = eval_system(replace(spec, equations=equations), 300)
+                assert {m: list(table.values) for m, table in tables.items()} != reference, \
+                    (s, t, k)
+
+
+def test_walk_step_source_assigns_each_member_once(monkeypatch):
+    sources = []
+    compile_loop = recurrences._compile_loop
+    monkeypatch.setattr(recurrences, "_compile_loop",
+                        lambda source: sources.append(source) or compile_loop(source))
+    spec = walk_system()
+    eval_system(spec, 10, ("r2",))
+    [source] = sources
+    assert "1 *" not in source
+    [loop] = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.For)]
+    # per step, each member's value is assigned once, and its history is
+    # rotated by at most one more assignment
+    targets = [[name.id for name in ast.walk(node.targets[0]) if isinstance(name, ast.Name)]
+               for node in loop.body if isinstance(node, ast.Assign)]
+    values = [names for names in targets if names[0].endswith("_0")]
+    assert sorted(values) == sorted([f"s{i}_0"] for i in range(len(spec.equations)))
+    members = [names[0].split("_")[0] for names in targets]
+    assert all(members.count(m) <= 2 for m in members)
+
+
 def _caller_context():
     ctx = decimal.getcontext()
     return ctx, (ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding, dict(ctx.traps), dict(ctx.flags))
@@ -212,6 +266,24 @@ def test_base10_run_in_a_28_digit_context_stops_at_the_first_rounding(monkeypatc
 def test_unknown_member_detected():
     with pytest.raises(ValueError, match="no member 'w'"):
         eval_system(walk_system(), 5, ("r2", "w"))
+
+
+def test_members_with_different_numbers_of_initial_values_detected():
+    spec = CoupledSystemSpec("ragged", {"x": {"x": (0, 1)}, "y": {"x": (0, 1)}},
+                             {"x": (1, 2), "y": (1,)})
+    with pytest.raises(ValueError, match="'ragged': its members have different numbers"):
+        eval_system(spec, 5)
+
+
+def test_a_system_step_compiles_once():
+    spec = CoupledSystemSpec("once", {"x": {"x": (0, 3, 0, 5)}}, {"x": (1, 2, 4)})
+    recurrences._compile_loop.cache_clear()
+    # below the first computed index the initial values are the table
+    assert eval_system(spec, 1)["x"].values == (1, 2)
+    assert recurrences._compile_loop.cache_info().misses == 0
+    assert eval_system(spec, 5) == eval_system(spec, 5)
+    assert eval_system(spec, 5)["x"].values == (1, 2, 4, 17, 61, 203)
+    assert recurrences._compile_loop.cache_info().misses == 1
 
 
 def test_one_member_peak_memory_is_a_fraction_of_all():
