@@ -1,10 +1,13 @@
 """Brute-force walk enumeration and counting over tilings.
 
 This is the ground-truth oracle: every recurrence and closed form in the
-package is cross-checked against the sums computed here.
+package is cross-checked against the sums computed here. Its search,
+`_line_totals`, still enumerates every tiling, but a group of columns at a
+time: each group's subtree is one call of a fan compiled to straight-line
+additions (`_column_fan`), from the same step source as `_column_step`.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial as bind
 
 from .boards import (
     Board,
@@ -18,22 +21,24 @@ from .boards import (
 from .errors import BudgetExceeded
 
 # Cap on the number of tilings a single brute-force sum may enumerate.
-# 10**7 admits 2xn boards up to n = 14.
+# 10**7 admits 2xn boards up to n = 14, whose search takes about 1 s
+# (2-vCPU x86-64, Python 3.11).
 DEFAULT_BUDGET = 10**7
 
 
-def _step_source(rows, spill, cross, out):
+def _step_source(rows, spill, cross, out, inp="w"):
     """The lines of straight-line source that step the rows + 1 walk counts
-    w0, w1, ... on grid line x-1 to out0, out1, ... on line x.
+    inp0, inp1, ... on grid line x-1 to out0, out1, ... on line x.
 
     `spill` and `cross` are the masks of column x from `_column_fills`: bit
     y-1 of `spill` blocks the climb from (x, y-1) to (x, y), bit y of `cross`
-    blocks the step from (x-1, y) to (x, y), so n[y] = (w[y] unless cross)
-    + (n[y-1] unless spill). The source is built from the three ints alone.
+    blocks the step from (x-1, y) to (x, y), so out[y] = (inp[y] unless
+    cross) + (out[y-1] unless spill). The source is built from the ints and
+    the two name prefixes alone.
     """
     climb = spill << 1 | 1  # row 0 has no climb
     return "".join(
-        f"    {out}{y} = " + (" + ".join([f"w{y}"] * (not cross >> y & 1)
+        f"    {out}{y} = " + (" + ".join([f"{inp}{y}"] * (not cross >> y & 1)
                                      + [f"{out}{y - 1}"] * (not climb >> y & 1)) or "0") + "\n"
         for y in range(rows + 1))
 
@@ -61,27 +66,40 @@ def _column_step(rows, spill, cross):
 
 
 @lru_cache(maxsize=None)
-def _column_fan(rows, spill, closed, squares_allowed, last):
-    """Every child of a search node, compiled to straight-line source.
+def _column_fan(rows, spill, keys, squares_allowed):
+    """Every node of a depth-g subtree of the search, compiled to
+    straight-line source: the g columns of a group, one key per column.
 
-    fan(j, totals_row, *ways) steps the walk counts `ways` through each
-    fill of `_column_fills(rows, spill, closed, squares_allowed)` in turn,
-    adds the vectors of the fills that spill nothing out into `totals_row`
-    in place, one += per grid line, and returns every fill as a
-    (j, spill out, vector) child, in fill order, unless `last`: the last
-    column has none, while an inner column closed on every row, as the
-    first column of a mirrored D shape is, has them.
+    Each key is (rows taken, rows of the next column taken, last), and
+    `spill` holds the rows the column before the group spills into its
+    first column. fan(j, t1, ..., tg, *ways) steps the walk counts `ways`
+    through every fill path of the group, each fill from its parent's
+    vector by `_step_source`, and adds the vectors of column l's fills that
+    spill nothing out into the totals row tl in place, one += per grid
+    line. It returns the fills of the group's last column as (j, spill out,
+    vector) children; a column whose key is `last` has no fills after it,
+    while an inner column closed on every row, as the first column of a
+    mirrored D shape is, has them.
     """
-    fills = _column_fills(rows, spill, closed, squares_allowed)
-    body = "".join(_step_source(rows, out, cross, f"n{i}_")
-                   for i, (_, out, cross) in enumerate(fills))
-    done = [i for i, (_, out, _) in enumerate(fills) if not out]
-    if done:
-        body += "".join(f"    t[{y}] += {' + '.join(f'n{i}_{y}' for i in done)}\n"
-                        for y in range(rows + 1))
-    children = "".join(f"(j, {out}, {_vector(rows, f'n{i}_')}), "
-                       for i, (_, out, _) in enumerate(fills)) if not last else ""
-    return _compile(rows, "j, t, ", body + f"    return ({children})\n")
+    lines, sums = [], [[] for _ in keys]
+    frontier = [(spill, "w")]  # (spill in, name of the parent's vector)
+    for l, (taken, closed, last) in enumerate(keys):
+        grown = []
+        for into, parent in frontier:
+            for _, out, cross in _column_fills(rows, into | taken, closed, squares_allowed):
+                name = f"n{len(lines)}_"
+                lines.append(_step_source(rows, out, cross, name, parent))
+                if not out:
+                    sums[l].append(name)
+                if not last:
+                    grown.append((out, name))
+        frontier = grown
+    body = "".join(lines) + "".join(
+        f"    t{l}[{y}] += {' + '.join(f'{name}{y}' for name in names)}\n"
+        for l, names in enumerate(sums, 1) if names for y in range(rows + 1))
+    children = "".join(f"(j, {out}, {_vector(rows, name)}), " for out, name in frontier)
+    head = "j, " + "".join(f"t{l}, " for l in range(1, len(keys) + 1))
+    return _compile(rows, head, body + f"    return ({children})\n")
 
 
 def count_walks_for_tiling(tiling, end_line):
@@ -151,6 +169,16 @@ def _check_budget(board, budget, squares_allowed=True, partial=None):
         raise BudgetExceeded(f"{shape} has {_count_text(total)} tilings, budget {budget}")
 
 
+def _group_size(rows, n, squares_allowed):
+    """Columns per fan: the largest g with b^g <= 128, where b is the number
+    of fills of an empty column, so a fan from an empty column has at most
+    128 leaves; at most n and at least 1."""
+    b, g = len(_column_fills(rows, 0, 0, squares_allowed)), 1
+    while g < n and b ** (g + 1) <= 128:
+        g += 1
+    return g
+
+
 def _line_totals(board, squares_allowed=True, partial=None):
     """Walk totals per ending grid line, summed over every tiling of each
     prefix board: entry j belongs to the board's first j columns. The bottom
@@ -159,9 +187,13 @@ def _line_totals(board, squares_allowed=True, partial=None):
     A depth-first search over column fills that carries each partial
     tiling's walk vector, so a tiling costs O(1) column steps amortized. A
     node at depth j with no spill into column j+1 is a tiling of the
-    j-column board; its vector is added when it is made, and the nodes at
-    depth n are never pushed. A node is one call of its compiled fan, from
-    one table per (taken, next column taken, last) key: two for a full board.
+    j-column board; its vector is added when it is made. The columns are
+    cut into groups of `_group_size` columns, the first taking n mod g (or
+    g), so that the last group ends at column n. A node is pushed only at a
+    group boundary, and is one call of its group's compiled fan, which
+    makes the whole subtree down to the next boundary; the nodes at depth n
+    are never made. The fans come from one table per distinct group of
+    (taken, next column taken, last) keys: at most three for a full board.
 
     A `partial` shape is searched as its mirror image, the taken masks of
     `boards._taken` in reverse column order, which has the same tilings, so
@@ -170,18 +202,24 @@ def _line_totals(board, squares_allowed=True, partial=None):
     """
     n, rows = board.cols, board.rows
     taken = [0, *_taken(board, partial)[0][n:0:-1], (1 << rows) - 1]  # mirrored
-    keys = [(taken[j], taken[j + 1], j == n) for j in range(1, n + 1)]
-    tables = {key: [_column_fan(rows, spill | key[0], key[1], squares_allowed, key[2])
-                    for spill in range(1 << rows)] for key in dict.fromkeys(keys)}
-    fans = [tables[key] for key in keys]
+    keys = tuple((taken[j], taken[j + 1], j == n) for j in range(1, n + 1))
     start = _column_step(rows, 0, 0)(1, *[0] * rows)
     totals = [list(start)] + [[0] * (rows + 1) for _ in range(n)]
-    # (columns filled, spill into the next column, walk counts on the last line)
+    g = _group_size(rows, n, squares_allowed)
+    bounds = [0, *range(n % g or g, n + 1, g)]  # the last group ends at column n
+    spans = list(zip(bounds, bounds[1:]))  # group i holds columns a+1..b
+    tables = {group: [_column_fan(rows, spill, group, squares_allowed)
+                      for spill in range(1 << rows)]
+              for group in dict.fromkeys(keys[a:b] for a, b in spans)}
+    # fans[i][spill](*ways): group i's fan, its j and totals rows bound
+    fans = [[bind(fan, i + 1, *totals[a + 1:b + 1]) for fan in tables[keys[a:b]]]
+            for i, (a, b) in enumerate(spans)]
+    # (groups filled, spill into the next group, walk counts on its last line)
     stack = [(0, 0, start)] if n else []
     pop, extend = stack.pop, stack.extend
     while stack:
         j, spill, ways = pop()
-        extend(fans[j][spill](j + 1, totals[j + 1], *ways))
+        extend(fans[j][spill](*ways))
     return totals
 
 

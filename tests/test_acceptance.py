@@ -69,9 +69,9 @@ def test_criterion_02_table2_reproduction():
 
 
 def test_criterion_03_oracle_equivalence_2xn():
-    system = eval_system(walk_system(), 12)["r2"]
-    ninth = eval_system(w_ninth_order_spec(), 12)["w"]
-    brute = tuple(t[2] for t in brute_line_totals(2, 12))
+    system = eval_system(walk_system(), 13)["r2"]
+    ninth = eval_system(w_ninth_order_spec(), 13)["w"]
+    brute = tuple(t[2] for t in brute_line_totals(2, 13))
     ok = brute == system.values == ninth.values
     _report(3, ok)
 
@@ -114,8 +114,8 @@ def test_criterion_07_domino_only_four_routes():
         w_domino_even_form(k) == rec[2 * k] and w_domino_odd_form(k) == rec[2 * k + 1]
         for k in range(25)
     )
-    brute = brute_line_totals(2, 12, squares_allowed=False)
-    ok = ok and all(brute[n][2] == rec[n] for n in range(13))
+    brute = brute_line_totals(2, 20, squares_allowed=False)
+    ok = ok and all(brute[n][2] == rec[n] for n in range(21))
     _report(7, ok)
 
 

@@ -389,6 +389,15 @@ def test_cli_import_loads_no_network_client():
     assert out.strip() == "False"
 
 
+def test_cli_import_compiles_no_fan():
+    code = ("import tilewalks.cli; tilewalks.cli.build_parser(); "
+            "print(tilewalks.walks._column_fan.cache_info().currsize)")
+    src = str(Path(tilewalks.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "0"
+
+
 def _off_by_one(term, at):
     return lambda n: term(n) + (n == at)
 

@@ -1,5 +1,6 @@
 import random
 from collections import namedtuple
+from itertools import product
 from math import comb
 from operator import add
 
@@ -175,34 +176,65 @@ def test_per_vertex_model_catches_a_column_step_that_ignores_spill():
     assert column_step_mismatches(mutant)
 
 
-def column_fan_mismatches(column_fan):
-    """(rows, spill, closed, squares, last, vector) for every 1- to 4-row
-    column where column_fan(rows, spill, closed, squares, last) disagrees
-    with per_vertex_step, on each unit vector and on one random vector: its
-    children must be (j, out, step) of every fill in fill order, none in the
-    last column, also for an inner column closed on every row, and its
-    increment of the totals row the sum of the steps of the fills with no
-    spill out."""
-    rng, bad = random.Random(1), []
+def fan_model(rows, spill, keys, squares, ways):
+    """The children and totals-row increments of a group of columns, from
+    per_vertex_step composed along every fill path: column l's fills that
+    spill nothing out add to increment l, a `last` column ends its paths,
+    and the group's last column makes the children (7, out, vector)."""
+    children, increments = [], [[0] * (rows + 1) for _ in keys]
+
+    def walk(l, into, vector):
+        taken, closed, last = keys[l]
+        for tiles, out, _ in _column_fills(rows, into | taken, closed, squares):
+            step = per_vertex_step(tiles, vector)
+            if not out:
+                increments[l] = list(map(add, increments[l], step))
+            if last:
+                continue
+            if l + 1 < len(keys):
+                walk(l + 1, out, step)
+            else:
+                children.append((7, out, step))
+
+    walk(0, spill, ways)
+    return children, increments
+
+
+def fan_groups():
+    """(rows, keys): every one-column group of 1 to 4 rows, and every group
+    of 2 and 3 columns of 1 and 2 rows, from the (taken, next column taken,
+    last) keys of an open column, one with row 1 taken, an inner column
+    closed on every row, and, in the group's last place only, the board's
+    last column."""
     for rows in range(1, 5):
+        full = (1 << rows) - 1
+        inner = [(0, 0, False), (1, 0, False), (0, full, False)]
+        for size in (1, 2, 3) if rows <= 2 else (1,):
+            for head in product(inner, repeat=size - 1):
+                yield from ((rows, (*head, end)) for end in (*inner, (0, full, True)))
+
+
+def column_fan_mismatches(column_fan):
+    """(rows, spill, keys, squares, vector) for every group of columns in
+    fan_groups, every spill into it and both tile sets, where
+    column_fan(rows, spill, keys, squares) disagrees with fan_model on each
+    unit vector or on one random vector: its children must be those of every
+    fill path in path order, none after a `last` column, also below an inner
+    column closed on every row, and its increment of each totals row the
+    sum of the steps of that column's fills with no spill out."""
+    rng, bad = random.Random(1), []
+    for rows, keys in fan_groups():
         vectors = [tuple(int(i == y) for i in range(rows + 1)) for y in range(rows + 1)]
         vectors.append(tuple(rng.randrange(10**9) for _ in range(rows + 1)))
         for spill in range(1 << rows):
-            for closed in (0, (1 << rows) - 1):
-                for squares in (True, False):
-                    for last in (False, True):
-                        fan = column_fan(rows, spill, closed, squares, last)
-                        for ways in vectors:
-                            steps = [(out, per_vertex_step(tiles, ways)) for tiles, out, _
-                                     in _column_fills(rows, spill, closed, squares)]
-                            row = [3] * (rows + 1)  # the fan adds to what is there
-                            children = list(fan(7, row, *ways))
-                            done = [vector for out, vector in steps if not out]
-                            if (children != [(7, out, vector) for out, vector in steps
-                                             if not last]
-                                    or row != [3 + sum(v[y] for v in done)
-                                               for y in range(rows + 1)]):
-                                bad.append((rows, spill, closed, squares, last, ways))
+            for squares in (True, False):
+                fan = column_fan(rows, spill, keys, squares)
+                for ways in vectors:
+                    children, increments = fan_model(rows, spill, keys, squares, ways)
+                    totals = [[3] * (rows + 1) for _ in keys]  # the fan adds to what is there
+                    if (list(fan(7, *totals, *ways)) != children
+                            or totals != [[3 + v for v in inc] for inc in increments]):
+                        bad.append((rows, spill, keys, squares, ways))
     return bad
 
 
@@ -213,17 +245,18 @@ def test_compiled_column_fan_matches_a_per_vertex_model():
 def test_per_vertex_model_catches_a_fan_that_drops_a_fill():
     def mutant(*key):
         fan = walks._column_fan(*key)
-        return lambda j, row, *ways: fan(j, row, *ways)[:-1]
+        return lambda j, *args: fan(j, *args)[:-1]
 
     assert column_fan_mismatches(mutant)
 
 
 def test_per_vertex_model_catches_a_fan_that_adds_an_open_child_to_the_totals():
-    def mutant(*key):
-        fan = walks._column_fan(*key)
+    def mutant(rows, spill, keys, squares):
+        fan = walks._column_fan(rows, spill, keys, squares)
 
-        def wrong(j, row, *ways):
-            children = fan(j, row, *ways)
+        def wrong(j, *args):
+            children = fan(j, *args)
+            row = args[len(keys) - 1]  # the totals row of the group's last column
             for _, out, vector in children:
                 if out:
                     row[:] = map(add, row, vector)
@@ -237,22 +270,74 @@ def test_per_vertex_model_catches_a_fan_that_adds_an_open_child_to_the_totals():
 def test_per_vertex_model_catches_a_fan_that_ends_at_a_closed_inner_column():
     # a fan that takes "closed on every row" for the last column, as the
     # first column of a mirrored D shape is closed on every row
-    def mutant(rows, spill, closed, squares, last):
-        return walks._column_fan(rows, spill, closed, squares,
-                                 last or closed == (1 << rows) - 1)
+    def mutant(rows, spill, keys, squares):
+        full = (1 << rows) - 1
+        return walks._column_fan(rows, spill, tuple(
+            (taken, closed, last or closed == full) for taken, closed, last in keys), squares)
 
     assert column_fan_mismatches(mutant)
 
 
+def test_per_vertex_model_catches_a_fan_that_drops_a_grandchild_path():
+    # the fan's second fill lookup is a column below the group's first:
+    # dropping its last fill drops the paths through it
+    def mutant(rows, spill, keys, squares):
+        if len(keys) == 1:  # no grandchild to drop
+            return walks._column_fan(rows, spill, keys, squares)
+        lookups = []
+
+        def fills(*args):
+            lookups.append(args)
+            found = _column_fills(*args)
+            return found[:-1] if len(lookups) == 2 else found
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(walks, "_column_fills", fills)
+            return walks._column_fan.__wrapped__(rows, spill, keys, squares)
+
+    bad = column_fan_mismatches(mutant)
+    assert bad and all(len(keys) > 1 for _, _, keys, _, _ in bad)
+
+
+def test_per_vertex_model_catches_a_fan_that_ends_at_an_inner_column():
+    def mutant(rows, spill, keys, squares):
+        (taken, closed, last), *rest = keys
+        return walks._column_fan(rows, spill, ((taken, closed, last or bool(rest)), *rest),
+                                 squares)
+
+    bad = column_fan_mismatches(mutant)
+    assert bad and all(len(keys) > 1 for _, _, keys, _, _ in bad)
+
+
 def test_a_search_compiles_one_fan_per_spill_and_closed_pair():
-    walks._column_fan.cache_clear()
-    walks._column_step.cache_clear()
-    brute_line_totals(2, 12)  # 808,395 tilings of the 2x12 board alone
-    fans, steps = walks._column_fan.cache_info(), walks._column_step.cache_info()
-    # 4 spills into a column, times inner and last: each fan is looked up
-    # once, before the search, and the only column step is the start vector
-    assert fans.misses == fans.currsize == fans.hits + fans.misses == 4 * 2
-    assert steps.misses == steps.hits + steps.misses == 1
+    # groups of 3 columns end at the last column: 2x12 has inner groups and
+    # the last one, 2x7 a 1-column inner group first (start-aligned groups
+    # would give it 2 kinds, inner and a 1-column last). 4 spills into a
+    # group times each kind: each fan is looked up once, before the search,
+    # and the only column step is the start vector
+    for cols, kinds in ((12, 2), (7, 3)):  # 808,395 tilings of the 2x12 board alone
+        walks._column_fan.cache_clear()
+        walks._column_step.cache_clear()
+        brute_line_totals(2, cols)
+        fans, steps = walks._column_fan.cache_info(), walks._column_step.cache_info()
+        assert fans.misses == fans.currsize == fans.hits + fans.misses == 4 * kinds
+        assert steps.misses == steps.hits + steps.misses == 1
+
+
+def test_groups_hold_at_most_128_leaves_of_an_empty_column():
+    # b fills of an empty column: b^g <= 128 < b^(g+1), at most n columns
+    assert [walks._group_size(rows, 50, squares)
+            for rows, squares in ((2, True), (2, False), (1, True), (3, True), (4, True))
+            ] == [3, 7, 7, 1, 1]
+    assert walks._group_size(2, 2, False) == 2 and walks._group_size(2, 0, True) == 1
+
+
+def test_the_one_fill_column_search_ends_with_a_group_of_n_columns():
+    # a 1-row dominoes-only empty column has one fill, so only n caps the group
+    for n in range(31):
+        assert walks._group_size(1, n, False) == max(n, 1)
+        assert walks._line_totals(Board(1, n), False)[n] == (
+            [1, n // 2 + 1] if n % 2 == 0 else [0, 0])
 
 
 def test_the_search_is_row_generic():
