@@ -6,6 +6,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import count
 from math import comb
 
 from . import closedforms, elimination, oeis, recurrences, walks
@@ -52,12 +53,13 @@ class RunReport:
 # ---------------------------------------------------------------------------
 # sequence routes
 #
-# Every route is route(upto, budget) -> {member: [values for n = 0..upto]}:
-# ints, or for a system column the Decimals of one exact base-10 run.
-# A one-member result is the column `route`, whatever its member is named
-# ("" where a route computes the sequence itself), and all such columns of
-# a sequence must agree. A many-member result is the columns
-# `route:member`, and the columns of one member must agree.
+# Every route is route(upto, budget) -> (members, rows): its members, sorted,
+# and for n = 0..upto a tuple of their ints, or for a system column of the
+# Decimals of one exact base-10 run, made as the rows are read; the call
+# itself refuses what the route refuses. A one-member route is the column
+# `route` ("" names a member the route computes itself), and all such columns
+# of a sequence must agree; a many-member route is the columns `route:member`,
+# and the columns of one member must agree.
 
 
 def _line_column(rows, squares_allowed=True, partial=None, **lines):
@@ -66,7 +68,7 @@ def _line_column(rows, squares_allowed=True, partial=None, **lines):
     search of the largest. Line 0 counts the tilings."""
     def route(upto, budget):
         totals = walks.brute_line_totals(rows, upto, squares_allowed, budget, partial)
-        return {member: [t[line] for t in totals] for member, line in lines.items()}
+        return tuple(lines), [tuple(t[line] for line in lines.values()) for t in totals]
 
     return route
 
@@ -74,26 +76,26 @@ def _line_column(rows, squares_allowed=True, partial=None, **lines):
 def _brute_fib(upto, budget):
     """F(n) counts the tilings of the 1x(n-1) board, so F(0) = 0 comes first."""
     totals = walks.brute_line_totals(1, upto - 1, budget=budget) if upto else []
-    return {"": [0] + [t[0] for t in totals]}
+    return ("",), [(0,)] + [(t[0],) for t in totals]
 
 
 def _system_column(system, *members):
     def route(upto, budget):
-        return recurrences.decimal_columns(system(), upto, members)
+        return members, recurrences.decimal_columns(system(), upto, members)
 
     return route
 
 
 def _spec_column(spec_factory):
     def route(upto, budget):
-        return {"": list(recurrences.eval_recurrence(spec_factory(), upto).values)}
+        return ("",), zip(recurrences.eval_recurrence(spec_factory(), upto).values)
 
     return route
 
 
 def _closed_column(term):
     def route(upto, budget):
-        return {"": [term(n) for n in range(upto + 1)]}
+        return ("",), zip(map(term, range(upto + 1)))
 
     return route
 
@@ -146,9 +148,9 @@ SEQUENCES = {
 
 
 def cmd_seq(args, report):
-    """The columns of the sequence by each route asked for, timed in the
-    report, with one agreement check for each column after the first of each
-    member."""
+    """The columns of the sequence by each route asked for, printed a row at
+    a time as the routes make them, with each route's time in the report and
+    one agreement check for each column after the first of each member."""
     if args.name not in SEQUENCES:
         raise UnknownSequence(f"unknown sequence {args.name!r}")
     available = SEQUENCES[args.name]
@@ -157,33 +159,66 @@ def cmd_seq(args, report):
             f"sequence {args.name!r} has no {args.route!r} route "
             f"(available: {', '.join(available)})"
         )
-    columns = {}
-    for route in available if args.route == "all" else [args.route]:
-        t0 = time.perf_counter()
-        result = available[route](args.upto, args.budget)
-        report.timings[f"{args.name}:{route}"] = time.perf_counter() - t0
-        for member, values in result.items():
-            columns[route if len(result) == 1 else f"{route}:{member}"] = values
-    groups = {}
-    for key in sorted(columns):
-        groups.setdefault(key.partition(":")[2], []).append(key)
-    for first, *others in groups.values():
-        for other in others:
-            report.checks.append(agreement_check(
-                f"agree:{args.name}:{first}={other}", columns[first], columns[other]))
-    _emit_table(args, columns, report)
+    streams, keys = [], []  # (timing name, rows, width) of each route; the columns
+    try:
+        for route in sorted(available) if args.route == "all" else [args.route]:
+            t0 = time.perf_counter()
+            members, rows = available[route](args.upto, args.budget)
+            report.timings[f"{args.name}:{route}"] = time.perf_counter() - t0
+            streams.append((f"{args.name}:{route}", iter(rows), len(members)))
+            keys += [route if len(members) == 1 else f"{route}:{m}" for m in members]
+        _emit_table(args, keys, _table(args.name, keys, streams, report), report)
+    finally:  # a stream left open, as a traceback holds it, keeps its decimal context
+        for _, rows, _ in streams:
+            getattr(rows, "close", lambda: None)()
     for check in report.checks:
         if not check.passed:
             print(f"error: check {check.name} failed at n={check.first_failure}",
                   file=sys.stderr)
 
 
-def _rows(keys, columns):
-    """The strings of the columns `keys`, one list per row. A value past the
-    int-to-str digit limit goes through str(int(value)), so that a `Decimal`
-    column raises the ValueError that str() of the int raises."""
+def _table(name, keys, streams, report):
+    """The streams' rows joined while every stream makes one; once all have
+    ended, each column is checked against the first column of its member,
+    failing at the first n where the two differ or one of them has ended."""
+    timed = [(_timed(rows, report.timings, timing), width) for timing, rows, width in streams]
+    if len(timed) == 1:  # one route: nothing to compare
+        yield from timed[0][0]
+        return
+    members = [key.partition(":")[2] for key in keys]
+    failures = {(a, b): None for b, m in enumerate(members) if (a := members.index(m)) < b}
+    for n in count():
+        row = []
+        for rows, width in timed:
+            row += next(rows, None) or [None] * width  # None: the stream has ended
+        if row.count(None) == len(row):
+            break
+        for (a, b), failed in failures.items():
+            if failed is None and row[a] != row[b]:
+                failures[a, b] = n
+        if None not in row:  # an ended stream makes no more rows
+            yield row
+    report.checks += [CheckResult(f"agree:{name}:{keys[a]}={keys[b]}", n is None,
+                                  first_failure=n) for (a, b), n in failures.items()]
+
+
+def _timed(rows, timings, timing):
+    """`rows`, adding the time they took to make to timings[timing] once they end."""
+    clock = time.perf_counter
+    spent, t0 = 0.0, clock()
+    for row in rows:
+        spent += clock() - t0
+        yield row
+        t0 = clock()
+    timings[timing] += spent
+
+
+def _rows(rows):
+    """The strings of each row's values. A value past the int-to-str digit
+    limit goes through str(int(value)), so that a `Decimal` value raises the
+    ValueError that str() of the int raises."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    for row in zip(*map(columns.get, keys)):
+    for row in rows:
         texts = []
         for value in row:
             text = str(value)
@@ -193,20 +228,19 @@ def _rows(keys, columns):
         yield texts
 
 
-def _emit_table(args, columns, report):
-    keys = sorted(columns)
+def _emit_table(args, keys, rows, report):
     if args.format == "json":  # the run report, with the table
-        table = zip(*_rows(keys, columns))
+        table = zip(*_rows(rows))
         print(report.to_json(name=args.name, columns=dict(zip(keys, map(list, table)))))
     elif args.format == "bfile":
         if len(keys) != 1:
             print("# b-file output uses the first route only")
-        for n, (text,) in enumerate(_rows(keys[:1], columns)):
+        for n, (text,) in enumerate(_rows(row[:1] for row in rows)):
             print(f"{n} {text}")
     else:  # csv or text: a header, then one row per n
         sep = "," if args.format == "csv" else "\t"
         print(sep.join(["n"] + keys))
-        for n, texts in enumerate(_rows(keys, columns)):
+        for n, texts in enumerate(_rows(rows)):
             print(sep.join([str(n)] + texts))
 
 
@@ -286,7 +320,7 @@ def _verify_oeis():
     checks = []
     for name, seq_id, upto in [("fib", "A000045", 45), ("v", "A001629", 40),
                                ("r", "A030186", 40), ("w-domino", "A054454", 40)]:
-        [values] = SEQUENCES[name]["recurrence"](upto, walks.DEFAULT_BUDGET).values()
+        values = [v for v, in SEQUENCES[name]["recurrence"](upto, walks.DEFAULT_BUDGET)[1]]
         match = oeis.find_offset_shift(values, oeis.load_fixture(seq_id))
         checks.append(CheckResult(
             f"oeis:{name}-vs-{seq_id}", match.matched >= 20,
@@ -316,7 +350,7 @@ def cmd_verify(args, report):
 
 
 def cmd_render(args, report):
-    svg = svg_for_tiling(args.board, args.index, squares_allowed=not args.dominoes_only)
+    svg = svg_for_tiling(args.board, args.index, not args.dominoes_only, args.budget)
     try:
         with open(args.out, "w") as fh:
             fh.write(svg)
@@ -375,6 +409,8 @@ def build_parser():
     p_ren.add_argument("index", type=int)
     p_ren.add_argument("--out", required=True)
     p_ren.add_argument("--dominoes-only", action="store_true")
+    p_ren.add_argument("--budget", type=_size, default=walks.DEFAULT_BUDGET,
+                       help="walk-count cap, checked before the walks are drawn")
     p_ren.set_defaults(fn=cmd_render)
     return parser
 

@@ -10,10 +10,10 @@ integer-valued `Decimal`.
   member (d before c before r). The coupled 2xn systems and the one-member
   specs of fib, v, w and w-domino are all systems. Each system's step is
   compiled once to straight-line additions, as the brute column step is
-  (`walks._column_step`), and one run of it fills the columns:
-  `eval_system` returns the `int` tables of the members a caller reads, and
-  `decimal_columns` the same columns from `Decimal` seeds in a context that
-  traps any rounding, so that `seq` prints them in time linear in digits.
+  (`walks._column_step`), in a loop that yields the members a caller reads
+  one row at a time: `eval_system` collects the rows into `int` tables, and
+  `decimal_columns` streams them from `Decimal` seeds in a context that
+  traps any rounding, so that `seq` prints each row as it is made.
 * The paper's linear relations between shifted sequences (the intermediate
   identities, relations A and B, the composed form of w) are rows that sum
   to zero, and one `relation_check` applies any row to the sequence tables.
@@ -27,6 +27,7 @@ division: n*v(n) = (n+1)v(n-1) + (n+2)v(n-2). `theorem_step_check`
 applies that step to a v table that no division built.
 """
 
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact,
                      InvalidOperation, Overflow, Rounded, localcontext)
@@ -115,20 +116,21 @@ def _compile_loop(source):
     return namespace["run"]
 
 
-def _columns(spec, upto, members):
-    """{member: list of its values for n = 0..upto} for each of `members`
-    (every member, in equation order, when None).
+def _columns(spec, upto, members, context=nullcontext()):
+    """The rows of `members` (every member, in equation order, when None):
+    one tuple of their values for each n = 0..upto, checked and compiled at
+    once and made, in `context`, as they are read.
 
     Every member has equally many initial values, and the steps from the
-    first index past them run in one function compiled from straight-line
-    source, run(steps, state, a<i>, ...), where the local s<i>_k holds
+    first index past them run in one generator compiled from straight-line
+    source, run(context, rows, steps, state), where the local s<i>_k holds
     member i's value at n - k. Each step assigns s<i>_0 once per member, in
     equation order, from its row's nonzero terms (a coefficient of +1 or -1
-    adds or subtracts its term without a multiplication), appends it
-    through a<i> if member i is kept, and rotates each member's history,
-    kept to the largest shift any row reads of it, by one tuple assignment.
-    A same-step reference must name an earlier member, and no shift may
-    reach back past index 0, so each step reads only values already filled in.
+    adds or subtracts its term without a multiplication), yields the kept
+    members' s<i>_0, and rotates each member's history, kept to the largest
+    shift any row reads of it, by one tuple assignment. A same-step
+    reference must name an earlier member, and no shift may reach back past
+    index 0, so each step reads only values already filled in.
     """
     keep = tuple(spec.equations) if members is None else tuple(members)
     for s in keep:
@@ -157,27 +159,26 @@ def _columns(spec, upto, members):
                 depth[t] = max(depth[t], k)
                 sign, scale = "-" if c < 0 else "+", f"{abs(c)} * " * (abs(c) != 1)
                 terms += f" {sign} {scale}s{index[t]}_{k}"
-        body += f"        s{index[s]}_0 = {('0' + terms).removeprefix('0 + ')}\n"
-    columns = {s: list(spec.initial[s][:upto + 1]) for s in keep}
-    body += "".join(f"        a{index[s]}(s{index[s]}_0)\n" for s in columns)
+        body += f"            s{index[s]}_0 = {('0' + terms).removeprefix('0 + ')}\n"
+    body += f"            yield ({''.join(f's{index[s]}_0, ' for s in keep)})\n"
     history = {s: [f"s{index[s]}_{k}" for k in range(depth[s] + 1)] for s in index if depth[s]}
-    body += "".join(f"        {', '.join(h[:0:-1])} = {', '.join(h[-2::-1])}\n"
+    body += "".join(f"            {', '.join(h[:0:-1])} = {', '.join(h[-2::-1])}\n"
                     for h in history.values())
     state = "".join(f"{local}, " for h in history.values() for local in h[1:])
-    source = (f"def run(steps, state{''.join(f', a{index[s]}' for s in columns)}):\n"
-              + f"    {state}= state\n" * bool(state) + "    for _ in steps:\n" + body)
-    if upto >= first:
-        _compile_loop(source)(range(upto + 1 - first),
-                              [spec.initial[s][first - k] for s in history
-                               for k in range(1, depth[s] + 1)],
-                              *(column.append for column in columns.values()))
-    return columns
+    source = ("def run(context, rows, steps, state):\n    with context:\n        yield from rows\n"
+              + f"        {state}= state\n" * bool(state) + "        for _ in steps:\n" + body)
+    rows = [tuple(spec.initial[s][n] for s in keep) for n in range(min(first, upto + 1))]
+    if upto < first:
+        return iter(rows)
+    return _compile_loop(source)(context, rows, range(upto + 1 - first), [
+        spec.initial[s][first - k] for s in history for k in range(1, depth[s] + 1)])
 
 
 def eval_system(spec, upto, members=None):
     """The `int` tables of `members` (every member when None) to index `upto`."""
-    return {s: SequenceTable(s, tuple(column))
-            for s, column in _columns(spec, upto, members).items()}
+    keep = spec.equations if members is None else members
+    return {s: SequenceTable(s, column)
+            for s, column in zip(keep, zip(*_columns(spec, upto, members)))}
 
 
 # The context of the base-10 runs: integers of any size, and an error where a
@@ -188,14 +189,13 @@ EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
 
 
 def decimal_columns(spec, upto, members):
-    """The columns of `eval_system` as `Decimal`s, from one run of the same
-    steps over `Decimal` seeds in the `EXACT` context: each value equals the
-    integer, and str() of it takes time linear in its digits where str() of
-    an `int` takes quadratic time. The caller's context is restored on
-    return and on any error."""
+    """The rows of `_columns` as `Decimal`s, from the same steps over
+    `Decimal` seeds in the `EXACT` context: each value equals the integer,
+    and str() of it takes time linear in its digits where str() of an `int`
+    takes quadratic time. `EXACT` holds from the first row until the rows
+    end, raise or are closed, which restores the caller's context."""
     seeds = replace(spec, initial={s: tuple(map(Decimal, v)) for s, v in spec.initial.items()})
-    with localcontext(EXACT):
-        return _columns(seeds, upto, members)
+    return _columns(seeds, upto, members, localcontext(EXACT))
 
 
 # ---------------------------------------------------------------------------

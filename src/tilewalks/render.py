@@ -1,8 +1,8 @@
 """Deterministic SVG rendering of a tiled board with its admissible walks."""
 
 from .boards import Orientation, TileKind, count_tilings, forbidden_edges, tiling_at
-from .errors import IndexOutOfRange
-from .walks import enumerate_walks
+from .errors import BudgetExceeded, IndexOutOfRange
+from .walks import DEFAULT_BUDGET, _count_text, count_walks_for_tiling, enumerate_walks
 
 CELL = 60
 MARGIN = 30
@@ -24,8 +24,8 @@ def _vy(y, rows):
     return MARGIN + (rows - y) * CELL
 
 
-def svg_for_tiling(board, tiling_index, squares_allowed=True):
-    """SVG text for one tiling of the board with all walks overlaid.
+def svg_for_tiling(board, tiling_index, squares_allowed=True, budget=DEFAULT_BUDGET):
+    """SVG text for one tiling of the board with all walks, at most `budget`, overlaid.
 
     Byte-deterministic for fixed input: enumeration order is deterministic
     and all geometry is integer or fixed-precision.
@@ -36,6 +36,10 @@ def svg_for_tiling(board, tiling_index, squares_allowed=True):
                               else f"{board.rows}x{board.cols} has no dominoes-only tilings")
     tiling = tiling_at(board, tiling_index, squares_allowed)
     rows, n = board.rows, board.cols
+    walk_count = count_walks_for_tiling(tiling, rows)
+    if walk_count > budget:
+        raise BudgetExceeded(f"tiling {tiling_index} of the {rows}x{n} board has "
+                             f"{_count_text(walk_count)} walks, budget {budget}")
     width = 2 * MARGIN + max(n, 1) * CELL
     height = 2 * MARGIN + rows * CELL
     out = [

@@ -172,9 +172,9 @@ def _check_budget(board, budget, squares_allowed=True, partial=None):
 def _group_size(rows, n, squares_allowed):
     """Columns per fan: the largest g with b^g <= 128, where b is the number
     of fills of an empty column, so a fan from an empty column has at most
-    128 leaves; at most n and at least 1."""
+    128 leaves; at most 7 (for b = 1) and n, and at least 1."""
     b, g = len(_column_fills(rows, 0, 0, squares_allowed)), 1
-    while g < n and b ** (g + 1) <= 128:
+    while g < min(n, 7) and b ** (g + 1) <= 128:
         g += 1
     return g
 

@@ -1,16 +1,19 @@
 import argparse
 import decimal
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 import tilewalks
-from tilewalks import boards, closedforms, recurrences, walks
-from tilewalks.cli import SEQUENCES, build_parser, main
+from tilewalks import boards, closedforms, recurrences, render, walks
+from tilewalks.cli import SEQUENCES, _system_column, build_parser, main
 from tilewalks.oeis import parse_bfile
 
 
@@ -122,8 +125,8 @@ def test_seq_names_the_failing_check(capsys, monkeypatch):
     closed = SEQUENCES["v"]["closed"]
 
     def corrupted(upto, budget):
-        return {member: [x + (n == 2) for n, x in enumerate(values)]
-                for member, values in closed(upto, budget).items()}
+        members, rows = closed(upto, budget)
+        return members, ((x + (n == 2),) for n, (x,) in enumerate(rows))
 
     monkeypatch.setitem(SEQUENCES["v"], "closed", corrupted)
     code = main(["seq", "v", "--upto", "3", "--route", "all", "--format", "csv"])
@@ -135,6 +138,44 @@ def test_seq_names_the_failing_check(capsys, monkeypatch):
     assert code == 1
     failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
     assert [(c["name"], c["first_failure"]) for c in failed] == [("agree:v:brute=closed", 2)]
+
+
+@pytest.mark.parametrize("fault, at", [("differs", 7), ("ends early", 12)])
+def test_the_streamed_check_names_where_a_route_goes_wrong(capsys, monkeypatch, fault, at):
+    # the rows print while every route makes one; the other pair is still
+    # compared to the end
+    closed = SEQUENCES["v"]["closed"]
+
+    def faulty(upto, budget):
+        members, rows = closed(upto, budget)
+        if fault == "ends early":
+            return members, islice(rows, upto)
+        return members, ((x + (n == 7),) for n, (x,) in enumerate(rows))
+
+    monkeypatch.setitem(SEQUENCES["v"], "closed", faulty)
+    code = main(["seq", "v", "--upto", "12", "--route", "all", "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert len(out.splitlines()) == 1 + (12 if fault == "ends early" else 13)
+    assert err == f"error: check agree:v:brute=closed failed at n={at}\n"
+    code, out = run(capsys, "seq", "v", "--upto", "12", "--route", "all", "--format", "json")
+    assert [(c["name"], c["passed"], c["first_failure"]) for c in json.loads(out)["checks"]] == [
+        ("agree:v:brute=closed", False, at), ("agree:v:brute=recurrence", True, None)]
+
+
+def test_a_refused_system_prints_nothing(capsys, monkeypatch):
+    # an unknown member and a same-step cycle are refused before the header
+    monkeypatch.setitem(SEQUENCES["w"], "recurrence", _system_column(recurrences.walk_system,
+                                                                     "nope"))
+    with pytest.raises(ValueError, match="no member 'nope'"):
+        main(["seq", "w", "--upto", "5"])
+    assert capsys.readouterr().out == ""
+    cycle = recurrences.CoupledSystemSpec("cycle", {"x": {"y": (1,)}, "y": {"x": (1,)}},
+                                          {"x": (1,), "y": (1,)})
+    monkeypatch.setitem(SEQUENCES["w"], "recurrence", _system_column(lambda: cycle, "x"))
+    assert main(["seq", "w", "--upto", "5", "--route", "all"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "at the same step" in err
 
 
 V_UPTO_8 = ["1", "2", "5", "10", "20", "38", "71", "130", "235"]
@@ -183,8 +224,7 @@ SYSTEM_COLUMNS = {
 def _is_system_column(route):
     """A system column is one exact base-10 run: its values are Decimals."""
     return route is not None and all(isinstance(v, decimal.Decimal)
-                                     for column in route(3, walks.DEFAULT_BUDGET).values()
-                                     for v in column)
+                                     for row in route(3, walks.DEFAULT_BUDGET)[1] for v in row)
 
 
 def test_every_system_column_is_covered():
@@ -196,8 +236,8 @@ def test_seq_runs_each_system_column_once(capsys, monkeypatch):
     # the printed table and the agreement checks read one run of the steps
     runs, tables = [], []
     columns, eval_system = recurrences._columns, recurrences.eval_system
-    monkeypatch.setattr(recurrences, "_columns", lambda spec, upto, members:
-                        runs.append(spec.name) or columns(spec, upto, members))
+    monkeypatch.setattr(recurrences, "_columns", lambda spec, *args:
+                        runs.append(spec.name) or columns(spec, *args))
     monkeypatch.setattr(recurrences, "eval_system",
                         lambda *args: tables.append(args) or eval_system(*args))
     code, out = run(capsys, "seq", "w-by-line", "--upto", "50", "--route", "recurrence")
@@ -267,6 +307,42 @@ def test_seq_stops_where_str_of_the_int_fails(capsys, int_max_str_digits_640):
     assert capsys.readouterr().out == "".join(row + "\n" for row in rows)
 
 
+def test_seq_restores_the_decimal_context_where_str_of_the_int_fails(
+        capsys, int_max_str_digits_640):
+    # the ValueError's traceback holds the open stream: only closing it
+    # leaves the exact context of the base-10 run
+    before = decimal.getcontext()
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        main(["seq", "w", "--upto", "1300", "--route", "recurrence", "--format", "csv"])
+    assert decimal.getcontext() is before and before.prec == 28
+
+
+def test_seq_restores_the_decimal_context_after_a_closed_pipe(monkeypatch):
+    before = decimal.getcontext()
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        assert main(["seq", "w", "--upto", "1300"]) == 141
+    assert decimal.getcontext() is before
+
+
+def test_seq_keeps_one_row_at_a_time(monkeypatch):
+    # traced peak of the w table to 4000 (values to about 2,000 digits):
+    # 2.1 MiB when the whole column was held, about 0.07 MiB streamed
+    argv = ["seq", "w", "--upto", "4000", "--route", "recurrence", "--format", "csv"]
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        assert main(argv[:3] + ["10"] + argv[4:]) == 0  # the loop compiles outside the trace
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 0.5 * 2**20
+
+
 def test_busted_budget_names_a_long_count_by_its_power_of_ten(capsys, int_max_str_digits_640):
     # r(1300) has 660 digits, more than str(int) takes under this limit
     total = boards.count_tilings(boards.Board(2, 1300))
@@ -311,6 +387,32 @@ def test_render_deterministic(tmp_path, capsys):
     assert b"<svg" in out1.read_bytes()
 
 
+# sha256 of `render 2x8 INDEX`, taken before the walk budget was added
+RENDER_2X8_SHA256 = {
+    0: "7548f943b23b151f53879297b2bb2861915e0f1c871c86f20ea31fb206a02b71",
+    1234: "61a7d3e118f452f3e083a6b768359b0ae98011ca0552f39a694dc2aaed2cf4df",
+    7572: "647be51f893cdf56d032d72586c2d2948ec13513e16643cf0e769e65750e6ff7",
+}
+
+
+@pytest.mark.parametrize("index", RENDER_2X8_SHA256)
+def test_render_2x8_bytes_are_pinned(tmp_path, capsys, index):
+    out = tmp_path / "x.svg"
+    assert run(capsys, "render", "2x8", str(index), "--out", str(out))[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RENDER_2X8_SHA256[index]
+
+
+def test_render_refuses_more_walks_than_its_budget(tmp_path, capsys, monkeypatch):
+    # tiling 0 of 2x8 is all squares: C(10, 2) = 45 walks
+    out = tmp_path / "x.svg"
+    assert run(capsys, "render", "2x8", "0", "--out", str(out), "--budget", "45")[0] == 0
+    out.unlink()
+    monkeypatch.setattr(render, "enumerate_walks", lambda tiling: pytest.fail("enumerated"))
+    assert main(["render", "2x8", "0", "--out", str(out), "--budget", "44"]) == 2
+    assert capsys.readouterr().err == "error: tiling 0 of the 2x8 board has 45 walks, budget 44\n"
+    assert not out.exists()
+
+
 def test_render_index_out_of_range(tmp_path, capsys):
     code, _ = run(capsys, "render", "2x3", "22", "--out", str(tmp_path / "x.svg"))
     assert code == 2
@@ -338,6 +440,8 @@ BAD_INPUT = [
     # past the count, checked before any enumeration
     ("render 2x30 99999999999999999999", "outside 0..1084493574452272"),
     ("render 2x20 999999999999", "outside 0..9211624462"),
+    # C(5002, 2) walks on the all-squares tiling, over the default budget
+    ("render 2x5000 0", "tiling 0 of the 2x5000 board has 12507501 walks, budget 10000000"),
     ("seq w --upto -3", "--upto: expected an integer >= 0"),
     ("bench", "invalid choice: 'bench'"),
     ("seq w --budget -5", "--budget: expected an integer >= 0"),
@@ -442,5 +546,5 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch, cmd):
         bad_v = _off_by_one(closedforms.v_fibonacci_form, 2)
         monkeypatch.setattr(closedforms, "v_fibonacci_form", bad_v)
         monkeypatch.setitem(SEQUENCES["v"], "closed",
-                            lambda upto, budget: {"": [bad_v(n) for n in range(upto + 1)]})
+                            lambda upto, budget: (("",), [(bad_v(n),) for n in range(upto + 1)]))
         assert exit_code(failing) == 1

@@ -3,6 +3,7 @@ import decimal
 import inspect
 import tracemalloc
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
@@ -163,9 +164,9 @@ def test_base10_run_equals_the_int_tables(factory):
     names = list(spec.equations)
     subsets = [(), *((s,) for s in names), *(tuple(t for t in names if t != s) for s in names)]
     for members in subsets:
-        columns = decimal_columns(spec, 300, members)
-        assert list(columns) == list(members)
-        for s, column in columns.items():
+        rows = list(decimal_columns(spec, 300, members))
+        assert len(rows) == 301 and all(len(row) == len(members) for row in rows)
+        for s, column in zip(members, zip(*rows)):
             assert all(isinstance(v, decimal.Decimal) for v in column)
             assert [int(v) for v in column] == list(full[s].values)
             # an exact integer prints as its digits: no exponent, no trailing ".0"
@@ -189,7 +190,8 @@ def test_compiled_steps_match_the_plain_evaluator(factory):
     spec = factory()
     reference = _plain_columns(spec, 300)
     assert {s: list(t.values) for s, t in eval_system(spec, 300).items()} == reference
-    assert {s: [str(v) for v in column] for s, column in decimal_columns(spec, 300, None).items()
+    columns = zip(spec.equations, zip(*decimal_columns(spec, 300, None)))
+    assert {s: [str(v) for v in column] for s, column in columns
             } == {s: [str(v) for v in column] for s, column in reference.items()}
     # negative control: a copy with any one coefficient changed by 1 disagrees
     for s, row in spec.equations.items():
@@ -231,15 +233,25 @@ def _caller_context():
 
 def test_base10_run_leaves_the_callers_context_alone(monkeypatch):
     ctx, before = _caller_context()
-    # values of about 1,250 digits, past the caller's 28
-    assert len(str(decimal_columns(walk_system(), 2500, ("r2",))["r2"][-1])) > 1000
+    # values of about 1,250 digits, past the caller's 28, once the rows end
+    *_, (last,) = decimal_columns(walk_system(), 2500, ("r2",))
+    assert len(str(last)) > 1000
     assert _caller_context() == (ctx, before)
+    # and when the rows are closed, or dropped, after the first few: the
+    # exact context holds only while they are open
+    for stop in ("close", "drop"):
+        rows = decimal_columns(walk_system(), 2500, ("r2",))
+        assert [len(str(v)) for v, in islice(rows, 3)] == [1, 1, 2]
+        assert decimal.getcontext().prec == decimal.MAX_PREC
+        rows.close() if stop == "close" else None
+        del rows
+        assert _caller_context() == (ctx, before), stop
     # and when the run raises mid-way, here at fib's first value past 28 digits
     short = recurrences.EXACT.copy()
     short.prec = 28
     monkeypatch.setattr(recurrences, "EXACT", short)
     with pytest.raises(decimal.Inexact):
-        decimal_columns(fibonacci_spec(), 600, ("fib",))
+        list(decimal_columns(fibonacci_spec(), 600, ("fib",)))
     assert _caller_context() == (ctx, before)
     assert +decimal.Decimal(10**40 + 1) == decimal.Decimal("1.000000000000000000000000000E+40")
 
@@ -254,13 +266,13 @@ def test_base10_run_in_a_28_digit_context_stops_at_the_first_rounding(monkeypatc
     # 28 digits and stops, inexact, at the first longer one
     fib = eval_system(fibonacci_spec(), 600)["fib"].values
     last = max(n for n, v in enumerate(fib) if len(str(v)) <= 28)
-    assert decimal_columns(fibonacci_spec(), last, ("fib",))["fib"] == list(fib[:last + 1])
+    assert [v for v, in decimal_columns(fibonacci_spec(), last, ("fib",))] == list(fib[:last + 1])
     with pytest.raises(decimal.Inexact):
-        decimal_columns(fibonacci_spec(), last + 1, ("fib",))
+        list(decimal_columns(fibonacci_spec(), last + 1, ("fib",)))
     # w's partial sums pass 28 digits first, and one of them rounds away a
     # trailing zero: exact, but it would print with an exponent
     with pytest.raises(decimal.Rounded):
-        decimal_columns(w_ninth_order_spec(), 600, ("w",))
+        list(decimal_columns(w_ninth_order_spec(), 600, ("w",)))
 
 
 def test_unknown_member_detected():

@@ -332,12 +332,23 @@ def test_groups_hold_at_most_128_leaves_of_an_empty_column():
     assert walks._group_size(2, 2, False) == 2 and walks._group_size(2, 0, True) == 1
 
 
-def test_the_one_fill_column_search_ends_with_a_group_of_n_columns():
-    # a 1-row dominoes-only empty column has one fill, so only n caps the group
+def test_the_one_fill_column_search_caps_its_groups_at_7_columns():
+    # a 1-row dominoes-only empty column has one fill, so 1^g never passes
+    # 128 and only the cap of 7, or n, bounds the group
     for n in range(31):
-        assert walks._group_size(1, n, False) == max(n, 1)
+        assert walks._group_size(1, n, False) == min(max(n, 1), 7)
         assert walks._line_totals(Board(1, n), False)[n] == (
             [1, n // 2 + 1] if n % 2 == 0 else [0, 0])
+
+
+def test_no_fan_passes_7_columns_or_128_leaves_of_an_empty_column():
+    for rows, squares in product(range(1, 5), (True, False)):
+        b, g = len(_column_fills(rows, 0, 0, squares)), walks._group_size(rows, 4000, squares)
+        assert 1 <= g <= 7 and (g == 1 or b ** g <= 128), (rows, squares)
+    # the one-fill board that compiled one fan of all 4,000 columns
+    walks._column_fan.cache_clear()
+    assert brute_line_totals(1, 4000, False)[4000] == [1, 2001]
+    assert walks._column_fan.cache_info().currsize <= 2 * 3  # spills x (inner, last, first)
 
 
 def test_the_search_is_row_generic():
@@ -416,7 +427,7 @@ def test_brute_tiling_counts_of_one_row_and_fib():
     ones = tiling_counts(1, 16)
     assert ones == [stream_count(Board(1, n)) for n in range(17)]
     assert ones == [count_tilings(Board(1, n)) for n in range(17)]
-    assert SEQUENCES["fib"]["brute"](17, DEFAULT_BUDGET) == {"": [0] + ones}
+    assert SEQUENCES["fib"]["brute"](17, DEFAULT_BUDGET) == (("",), [(x,) for x in [0] + ones])
     assert [0] + ones == [fib(n) for n in range(18)]
 
 
