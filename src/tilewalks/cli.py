@@ -54,12 +54,11 @@ class RunReport:
 # sequence routes
 #
 # Every route is route(upto, budget) -> (members, rows): its members, sorted,
-# and for n = 0..upto a tuple of their ints, or for a system column of the
-# Decimals of one exact base-10 run, made as the rows are read; the call
-# itself refuses what the route refuses. A one-member route is the column
-# `route` ("" names a member the route computes itself), and all such columns
-# of a sequence must agree; a many-member route is the columns `route:member`,
-# and the columns of one member must agree.
+# and for n = 0..upto a tuple of their values, made as the rows are read:
+# ints, or for a system column the Decimals of one exact base-10 run. The
+# call itself refuses what the route refuses. A one-member route is the column
+# `route` ("" names a member the route computes itself), a many-member one
+# the columns `route:member`; the columns of one member must agree.
 
 
 def _line_column(rows, squares_allowed=True, partial=None, **lines):
@@ -160,17 +159,13 @@ def cmd_seq(args, report):
             f"(available: {', '.join(available)})"
         )
     streams, keys = [], []  # (timing name, rows, width) of each route; the columns
-    try:
-        for route in sorted(available) if args.route == "all" else [args.route]:
-            t0 = time.perf_counter()
-            members, rows = available[route](args.upto, args.budget)
-            report.timings[f"{args.name}:{route}"] = time.perf_counter() - t0
-            streams.append((f"{args.name}:{route}", iter(rows), len(members)))
-            keys += [route if len(members) == 1 else f"{route}:{m}" for m in members]
-        _emit_table(args, keys, _table(args.name, keys, streams, report), report)
-    finally:  # a stream left open, as a traceback holds it, keeps its decimal context
-        for _, rows, _ in streams:
-            getattr(rows, "close", lambda: None)()
+    for route in sorted(available) if args.route == "all" else [args.route]:
+        t0 = time.perf_counter()
+        members, rows = available[route](args.upto, args.budget)
+        report.timings[f"{args.name}:{route}"] = time.perf_counter() - t0
+        streams.append((f"{args.name}:{route}", iter(rows), len(members)))
+        keys += [route if len(members) == 1 else f"{route}:{m}" for m in members]
+    _emit_table(args, keys, _table(args.name, keys, streams, report), report)
     for check in report.checks:
         if not check.passed:
             print(f"error: check {check.name} failed at n={check.first_failure}",
@@ -178,39 +173,38 @@ def cmd_seq(args, report):
 
 
 def _table(name, keys, streams, report):
-    """The streams' rows joined while every stream makes one; once all have
-    ended, each column is checked against the first column of its member,
-    failing at the first n where the two differ or one of them has ended."""
-    timed = [(_timed(rows, report.timings, timing), width) for timing, rows, width in streams]
-    if len(timed) == 1:  # one route: nothing to compare
-        yield from timed[0][0]
+    """The streams' rows joined while every stream makes one, the time each
+    stream takes added to its timing; once all have ended, each column is
+    checked against the first column of its member, failing at the first n
+    where the two differ or one of them has ended."""
+    clock, timings = time.perf_counter, report.timings
+    if len(streams) == 1:  # one route: nothing to compare
+        [(timing, rows, _)] = streams
+        t0 = clock()
+        for row in rows:
+            timings[timing] += clock() - t0
+            yield row
+            t0 = clock()
         return
     members = [key.partition(":")[2] for key in keys]
     failures = {(a, b): None for b, m in enumerate(members) if (a := members.index(m)) < b}
     for n in count():
-        row = []
-        for rows, width in timed:
-            row += next(rows, None) or [None] * width  # None: the stream has ended
-        if row.count(None) == len(row):
+        row, ended = [], 0
+        for timing, rows, width in streams:
+            t0 = clock()
+            made = next(rows, None)
+            timings[timing] += clock() - t0
+            ended += made is None
+            row += [None] * width if made is None else made  # None: the stream has ended
+        if ended == len(streams):
             break
         for (a, b), failed in failures.items():
             if failed is None and row[a] != row[b]:
                 failures[a, b] = n
-        if None not in row:  # an ended stream makes no more rows
+        if not ended:  # an ended stream makes no more rows
             yield row
     report.checks += [CheckResult(f"agree:{name}:{keys[a]}={keys[b]}", n is None,
                                   first_failure=n) for (a, b), n in failures.items()]
-
-
-def _timed(rows, timings, timing):
-    """`rows`, adding the time they took to make to timings[timing] once they end."""
-    clock = time.perf_counter
-    spent, t0 = 0.0, clock()
-    for row in rows:
-        spent += clock() - t0
-        yield row
-        t0 = clock()
-    timings[timing] += spent
 
 
 def _rows(rows):
@@ -350,7 +344,7 @@ def cmd_verify(args, report):
 
 
 def cmd_render(args, report):
-    svg = svg_for_tiling(args.board, args.index, not args.dominoes_only, args.budget)
+    svg = svg_for_tiling(args.board, args.index, not args.dominoes_only)
     try:
         with open(args.out, "w") as fh:
             fh.write(svg)
@@ -409,8 +403,6 @@ def build_parser():
     p_ren.add_argument("index", type=int)
     p_ren.add_argument("--out", required=True)
     p_ren.add_argument("--dominoes-only", action="store_true")
-    p_ren.add_argument("--budget", type=_size, default=walks.DEFAULT_BUDGET,
-                       help="walk-count cap, checked before the walks are drawn")
     p_ren.set_defaults(fn=cmd_render)
     return parser
 

@@ -27,11 +27,11 @@ division: n*v(n) = (n+1)v(n-1) + (n+2)v(n-2). `theorem_step_check`
 applies that step to a v table that no division built.
 """
 
-from contextlib import nullcontext
+from contextvars import copy_context
 from dataclasses import dataclass, replace
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact,
-                     InvalidOperation, Overflow, Rounded, localcontext)
-from functools import lru_cache
+                     InvalidOperation, Overflow, Rounded, setcontext)
+from functools import lru_cache, partial
 
 from .errors import NonIntegralStep, UnstratifiableSystem
 from .polynomials import IntPoly, expand
@@ -116,14 +116,14 @@ def _compile_loop(source):
     return namespace["run"]
 
 
-def _columns(spec, upto, members, context=nullcontext()):
+def _columns(spec, upto, members):
     """The rows of `members` (every member, in equation order, when None):
     one tuple of their values for each n = 0..upto, checked and compiled at
-    once and made, in `context`, as they are read.
+    once and made as they are read.
 
     Every member has equally many initial values, and the steps from the
     first index past them run in one generator compiled from straight-line
-    source, run(context, rows, steps, state), where the local s<i>_k holds
+    source, run(rows, steps, state), where the local s<i>_k holds
     member i's value at n - k. Each step assigns s<i>_0 once per member, in
     equation order, from its row's nonzero terms (a coefficient of +1 or -1
     adds or subtracts its term without a multiplication), yields the kept
@@ -159,26 +159,29 @@ def _columns(spec, upto, members, context=nullcontext()):
                 depth[t] = max(depth[t], k)
                 sign, scale = "-" if c < 0 else "+", f"{abs(c)} * " * (abs(c) != 1)
                 terms += f" {sign} {scale}s{index[t]}_{k}"
-        body += f"            s{index[s]}_0 = {('0' + terms).removeprefix('0 + ')}\n"
-    body += f"            yield ({''.join(f's{index[s]}_0, ' for s in keep)})\n"
+        body += f"        s{index[s]}_0 = {('0' + terms).removeprefix('0 + ')}\n"
+    body += f"        yield ({''.join(f's{index[s]}_0, ' for s in keep)})\n"
     history = {s: [f"s{index[s]}_{k}" for k in range(depth[s] + 1)] for s in index if depth[s]}
-    body += "".join(f"            {', '.join(h[:0:-1])} = {', '.join(h[-2::-1])}\n"
+    body += "".join(f"        {', '.join(h[:0:-1])} = {', '.join(h[-2::-1])}\n"
                     for h in history.values())
     state = "".join(f"{local}, " for h in history.values() for local in h[1:])
-    source = ("def run(context, rows, steps, state):\n    with context:\n        yield from rows\n"
-              + f"        {state}= state\n" * bool(state) + "        for _ in steps:\n" + body)
+    source = ("def run(rows, steps, state):\n    yield from rows\n"
+              + f"    {state}= state\n" * bool(state) + "    for _ in steps:\n" + body)
     rows = [tuple(spec.initial[s][n] for s in keep) for n in range(min(first, upto + 1))]
     if upto < first:
         return iter(rows)
-    return _compile_loop(source)(context, rows, range(upto + 1 - first), [
+    return _compile_loop(source)(rows, range(upto + 1 - first), [
         spec.initial[s][first - k] for s in history for k in range(1, depth[s] + 1)])
 
 
 def eval_system(spec, upto, members=None):
     """The `int` tables of `members` (every member when None) to index `upto`."""
     keep = spec.equations if members is None else members
-    return {s: SequenceTable(s, column)
-            for s, column in zip(keep, zip(*_columns(spec, upto, members)))}
+    columns = [[] for _ in keep]
+    for row in _columns(spec, upto, members):
+        for column, value in zip(columns, row):
+            column.append(value)
+    return {s: SequenceTable(s, tuple(column)) for s, column in zip(keep, columns)}
 
 
 # The context of the base-10 runs: integers of any size, and an error where a
@@ -192,10 +195,14 @@ def decimal_columns(spec, upto, members):
     """The rows of `_columns` as `Decimal`s, from the same steps over
     `Decimal` seeds in the `EXACT` context: each value equals the integer,
     and str() of it takes time linear in its digits where str() of an `int`
-    takes quadratic time. `EXACT` holds from the first row until the rows
-    end, raise or are closed, which restores the caller's context."""
+    takes quadratic time. The checks run at once, as in `_columns`. Each
+    row is made in the stream's own `contextvars` context, whose decimal
+    context is a copy of `EXACT`, so that the caller's holds between rows
+    and after an error, however the rows are read, interleaved or left."""
     seeds = replace(spec, initial={s: tuple(map(Decimal, v)) for s, v in spec.initial.items()})
-    return _columns(seeds, upto, members, localcontext(EXACT))
+    rows, run = _columns(seeds, upto, members), copy_context().run
+    run(setcontext, EXACT.copy())
+    return iter(partial(run, next, rows, None), None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Deterministic SVG rendering of a tiled board with its admissible walks."""
 
+from . import walks
 from .boards import Orientation, TileKind, count_tilings, forbidden_edges, tiling_at
 from .errors import BudgetExceeded, IndexOutOfRange
-from .walks import DEFAULT_BUDGET, _count_text, count_walks_for_tiling, enumerate_walks
 
 CELL = 60
 MARGIN = 30
@@ -24,8 +24,8 @@ def _vy(y, rows):
     return MARGIN + (rows - y) * CELL
 
 
-def svg_for_tiling(board, tiling_index, squares_allowed=True, budget=DEFAULT_BUDGET):
-    """SVG text for one tiling of the board with all walks, at most `budget`, overlaid.
+def svg_for_tiling(board, tiling_index, squares_allowed=True):
+    """SVG text for one tiling of the board with all walks overlaid.
 
     Byte-deterministic for fixed input: enumeration order is deterministic
     and all geometry is integer or fixed-precision.
@@ -36,10 +36,10 @@ def svg_for_tiling(board, tiling_index, squares_allowed=True, budget=DEFAULT_BUD
                               else f"{board.rows}x{board.cols} has no dominoes-only tilings")
     tiling = tiling_at(board, tiling_index, squares_allowed)
     rows, n = board.rows, board.cols
-    walk_count = count_walks_for_tiling(tiling, rows)
-    if walk_count > budget:
+    if (count := walks.count_walks_for_tiling(tiling, rows)) > walks.DEFAULT_BUDGET:
         raise BudgetExceeded(f"tiling {tiling_index} of the {rows}x{n} board has "
-                             f"{_count_text(walk_count)} walks, budget {budget}")
+                             f"{walks._count_text(count)} walks, "
+                             f"budget {walks.DEFAULT_BUDGET}")
     width = 2 * MARGIN + max(n, 1) * CELL
     height = 2 * MARGIN + rows * CELL
     out = [
@@ -82,10 +82,10 @@ def svg_for_tiling(board, tiling_index, squares_allowed=True, budget=DEFAULT_BUD
             f'<line x1="{_vx(x1)}" y1="{_vy(y1, rows)}" '
             f'x2="{_vx(x2)}" y2="{_vy(y2, rows)}" {FORBIDDEN_STYLE}/>'
         )
-    walks = enumerate_walks(tiling)
-    for i, walk in enumerate(walks):
+    paths = walks.enumerate_walks(tiling)
+    for i, walk in enumerate(paths):
         # small per-walk offset so overlapping walks stay distinguishable
-        off = (i - (len(walks) - 1) / 2) * 4
+        off = (i - (len(paths) - 1) / 2) * 4
         x, y = 0, 0
         pts = [(_vx(0) + off, _vy(0, rows) + off)]
         for step in walk:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import tilewalks
-from tilewalks import boards, closedforms, recurrences, render, walks
+from tilewalks import boards, closedforms, recurrences, walks
 from tilewalks.cli import SEQUENCES, _system_column, build_parser, main
 from tilewalks.oeis import parse_bfile
 
@@ -309,8 +309,8 @@ def test_seq_stops_where_str_of_the_int_fails(capsys, int_max_str_digits_640):
 
 def test_seq_restores_the_decimal_context_where_str_of_the_int_fails(
         capsys, int_max_str_digits_640):
-    # the ValueError's traceback holds the open stream: only closing it
-    # leaves the exact context of the base-10 run
+    # the ValueError's traceback holds the open stream, whose exact context
+    # is set only while it makes a row
     before = decimal.getcontext()
     with pytest.raises(ValueError, match="Exceeds the limit"):
         main(["seq", "w", "--upto", "1300", "--route", "recurrence", "--format", "csv"])
@@ -405,10 +405,12 @@ def test_render_2x8_bytes_are_pinned(tmp_path, capsys, index):
 def test_render_refuses_more_walks_than_its_budget(tmp_path, capsys, monkeypatch):
     # tiling 0 of 2x8 is all squares: C(10, 2) = 45 walks
     out = tmp_path / "x.svg"
-    assert run(capsys, "render", "2x8", "0", "--out", str(out), "--budget", "45")[0] == 0
+    monkeypatch.setattr(walks, "DEFAULT_BUDGET", 45)
+    assert run(capsys, "render", "2x8", "0", "--out", str(out))[0] == 0
     out.unlink()
-    monkeypatch.setattr(render, "enumerate_walks", lambda tiling: pytest.fail("enumerated"))
-    assert main(["render", "2x8", "0", "--out", str(out), "--budget", "44"]) == 2
+    monkeypatch.setattr(walks, "DEFAULT_BUDGET", 44)
+    monkeypatch.setattr(walks, "enumerate_walks", lambda tiling: pytest.fail("enumerated"))
+    assert main(["render", "2x8", "0", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: tiling 0 of the 2x8 board has 45 walks, budget 44\n"
     assert not out.exists()
 

@@ -237,15 +237,16 @@ def test_base10_run_leaves_the_callers_context_alone(monkeypatch):
     *_, (last,) = decimal_columns(walk_system(), 2500, ("r2",))
     assert len(str(last)) > 1000
     assert _caller_context() == (ctx, before)
-    # and when the rows are closed, or dropped, after the first few: the
-    # exact context holds only while they are open
-    for stop in ("close", "drop"):
-        rows = decimal_columns(walk_system(), 2500, ("r2",))
-        assert [len(str(v)) for v, in islice(rows, 3)] == [1, 1, 2]
-        assert decimal.getcontext().prec == decimal.MAX_PREC
-        rows.close() if stop == "close" else None
-        del rows
-        assert _caller_context() == (ctx, before), stop
+    # and between rows: the exact context is set only while a row is made,
+    # so streams read side by side, or left open, keep the caller's
+    rows = decimal_columns(walk_system(), 2500, ("r2",))
+    assert [len(str(v)) for v, in islice(rows, 3)] == [1, 1, 2]
+    assert _caller_context() == (ctx, before)
+    for (r2,), (fib,) in zip(rows, decimal_columns(fibonacci_spec(), 10, ("fib",))):
+        assert _caller_context() == (ctx, before)
+    assert (r2, fib) == (84397519, 55)  # r2(13) and fib(10): rows is left open
+    with decimal.localcontext():  # the caller's own arithmetic rounds, as it may
+        assert str(decimal.Decimal(1) / 3) == "0." + "3" * 28
     # and when the run raises mid-way, here at fib's first value past 28 digits
     short = recurrences.EXACT.copy()
     short.prec = 28
