@@ -85,13 +85,6 @@ def _system_column(system, *members):
     return route
 
 
-def _spec_column(spec_factory):
-    def route(upto, budget):
-        return ("",), zip(recurrences.eval_recurrence(spec_factory(), upto).values)
-
-    return route
-
-
 def _closed_column(term):
     def route(upto, budget):
         return ("",), zip(map(term, range(upto + 1)))
@@ -102,7 +95,7 @@ def _closed_column(term):
 SEQUENCES = {
     "v": {
         "brute": _line_column(1, v=1),
-        "recurrence": _spec_column(recurrences.v_theorem_spec),
+        "recurrence": _system_column(recurrences.v_theorem_spec, "v"),
         "closed": _closed_column(closedforms.v_fibonacci_form),
     },
     "w": {

@@ -1,68 +1,39 @@
 """Exact linear-recurrence evaluation and the named sequence systems.
 
-Every constant-coefficient relation is one row format: a polynomial in the
-backward shift x per sequence, {sequence: coefficients by shift}
-(`polynomials.IntPoly`). Integer arithmetic only, on `int` or on
-integer-valued `Decimal`.
+Every relation is one row format: a polynomial in the backward shift x per
+sequence, {sequence: coefficients by shift} (`polynomials.IntPoly`). Integer
+arithmetic only, on `int` or on integer-valued `Decimal`.
 
-* CoupledSystemSpec - each member is a row read as member(n) =
+* CoupledSystemSpec - each member is a row read as lead(n) member(n) =
   sum_s P_s(x) s(n), listed so that a same-step reference names an earlier
-  member (d before c before r). The coupled 2xn systems and the one-member
-  specs of fib, v, w and w-domino are all systems. Each system's step is
-  compiled once to straight-line additions, as the brute column step is
-  (`walks._column_step`), in a loop that yields the members a caller reads
-  one row at a time: `eval_system` collects the rows into `int` tables, and
-  `decimal_columns` streams them from `Decimal` seeds in a context that
-  traps any rounding, so that `seq` prints each row as it is made.
+  member (d before c before r). A row may be P-recursive (Stanley,
+  "Differentiably finite power series", 1980): a coefficient may be a
+  polynomial in n, and the lead, 1 by default, a polynomial in n that
+  divides the row's sum exactly, as in the v theorem. The coupled 2xn
+  systems and the one-member specs of fib, v, w and w-domino are all
+  systems. Each system's step is compiled once to straight-line additions,
+  as the brute column step is (`walks._column_step`), in a loop that yields
+  the members a caller reads one row at a time: `eval_system` collects the
+  rows into `int` tables, and `decimal_columns` streams them from `Decimal`
+  seeds in a context that traps any rounding, so that `seq` prints each
+  row as it is made.
 * The paper's linear relations between shifted sequences (the intermediate
   identities, relations A and B, the composed form of w) are rows that sum
   to zero, and one `relation_check` applies any row to the sequence tables.
 * Every check returns a `CheckResult` under the name a report shows, and
   `agreement_check` compares whole tables, reporting the first index where
-  they differ.
-
-RecurrenceSpec and `eval_recurrence` remain for the one recurrence whose
-coefficients are polynomials in n and whose every step is an exact
-division: n*v(n) = (n+1)v(n-1) + (n+2)v(n-2). `theorem_step_check`
-applies that step to a v table that no division built.
+  they differ. `theorem_step_check` applies the v theorem's row to a v
+  table that no division built.
 """
 
 from contextvars import copy_context
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact,
                      InvalidOperation, Overflow, Rounded, setcontext)
 from functools import lru_cache, partial
 
 from .errors import NonIntegralStep, UnstratifiableSystem
 from .polynomials import IntPoly, expand
-
-
-def poly_eval(coeffs, n):
-    """Evaluate an integer polynomial given ascending coefficients (Horner)."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * n + c
-    return acc
-
-
-@dataclass(frozen=True)
-class RecurrenceSpec:
-    """lhs_coeff(n) * x(n) = sum_k coeffs[k](n) * x(n-1-k), n >= |initial|.
-
-    Each coefficient is a tuple of ascending integer polynomial
-    coefficients in n. The order is len(coeffs).
-    """
-
-    coeffs: tuple
-    initial: tuple
-    lhs_coeff: tuple = (1,)
-    name: str = ""
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("need at least one coefficient")
-        if len(self.initial) < len(self.coeffs):
-            raise ValueError("need at least one initial value per coefficient")
 
 
 @dataclass(frozen=True)
@@ -79,41 +50,34 @@ class SequenceTable:
 
 @dataclass(frozen=True)
 class CoupledSystemSpec:
-    """member(n) = sum_s P_s(x) s(n) for n >= len(initial[member]), where
+    """lead(n) member(n) = sum_s P_s(x) s(n) for n >= len(initial[member]):
     equations[member] maps each sequence s to the coefficients of P_s by
-    backward shift; the coefficient of x^0 is a same-step reference."""
+    backward shift, x^0 a same-step reference, each an int or the tuple of
+    a polynomial's ascending coefficients in n, as is leads[member], or 1."""
 
     name: str
     equations: dict
     initial: dict
-
-
-def _step(spec, vals, n):
-    """(numerator, lhs) of the step at n, which reads lhs * x(n) = numerator."""
-    num = sum(poly_eval(c, n) * vals[n - 1 - k] for k, c in enumerate(spec.coeffs))
-    return num, poly_eval(spec.lhs_coeff, n)
+    leads: dict = field(default_factory=dict)
 
 
 def eval_recurrence(spec, upto):
-    """Fill a SequenceTable to index `upto`, checking every division is exact."""
-    vals = list(spec.initial[: upto + 1])
-    for n in range(len(vals), upto + 1):
-        num, lhs = _step(spec, vals, n)
-        if lhs == 0:
-            raise NonIntegralStep(f"{spec.name}: zero lhs coefficient at n={n}")
-        x, rem = divmod(num, lhs)
-        if rem:
-            raise NonIntegralStep(f"{spec.name}: non-integral value {num}/{lhs} at n={n}")
-        vals.append(x)
-    return SequenceTable(spec.name, tuple(vals))
+    """The `int` table of the one-member system `spec` to index `upto`."""
+    return SequenceTable(spec.name, tuple(v for v, in _columns(spec, upto, None)))
 
 
 @lru_cache(maxsize=None)
 def _compile_loop(source):
     """The function `run` that `source` defines, compiled on first use."""
-    namespace = {}
+    namespace = {"NonIntegralStep": NonIntegralStep}
     exec(source, namespace)
     return namespace["run"]
+
+
+def _in_n(coeffs):
+    """The source of the polynomial in n of ascending `coeffs`: (2, 1) is 2 + n."""
+    return " + ".join(" * ".join([str(c)] * (c != 1 or not j) + ["n"] * j)
+                      for j, c in enumerate(coeffs) if c)
 
 
 def _columns(spec, upto, members):
@@ -126,11 +90,13 @@ def _columns(spec, upto, members):
     source, run(rows, steps, state), where the local s<i>_k holds
     member i's value at n - k. Each step assigns s<i>_0 once per member, in
     equation order, from its row's nonzero terms (a coefficient of +1 or -1
-    adds or subtracts its term without a multiplication), yields the kept
-    members' s<i>_0, and rotates each member's history, kept to the largest
-    shift any row reads of it, by one tuple assignment. A same-step
-    reference must name an earlier member, and no shift may reach back past
-    index 0, so each step reads only values already filled in.
+    adds or subtracts its term without a multiplication, a polynomial one is
+    evaluated at the loop's n) over its lead, an exact division or a
+    `NonIntegralStep` naming n. It yields the kept members' s<i>_0, and
+    rotates each member's history, kept to the largest shift any row reads
+    of it, by one tuple assignment. A same-step reference must name an
+    earlier member, and no shift may reach back past index 0, so each step
+    reads only values already filled in.
     """
     keep = tuple(spec.equations) if members is None else tuple(members)
     for s in keep:
@@ -143,12 +109,13 @@ def _columns(spec, upto, members):
     [first] = counts
     index = {s: i for i, s in enumerate(spec.equations)}
     depth = dict.fromkeys(index, 0)
-    body = ""
+    body, in_n = "", bool(spec.leads)
     for s, row in spec.equations.items():
         terms = ""
         for t, coeffs in row.items():
             for k, c in enumerate(coeffs):
-                if not c:
+                polynomial = isinstance(c, tuple)
+                if not (any(c) if polynomial else c):
                     continue
                 if k == 0 and index.get(t, len(index)) >= index[s]:
                     raise UnstratifiableSystem(f"system {spec.name!r}: {s!r} refers to {t!r} "
@@ -157,20 +124,30 @@ def _columns(spec, upto, members):
                     raise ValueError(f"system {spec.name!r}: {s!r} reads {t!r} {k} steps "
                                      f"back from n = {first}, before index 0")
                 depth[t] = max(depth[t], k)
-                sign, scale = "-" if c < 0 else "+", f"{abs(c)} * " * (abs(c) != 1)
+                if polynomial:
+                    sign, scale, in_n = "+", f"({_in_n(c)}) * ", True
+                else:
+                    sign, scale = "-" if c < 0 else "+", f"{abs(c)} * " * (abs(c) != 1)
                 terms += f" {sign} {scale}s{index[t]}_{k}"
-        body += f"        s{index[s]}_0 = {('0' + terms).removeprefix('0 + ')}\n"
+        value = ("0" + terms).removeprefix("0 + ")
+        if s in spec.leads:
+            failure = f"system {spec.name!r}: {s!r} is not an integer at n = "
+            body += (f"        s{index[s]}_0, rem = divmod({value}, {_in_n(spec.leads[s])})\n"
+                     f"        if rem:\n            raise NonIntegralStep({failure!r} + str(n))\n")
+        else:
+            body += f"        s{index[s]}_0 = {value}\n"
     body += f"        yield ({''.join(f's{index[s]}_0, ' for s in keep)})\n"
     history = {s: [f"s{index[s]}_{k}" for k in range(depth[s] + 1)] for s in index if depth[s]}
     body += "".join(f"        {', '.join(h[:0:-1])} = {', '.join(h[-2::-1])}\n"
                     for h in history.values())
     state = "".join(f"{local}, " for h in history.values() for local in h[1:])
     source = ("def run(rows, steps, state):\n    yield from rows\n"
-              + f"    {state}= state\n" * bool(state) + "    for _ in steps:\n" + body)
+              + f"    {state}= state\n" * bool(state)
+              + f"    for {'n' if in_n else '_'} in steps:\n" + body)
     rows = [tuple(spec.initial[s][n] for s in keep) for n in range(min(first, upto + 1))]
     if upto < first:
         return iter(rows)
-    return _compile_loop(source)(rows, range(upto + 1 - first), [
+    return _compile_loop(source)(rows, range(first, upto + 1), [
         spec.initial[s][first - k] for s in history for k in range(1, depth[s] + 1)])
 
 
@@ -228,9 +205,12 @@ def tiling_system():
 def walk_system():
     """Twelve coupled equations: walk counts per ending grid line, by shape.
 
-    Members r2/r1 etc. are walks on full boards ending on line 2/1; a2, c2,
-    d2 and a1, c1, d1 are the truncated-shape analogues. The four tiling
-    sequences ride along because the walk equations reference them.
+    Members r2/r1 count walks on full boards ending on line 2/1. a1, c1, d1
+    and c2, d2 count the walks on shapes A, C, D that end at (n, 1) and
+    (n, 2), a2 those that end at (n - 1, 2), the rightmost vertex of each
+    region on its line, where a walk uses only the edges that bound a
+    present cell or lie on x = 0. The four tiling sequences ride along
+    because the walk equations reference them.
     """
     eq = dict(tiling_system().equations)
     eq.update({
@@ -263,12 +243,8 @@ def domino_only_system():
 
 def v_theorem_spec():
     """n*v(n) = (n+1)v(n-1) + (n+2)v(n-2)."""
-    return RecurrenceSpec(
-        coeffs=((1, 1), (2, 1)),
-        lhs_coeff=(0, 1),
-        initial=(1, 2),
-        name="v-poly",
-    )
+    return CoupledSystemSpec("v-poly", {"v": {"v": (0, (1, 1), (2, 1))}}, {"v": (1, 2)},
+                             leads={"v": (0, 1)})
 
 
 def v_fourth_order_spec():
@@ -387,12 +363,18 @@ def relation_check(name, first, upto, lead, ops, tables):
 
 
 def theorem_step_check(v, upto):
-    """The step of `v_theorem_spec` applied to a v table built another way:
-    (n+1)v(n-1) + (n+2)v(n-2) divides exactly by n, with quotient v(n), for
+    """The row of `v_theorem_spec` applied to a v table built another way:
+    its sum at n divides exactly by its lead at n, with quotient v(n), for
     every n = 2..upto."""
     spec = v_theorem_spec()
-    return _check("v-polynomial-step-divisibility", len(spec.initial), upto,
-                  lambda n: divmod(*_step(spec, v, n)) == (v[n], 0))
+    row, lead = spec.equations["v"]["v"], spec.leads["v"]
+
+    def at(n, p):  # p(n), p's coefficients ascending
+        return sum(c * n**j for j, c in enumerate(p))
+
+    return _check("v-polynomial-step-divisibility", len(spec.initial["v"]), upto,
+                  lambda n: divmod(sum(at(n, c) * v[n - k] for k, c in enumerate(row) if c),
+                                   at(n, lead)) == (v[n], 0))
 
 
 def composed_form_check(w, upto):

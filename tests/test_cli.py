@@ -209,6 +209,7 @@ def test_seq_w_by_line(capsys):
 
 # The system column of every sequence: its spec and the members it prints.
 SYSTEM_COLUMNS = {
+    "v": (recurrences.v_theorem_spec, ("v",)),
     "w": (recurrences.walk_system, ("r2",)),
     "w-domino": (recurrences.domino_only_recurrence, ("w-domino",)),
     "r": (recurrences.tiling_system, ("r",)),
@@ -327,10 +328,13 @@ def test_seq_restores_the_decimal_context_after_a_closed_pipe(monkeypatch):
     assert decimal.getcontext() is before
 
 
-def test_seq_keeps_one_row_at_a_time(monkeypatch):
+@pytest.mark.parametrize("name", [name for name, routes in SEQUENCES.items()
+                                  if "recurrence" in routes])
+def test_seq_keeps_one_row_at_a_time(monkeypatch, name):
     # traced peak of the w table to 4000 (values to about 2,000 digits):
-    # 2.1 MiB when the whole column was held, about 0.07 MiB streamed
-    argv = ["seq", "w", "--upto", "4000", "--route", "recurrence", "--format", "csv"]
+    # 2.1 MiB when the whole column was held, about 0.07 MiB streamed; the
+    # v table, about 0.9 MiB held
+    argv = ["seq", name, "--upto", "4000", "--route", "recurrence", "--format", "csv"]
     with open(os.devnull, "w") as devnull:
         monkeypatch.setattr(sys, "stdout", devnull)
         assert main(argv[:3] + ["10"] + argv[4:]) == 0  # the loop compiles outside the trace

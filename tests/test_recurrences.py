@@ -1,5 +1,6 @@
 import ast
 import decimal
+import hashlib
 import inspect
 import tracemalloc
 from dataclasses import replace
@@ -14,7 +15,6 @@ from tilewalks import recurrences
 from tilewalks.recurrences import (
     IDENTITIES,
     CoupledSystemSpec,
-    RecurrenceSpec,
     agreement_check,
     composed_form_check,
     decimal_columns,
@@ -46,14 +46,14 @@ def test_theorem_spec_first_values():
 
 def test_non_integral_step_raises():
     # n*x(n) = x(n-1) is not integral from x=(1,1) at n=2
-    bad = RecurrenceSpec(
-        coeffs=((1,),),
-        lhs_coeff=(0, 1),
-        initial=(1, 1),
-        name="bad",
-    )
-    with pytest.raises(NonIntegralStep):
-        eval_recurrence(bad, 5)
+    bad = CoupledSystemSpec("bad", {"x": {"x": (0, 1)}}, {"x": (1, 1)}, leads={"x": (0, 1)})
+    for run in (eval_system, eval_recurrence):
+        with pytest.raises(NonIntegralStep, match="'x' is not an integer at n = 2"):
+            run(bad, 5)
+    rows = decimal_columns(bad, 5, ("x",))
+    assert [next(rows), next(rows)] == [(1,), (1,)]
+    with pytest.raises(NonIntegralStep, match="'x' is not an integer at n = 2"):
+        next(rows)
 
 
 def test_recurrences_match_fibonacci_forms_at_large_n():
@@ -175,14 +175,48 @@ def test_base10_run_equals_the_int_tables(factory):
 
 def _plain_columns(spec, upto):
     """Every member's whole list to index `upto` straight from the rows,
-    member(n) = sum of c * table[t][n - k]: the reference for the compiled
-    steps, with no history window and no generated source."""
+    lead(n) member(n) = sum of c(n) * table[t][n - k]: the reference for the
+    compiled steps, with no history window and no generated source."""
+    def at(c, n):  # an int, or a polynomial in n as its ascending coefficients
+        return sum(a * n**j for j, a in enumerate(c)) if isinstance(c, tuple) else c
+
     tables = {s: list(spec.initial[s][:upto + 1]) for s in spec.equations}
     for n in range(len(spec.initial[next(iter(spec.equations))]), upto + 1):
         for s, row in spec.equations.items():
-            tables[s].append(sum(c * tables[t][n - k] for t, coeffs in row.items()
-                                 for k, c in enumerate(coeffs) if c))
+            total = sum(at(c, n) * tables[t][n - k] for t, coeffs in row.items()
+                        for k, c in enumerate(coeffs) if c)
+            value, rem = divmod(total, at(spec.leads.get(s, 1), n))
+            if rem:
+                raise NonIntegralStep(f"{s} at n = {n}")
+            tables[s].append(value)
     return tables
+
+
+def _bumped(coeffs, k):
+    """Copies of `coeffs` with its k-th coefficient changed by 1: an int
+    once, a polynomial in each of its coefficients."""
+    c = coeffs[k]
+    if not isinstance(c, tuple):
+        return [coeffs[:k] + (c + 1,) + coeffs[k + 1:]]
+    return [coeffs[:k] + (c[:j] + (c[j] + 1,) + c[j + 1:],) + coeffs[k + 1:]
+            for j in range(len(c))]
+
+
+def _mutants(spec):
+    """The copies of `spec` with one coefficient of a row or of a lead
+    changed by 1, each beside where it was changed."""
+    order = list(spec.equations)
+    for s, row in spec.equations.items():
+        for t, coeffs in row.items():
+            for k in range(len(coeffs)):
+                if k == 0 and order.index(t) >= order.index(s):
+                    continue  # a same-step reference to itself or a later member
+                for bumped in _bumped(coeffs, k):
+                    yield (s, t, k, bumped), replace(
+                        spec, equations={**spec.equations, s: {**row, t: bumped}})
+    for s, lead in spec.leads.items():
+        for [bumped] in _bumped((lead,), 0):
+            yield (s, "lead", bumped), replace(spec, leads={**spec.leads, s: bumped})
 
 
 @pytest.mark.parametrize("factory", SYSTEM_SPECS, ids=lambda fn: fn.__name__)
@@ -193,17 +227,51 @@ def test_compiled_steps_match_the_plain_evaluator(factory):
     columns = zip(spec.equations, zip(*decimal_columns(spec, 300, None)))
     assert {s: [str(v) for v in column] for s, column in columns
             } == {s: [str(v) for v in column] for s, column in reference.items()}
-    # negative control: a copy with any one coefficient changed by 1 disagrees
-    for s, row in spec.equations.items():
-        for t, coeffs in row.items():
-            for k in range(len(coeffs)):
-                if k == 0 and list(spec.equations).index(t) >= list(spec.equations).index(s):
-                    continue  # a same-step reference to itself or a later member
-                bumped = coeffs[:k] + (coeffs[k] + 1,) + coeffs[k + 1:]
-                equations = {**spec.equations, s: {**row, t: bumped}}
-                tables = eval_system(replace(spec, equations=equations), 300)
-                assert {m: list(table.values) for m, table in tables.items()} != reference, \
-                    (s, t, k)
+    # negative control: a copy with any one coefficient changed by 1, of a
+    # row or of a lead, stops at a step that is not an integer or disagrees
+    # by n = 30
+    for where, mutant in _mutants(spec):
+        try:
+            tables = eval_system(mutant, 30)
+        except NonIntegralStep:
+            continue
+        assert {m: list(table.values) for m, table in tables.items()
+                } != {m: table[:31] for m, table in reference.items()}, where
+
+
+def test_the_theorem_mutants_bump_its_polynomials_and_its_lead():
+    # the v theorem's reference above is its table, which is also the
+    # 4th-order recurrence's (test_three_v_routes_agree)
+    assert [where for where, _ in _mutants(v_theorem_spec())] == [
+        ("v", "v", 1, (0, (2, 1), (2, 1))), ("v", "v", 1, (0, (1, 2), (2, 1))),
+        ("v", "v", 2, (0, (1, 1), (3, 1))), ("v", "v", 2, (0, (1, 1), (2, 2))),
+        ("v", "lead", (1, 1)), ("v", "lead", (0, 2))]
+
+
+# sha256 of the loop source each constant-coefficient spec generated before
+# rows could have polynomial coefficients and leads, every member kept: the
+# new formats leave their source as it was
+CONSTANT_SOURCES = {
+    "domino_only_recurrence": "97757866c8e952fe",
+    "domino_only_system": "bcb3c584640d99a6",
+    "fibonacci_spec": "529693f8f3e9197e",
+    "tiling_system": "655a5769566c47ff",
+    "v_fourth_order_spec": "53d8c71b80b582df",
+    "v_inhomogeneous_system": "5033a18735fa5d75",
+    "w_ninth_order_spec": "1b21e4b08a87a25c",
+    "walk_system": "61a0fd5f805f6180",
+}
+
+
+@pytest.mark.parametrize("factory", CONSTANT_SOURCES)
+def test_constant_coefficient_sources_are_unchanged(monkeypatch, factory):
+    sources = []
+    compile_loop = recurrences._compile_loop
+    monkeypatch.setattr(recurrences, "_compile_loop",
+                        lambda source: sources.append(source) or compile_loop(source))
+    eval_system(getattr(recurrences, factory)(), 12)
+    [source] = sources
+    assert hashlib.sha256(source.encode()).hexdigest()[:16] == CONSTANT_SOURCES[factory]
 
 
 def test_walk_step_source_assigns_each_member_once(monkeypatch):

@@ -108,3 +108,22 @@ def test_eval_system_tables_hold_ints(factory):
     rec = importlib.import_module("tilewalks.recurrences")
     for table in rec.eval_system(getattr(rec, factory)(), 40).values():
         assert all(type(v) is int for v in table.values)
+
+
+def test_eval_recurrence_table_holds_ints():
+    # the eval_recurrence hook reads abs(v).bit_length() of every value, as
+    # the eval_system hook does
+    rec = importlib.import_module("tilewalks.recurrences")
+    assert all(type(v) is int for v in rec.eval_recurrence(rec.v_theorem_spec(), 40).values)
+
+
+def test_eval_recurrence_does_not_call_eval_system(monkeypatch):
+    # both calls are hooked, so a table made through eval_system would count
+    # its terms twice in a traced run
+    rec = importlib.import_module("tilewalks.recurrences")
+
+    def refuse(*args):
+        raise AssertionError("eval_recurrence called eval_system")
+
+    monkeypatch.setattr(rec, "eval_system", refuse)
+    assert rec.eval_recurrence(rec.v_theorem_spec(), 6).values == (1, 2, 5, 10, 20, 38, 71)

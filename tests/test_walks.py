@@ -8,6 +8,8 @@ import pytest
 
 from tilewalks.boards import (
     Board,
+    EdgeId,
+    Orientation,
     PartialKind,
     TileKind,
     TilePlacement,
@@ -15,12 +17,14 @@ from tilewalks.boards import (
     count_tilings,
     enumerate_partial_tilings,
     enumerate_tilings,
+    forbidden_edges,
 )
 from tilewalks import walks
 from tilewalks.boards import _column_fills, _raw_tilings, _taken
 from tilewalks.cli import SEQUENCES
 from tilewalks.closedforms import fib
 from tilewalks.errors import BudgetExceeded
+from tilewalks.recurrences import eval_system, walk_system
 from tilewalks.walks import (
     DEFAULT_BUDGET,
     brute_line_totals,
@@ -144,6 +148,65 @@ def per_vertex_step(tiles, ways):
         counts.append((0 if y in no_step else w)
                       + (0 if y == 0 or y in no_climb else counts[y - 1]))
     return tuple(counts)
+
+
+def edge_model(tiling, region=True):
+    """The monotone walks from (0, 0) to each vertex of the board that never
+    cross a domino, by vertex. With `region`, a walk uses a grid edge only
+    if the edge bounds a present cell of the tiling's region or lies on
+    x = 0; without it, any grid edge."""
+    present = tiling.board.cells - tiling.removed
+    blocked = forbidden_edges(tiling)
+
+    def usable(edge, *cells):
+        on_x0 = edge.orientation == Orientation.VERTICAL and edge.x == 0
+        return edge not in blocked and (not region or on_x0 or not present.isdisjoint(cells))
+
+    ways = {}
+    for x in range(tiling.board.cols + 1):
+        for y in range(tiling.board.rows + 1):
+            w = int((x, y) == (0, 0))
+            if x and usable(EdgeId(Orientation.HORIZONTAL, x - 1, y), (x, y), (x, y + 1)):
+                w += ways[x - 1, y]
+            if y and usable(EdgeId(Orientation.VERTICAL, x, y - 1), (x, y), (x + 1, y)):
+                w += ways[x, y - 1]
+            ways[x, y] = w
+    return ways
+
+
+# Each truncated-shape member of walk_system: its shape, the grid line its
+# walks end on, and how far left of x = n they end, at the rightmost vertex
+# of the region on that line.
+SHAPE_MEMBERS = {
+    "a1": (PartialKind.A, 1, 0),
+    "c1": (PartialKind.C, 1, 0),
+    "d1": (PartialKind.D, 1, 0),
+    "a2": (PartialKind.A, 2, 1),
+    "c2": (PartialKind.C, 2, 0),
+    "d2": (PartialKind.D, 2, 0),
+}
+
+
+def test_shape_members_count_the_edge_model_walks():
+    tables = eval_system(walk_system(), 8, tuple(SHAPE_MEMBERS))
+    model = {member: [] for member in SHAPE_MEMBERS}
+    for n in range(1, 9):
+        for kind in PartialKind:
+            ways = [edge_model(til) for til in enumerate_partial_tilings(Board(2, n), kind)]
+            for member, (shape, line, back) in SHAPE_MEMBERS.items():
+                if shape == kind:
+                    model[member].append(sum(w[n - back, line] for w in ways))
+    assert model == {member: list(t.values[1:]) for member, t in tables.items()}
+
+
+def test_the_edge_model_needs_its_region_rule():
+    # negative control: walks on every grid edge overcount the C shape at
+    # n = 1, whose bottom-right cell is missing
+    tables = eval_system(walk_system(), 1, ("c1", "c2"))
+    [til] = enumerate_partial_tilings(Board(2, 1), PartialKind.C)
+    ways, naive = edge_model(til), edge_model(til, region=False)
+    assert (tables["c1"][1], ways[1, 1], naive[1, 1]) == (1, 1, 2)
+    assert (tables["c2"][1], ways[1, 2], naive[1, 2]) == (2, 2, 3)
 
 
 def column_step_mismatches(column_step):
