@@ -8,7 +8,7 @@ Grid vertices are (x, y) with x in 0..n and y in 0..rows; walks run from
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property, lru_cache
-from operator import gt, itemgetter
+from operator import gt
 from typing import NamedTuple
 
 
@@ -129,22 +129,19 @@ def _column_fills(rows, occupied, closed, squares_allowed):
 
 def _taken(board, partial):
     """Rows of each column 0..n+1 covered before the search, as masks, with
-    column n+1 closed, and the (kind, row) pairs of the tiles that a
-    `partial` shape forces in each column; None for a shape that does not
-    fit the board."""
+    column n+1 closed: a `partial` shape's removed cells and the cells of
+    the tiles it forces. None for a shape that does not fit the board, one
+    with such a cell left of column 1."""
     n, rows = board.cols, board.rows
     taken = [0] * (n + 2)
     taken[n + 1] = (1 << rows) - 1
-    forced = [()] * (n + 1)
     if partial is not None:
-        if n < (1 if partial == PartialKind.C else 2):
-            return None
-        removed, forced_tiles = _partial_setup(board, partial)
-        for t in forced_tiles:
-            forced[t.col] += ((t.kind, t.row),)
-        for j, r in removed.union(*(t.covered_cells() for t in forced_tiles)):
+        removed, forced = _partial_setup(board, partial)
+        for j, r in removed.union(*(t.covered_cells() for t in forced)):
+            if j < 1:
+                return None
             taken[j] |= 1 << (r - 1)
-    return taken, forced
+    return taken
 
 
 def _completions(rows, after, occupied, closed, squares_allowed):
@@ -164,20 +161,18 @@ def _raw_tilings(board, squares_allowed=True, partial=None):
     `spill` that column j-1's horizontal dominoes cover, as (TilePlacements,
     spill into column j+1) in canonical order, so the stream is
     lexicographic over sorted tile lists. A `partial` shape starts with its
-    removed and forced cells taken and places each forced tile with its
-    column; a shape that does not fit the board has no tilings.
+    taken masks, and the tiles it forces are not in the stream; a shape
+    that does not fit the board has no tilings.
     """
-    shape = _taken(board, partial)
-    if shape is None:
+    taken = _taken(board, partial)
+    if taken is None:
         return
-    taken, forced = shape
     n, rows, tiles = board.cols, board.rows, []
     if n == 0:
         yield tiles
         return
     fills = [None] + [
-        [[(tuple(TilePlacement(k, j, r)
-                 for k, r in sorted(fill + forced[j], key=itemgetter(1))), out)
+        [[(tuple(TilePlacement(k, j, r) for k, r in fill), out)
           for fill, out, _ in _column_fills(
               rows, spill | taken[j], taken[j + 1], squares_allowed)]
          for spill in range(1 << rows)]
@@ -205,10 +200,10 @@ def count_tilings(board, squares_allowed=True, partial=None):
     """Tilings of the board, or of its truncated `partial` shape, from one
     row of completion counts carried from the last column to the first,
     without enumerating or keeping a table."""
-    shape = _taken(board, partial)
-    if shape is None:
+    taken = _taken(board, partial)
+    if taken is None:
         return 0
-    taken, after = shape[0], [1] + [0] * ((1 << board.rows) - 1)
+    after = [1] + [0] * ((1 << board.rows) - 1)
     for j in range(board.cols, 0, -1):
         after = _completions(board.rows, after, taken[j], taken[j + 1], squares_allowed)
     return after[0]
@@ -219,12 +214,14 @@ def tiling_at(board, index, squares_allowed=True):
     each column skips the fills whose completions all come before it, from
     the completion rows of `count_tilings`, kept for every column."""
     rows, n = board.rows, board.cols
-    taken = _taken(board, None)[0]
+    taken = _taken(board, None)
     after = [None] * (n + 1) + [[1] + [0] * ((1 << rows) - 1)]
     for j in range(n, 0, -1):
         after[j] = _completions(rows, after[j + 1], taken[j], taken[j + 1], squares_allowed)
-    if not 0 <= index < after[1][0]:
-        raise IndexError(f"tiling index {index} outside 0..{after[1][0] - 1}")
+    total = after[1][0]
+    if not 0 <= index < total:
+        raise IndexError(f"tiling index {index} outside 0..{total - 1}" if total
+                         else f"{rows}x{n} has no dominoes-only tilings")
     tiles, spill = [], 0
     for j in range(1, n + 1):
         for fill, out, _ in _column_fills(rows, spill, taken[j + 1], squares_allowed):
@@ -261,10 +258,12 @@ def _partial_setup(board, kind):
 
 
 def enumerate_partial_tilings(board, kind):
-    """Exact covers of a truncated 2xn board of shape A, C, or D."""
+    """Exact covers of a truncated 2xn board of shape A, C, or D: each cover
+    of the search with the shape's forced tiles added in canonical order."""
     if board.rows != 2:
         raise ValueError("partial tilings are defined for 2xn boards only")
     if board.cols < 1:
         raise ValueError("partial tilings need n >= 1")
-    removed = _partial_setup(board, kind)[0]
-    return [Tiling(board, tuple(raw), removed) for raw in _raw_tilings(board, partial=kind)]
+    removed, forced = _partial_setup(board, kind)
+    return [Tiling(board, tuple(sorted((*raw, *forced), key=TilePlacement.sort_key)), removed)
+            for raw in _raw_tilings(board, partial=kind)]

@@ -151,12 +151,14 @@ def cmd_seq(args, report):
             f"sequence {args.name!r} has no {args.route!r} route "
             f"(available: {', '.join(available)})"
         )
-    streams, keys = [], []  # (timing name, rows, width) of each route; the columns
+    streams, keys = [], []  # (rows, width) of each route; the columns
     for route in sorted(available) if args.route == "all" else [args.route]:
         t0 = time.perf_counter()
         members, rows = available[route](args.upto, args.budget)
+        if args.format == "json":  # it prints the timings and keeps every row anyway
+            rows = tuple(rows)
         report.timings[f"{args.name}:{route}"] = time.perf_counter() - t0
-        streams.append((f"{args.name}:{route}", iter(rows), len(members)))
+        streams.append((iter(rows), len(members)))
         keys += [route if len(members) == 1 else f"{route}:{m}" for m in members]
     _emit_table(args, keys, _table(args.name, keys, streams, report), report)
     for check in report.checks:
@@ -166,27 +168,18 @@ def cmd_seq(args, report):
 
 
 def _table(name, keys, streams, report):
-    """The streams' rows joined while every stream makes one, the time each
-    stream takes added to its timing; once all have ended, each column is
-    checked against the first column of its member, failing at the first n
-    where the two differ or one of them has ended."""
-    clock, timings = time.perf_counter, report.timings
+    """The streams' rows joined while every stream makes one; once all have
+    ended, each column is checked against the first column of its member,
+    failing at the first n where the two differ or one of them has ended."""
     if len(streams) == 1:  # one route: nothing to compare
-        [(timing, rows, _)] = streams
-        t0 = clock()
-        for row in rows:
-            timings[timing] += clock() - t0
-            yield row
-            t0 = clock()
+        yield from streams[0][0]
         return
     members = [key.partition(":")[2] for key in keys]
     failures = {(a, b): None for b, m in enumerate(members) if (a := members.index(m)) < b}
     for n in count():
         row, ended = [], 0
-        for timing, rows, width in streams:
-            t0 = clock()
+        for rows, width in streams:
             made = next(rows, None)
-            timings[timing] += clock() - t0
             ended += made is None
             row += [None] * width if made is None else made  # None: the stream has ended
         if ended == len(streams):

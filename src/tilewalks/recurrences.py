@@ -92,11 +92,11 @@ def _columns(spec, upto, members):
     equation order, from its row's nonzero terms (a coefficient of +1 or -1
     adds or subtracts its term without a multiplication, a polynomial one is
     evaluated at the loop's n) over its lead, an exact division or a
-    `NonIntegralStep` naming n. It yields the kept members' s<i>_0, and
-    rotates each member's history, kept to the largest shift any row reads
-    of it, by one tuple assignment. A same-step reference must name an
-    earlier member, and no shift may reach back past index 0, so each step
-    reads only values already filled in.
+    `NonIntegralStep` naming n, as is a lead that is 0 at n. It yields the
+    kept members' s<i>_0, and rotates each member's history, kept to the
+    largest shift any row reads of it, by one tuple assignment. A same-step
+    reference must name an earlier member, and no shift may reach back past
+    index 0, so each step reads only values already filled in.
     """
     keep = tuple(spec.equations) if members is None else tuple(members)
     for s in keep:
@@ -131,8 +131,12 @@ def _columns(spec, upto, members):
                 terms += f" {sign} {scale}s{index[t]}_{k}"
         value = ("0" + terms).removeprefix("0 + ")
         if s in spec.leads:
-            failure = f"system {spec.name!r}: {s!r} is not an integer at n = "
-            body += (f"        s{index[s]}_0, rem = divmod({value}, {_in_n(spec.leads[s])})\n"
+            lead, member = _in_n(spec.leads[s]), f"system {spec.name!r}: {s!r}"
+            zero = f"{member} has a zero lead at n = "
+            failure = f"{member} is not an integer at n = "
+            body += (f"        if not {lead}:\n"
+                     f"            raise NonIntegralStep({zero!r} + str(n))\n"
+                     f"        s{index[s]}_0, rem = divmod({value}, {lead})\n"
                      f"        if rem:\n            raise NonIntegralStep({failure!r} + str(n))\n")
         else:
             body += f"        s{index[s]}_0 = {value}\n"

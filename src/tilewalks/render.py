@@ -1,7 +1,7 @@
 """Deterministic SVG rendering of a tiled board with its admissible walks."""
 
 from . import walks
-from .boards import Orientation, TileKind, count_tilings, forbidden_edges, tiling_at
+from .boards import Orientation, TileKind, forbidden_edges, tiling_at
 from .errors import BudgetExceeded, IndexOutOfRange
 
 CELL = 60
@@ -30,11 +30,10 @@ def svg_for_tiling(board, tiling_index, squares_allowed=True):
     Byte-deterministic for fixed input: enumeration order is deterministic
     and all geometry is integer or fixed-precision.
     """
-    total = count_tilings(board, squares_allowed)
-    if not 0 <= tiling_index < total:
-        raise IndexOutOfRange(f"tiling index {tiling_index} outside 0..{total - 1}" if total
-                              else f"{board.rows}x{board.cols} has no dominoes-only tilings")
-    tiling = tiling_at(board, tiling_index, squares_allowed)
+    try:
+        tiling = tiling_at(board, tiling_index, squares_allowed)
+    except IndexError as exc:
+        raise IndexOutOfRange(*exc.args)
     rows, n = board.rows, board.cols
     if (count := walks.count_walks_for_tiling(tiling, rows)) > walks.DEFAULT_BUDGET:
         raise BudgetExceeded(f"tiling {tiling_index} of the {rows}x{n} board has "
@@ -48,19 +47,12 @@ def svg_for_tiling(board, tiling_index, squares_allowed=True):
         f'width="{width}" height="{height}">',
         f'<title>{rows}x{n} board, tiling {tiling_index}</title>',
     ]
-    for t in tiling.tiles:
-        x0 = _vx(t.col - 1)
-        if t.kind == TileKind.SQUARE:
-            w, h, fill = CELL, CELL, SQUARE_FILL
-            y0 = _vy(t.row, rows)
-        elif t.kind == TileKind.HDOMINO:
-            w, h, fill = 2 * CELL, CELL, DOMINO_FILL
-            y0 = _vy(t.row, rows)
-        else:
-            w, h, fill = CELL, 2 * CELL, DOMINO_FILL
-            y0 = _vy(t.row + 1, rows)
+    for t in tiling.tiles:  # from the anchor cell's lower left to the last cell's upper right
+        c1, r1 = t.covered_cells()[-1]
+        x0, y0 = _vx(t.col - 1), _vy(r1, rows)
+        fill = SQUARE_FILL if t.kind == TileKind.SQUARE else DOMINO_FILL
         out.append(
-            f'<rect x="{x0}" y="{y0}" width="{w}" height="{h}" '
+            f'<rect x="{x0}" y="{y0}" width="{_vx(c1) - x0}" height="{_vy(t.row - 1, rows) - y0}" '
             f'fill="{fill}" {TILE_STYLE}/>'
         )
     for x in range(n + 1):

@@ -13,6 +13,7 @@ from .boards import (
     Board,
     EdgeId,
     Orientation,
+    TileKind,
     _column_fills,
     _taken,
     count_tilings,
@@ -103,21 +104,21 @@ def _column_fan(rows, spill, keys, squares_allowed):
 
 
 def count_walks_for_tiling(tiling, end_line):
-    """Monotone paths from (0,0) to (n, end_line) avoiding forbidden edges."""
+    """Monotone paths from (0,0) to (n, end_line) avoiding forbidden edges,
+    stepped from line 0 through each column's masks from its tiles: a
+    horizontal domino in row r sets spill bit r-1, a vertical one cross bit r."""
     rows, n = tiling.board.rows, tiling.board.cols
     if not 0 <= end_line <= rows:
         raise ValueError(f"end_line {end_line} outside 0..{rows}")
-    tiles, removed = [()] * (n + 1), [0] * (n + 1)
+    spill, cross = [0] * (n + 1), [0] * (n + 1)
     for t in tiling.tiles:
-        tiles[t.col] += ((t.kind, t.row),)
-    for j, r in tiling.removed:
-        removed[j] |= 1 << (r - 1)
-    ways, spill = _column_step(rows, 0, 0)(1, *[0] * rows), 0
+        if t.kind == TileKind.HDOMINO:
+            spill[t.col] |= 1 << (t.row - 1)
+        elif t.kind == TileKind.VDOMINO:
+            cross[t.col] |= 1 << t.row
+    ways = (1,) * (rows + 1)  # line 0: each vertex straight up from (0, 0)
     for x in range(1, n + 1):
-        # the masks of the column fill that places this tiling's column-x tiles
-        spill, cross = next((s, c) for fill, s, c in _column_fills(
-            rows, spill | removed[x], 0, True) if fill == tiles[x])
-        ways = _column_step(rows, spill, cross)(*ways)
+        ways = _column_step(rows, spill[x], cross[x])(*ways)
     return ways[end_line]
 
 
@@ -201,7 +202,7 @@ def _line_totals(board, squares_allowed=True, partial=None):
     has a meaning for a shape.
     """
     n, rows = board.cols, board.rows
-    taken = [0, *_taken(board, partial)[0][n:0:-1], (1 << rows) - 1]  # mirrored
+    taken = [0, *_taken(board, partial)[n:0:-1], (1 << rows) - 1]  # mirrored
     keys = tuple((taken[j], taken[j + 1], j == n) for j in range(1, n + 1))
     start = _column_step(rows, 0, 0)(1, *[0] * rows)
     totals = [list(start)] + [[0] * (rows + 1) for _ in range(n)]

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from tilewalks.boards import (
     TilePlacement,
     Tiling,
     _raw_tilings,
+    _taken,
     count_tilings,
     enumerate_partial_tilings,
     enumerate_tilings,
@@ -144,6 +146,28 @@ def test_partial_tiling_examples():
         assert keys == sorted(keys)
 
 
+# sha256 of the (kind, col, row) lists of every shape's tilings of the 2xn
+# boards, 1 <= n <= 7, from the search that still placed the forced tiles
+# itself: adding them afterwards keeps each tiling's tiles and their order
+PARTIAL_TILINGS_SHA256 = "ce91eb7c9080a8278dd398ede248aaa0fc8341cd6f4ccb47ce2d8223841cdcdf"
+
+
+def test_partial_tilings_keep_their_tiles_and_order():
+    digest = hashlib.sha256()
+    for kind in PartialKind:
+        for n in range(1, 8):
+            digest.update(repr([[(int(t.kind), t.col, t.row) for t in til.tiles]
+                                for til in enumerate_partial_tilings(Board(2, n), kind)]).encode())
+    assert digest.hexdigest() == PARTIAL_TILINGS_SHA256
+
+
+@pytest.mark.parametrize("kind, width", [(PartialKind.A, 2), (PartialKind.C, 1),
+                                         (PartialKind.D, 2)], ids=["A", "C", "D"])
+def test_a_shape_fits_exactly_the_boards_as_wide_as_its_cells(kind, width):
+    for n in range(4):
+        assert (_taken(Board(2, n), kind) is None) == (n < width), n
+
+
 def test_partial_counts_satisfy_coupled_system():
     def counts(n, kind):  # on the stream, without building Tiling objects
         return sum(1 for _ in _raw_tilings(Board(2, n), True, kind))
@@ -196,6 +220,15 @@ def test_tiling_at_follows_the_stream(board, squares_allowed):
             for i in range(len(stream))] == stream
     with pytest.raises(IndexError):
         tiling_at(board, len(stream), squares_allowed)
+
+
+def test_tiling_at_names_the_range_or_the_board_without_tilings():
+    # -1 as well: the count is bound before the range test, which stops at 0 <= index
+    for index in (-1, 7573):
+        with pytest.raises(IndexError, match=rf"^tiling index {index} outside 0\.\.7572$"):
+            tiling_at(Board(2, 8), index)
+    with pytest.raises(IndexError, match="^1x3 has no dominoes-only tilings$"):
+        tiling_at(Board(1, 3), 0, False)
 
 
 def test_tiling_at_keeps_nothing_once_it_returns():

@@ -446,6 +446,7 @@ BAD_INPUT = [
     # past the count, checked before any enumeration
     ("render 2x30 99999999999999999999", "outside 0..1084493574452272"),
     ("render 2x20 999999999999", "outside 0..9211624462"),
+    ("render 2x8 -1", "tiling index -1 outside 0..7572"),
     # C(5002, 2) walks on the all-squares tiling, over the default budget
     ("render 2x5000 0", "tiling 0 of the 2x5000 board has 12507501 walks, budget 10000000"),
     ("seq w --upto -3", "--upto: expected an integer >= 0"),

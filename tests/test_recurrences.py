@@ -56,6 +56,17 @@ def test_non_integral_step_raises():
         next(rows)
 
 
+def test_a_zero_lead_raises_non_integral_step():
+    # (n - 3)*x(n) = x(n-1) from x=(1,1): x(2) = -1, and the lead is 0 at n=3
+    zero = CoupledSystemSpec("z", {"x": {"x": (0, 1)}}, {"x": (1, 1)}, leads={"x": (-3, 1)})
+    with pytest.raises(NonIntegralStep, match="'x' has a zero lead at n = 3"):
+        eval_system(zero, 5)
+    rows = decimal_columns(zero, 5, ("x",))
+    assert [next(rows) for _ in range(3)] == [(1,), (1,), (-1,)]
+    with pytest.raises(NonIntegralStep, match="'x' has a zero lead at n = 3"):
+        next(rows)
+
+
 def test_recurrences_match_fibonacci_forms_at_large_n():
     n = 10**4
     assert eval_recurrence(v_theorem_spec(), n)[n] == v_fibonacci_form(n)

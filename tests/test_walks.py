@@ -505,11 +505,8 @@ def test_a_shape_that_fits_no_board_searches_nothing(monkeypatch):
 @pytest.mark.parametrize("kind", list(PartialKind), ids=lambda kind: kind.name)
 def test_the_shape_search_without_mirroring_disagrees(monkeypatch, kind):
     def unmirrored(board, partial):  # the search mirrors these back
-        shape = _taken(board, partial)
-        if shape is None:
-            return None
-        taken, forced = shape
-        return [0, *taken[board.cols:0:-1], taken[-1]], forced
+        taken = _taken(board, partial)
+        return None if taken is None else [0, *taken[board.cols:0:-1], taken[-1]]
 
     monkeypatch.setattr(walks, "_taken", unmirrored)
     assert tiling_counts(2, 10, kind) != [stream_count(Board(2, n), kind)
