@@ -53,7 +53,8 @@ class RunReport:
 # call itself refuses what the route refuses. A one-member route is the column
 # `route` ("" names a member the route computes itself), a many-member one
 # the columns `route:member`; the columns of one member must agree. A route
-# names the functions it calls and looks them up in their module at each call.
+# names what it calls and looks it up in its module at each call: importing
+# cli loads none of it, and a name that the tracer rebinds is the one called.
 
 
 def _line_column(rows, squares_allowed=True, partial=None, **lines):
@@ -212,7 +213,7 @@ def _rows(rows):
 
 def _emit_table(args, keys, rows, report):
     if args.format == "json":  # the run report, with the table
-        columns = dict(zip(keys, map(list, zip(*_rows(rows)))))  # and no rows
+        columns = dict(zip(keys, map(list, zip(*_rows(rows)))))  # the rows go before encoding
         print(report.to_json(name=args.name, columns=columns))
     elif args.format == "bfile":
         if len(keys) != 1:
