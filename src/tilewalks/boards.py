@@ -18,11 +18,6 @@ class TileKind(IntEnum):
     VDOMINO = 2
 
 
-class Orientation(IntEnum):
-    HORIZONTAL = 0
-    VERTICAL = 1
-
-
 class PartialKind(IntEnum):
     """Truncated 2xn board shapes used by the coupled tiling recurrences."""
 
@@ -87,13 +82,31 @@ class Tiling:
     def dominoes(self):
         return [t for t in self.tiles if t.kind != TileKind.SQUARE]
 
+    def masks(self):
+        """The walk masks (spill, cross) of each column 0..n, from its
+        tiles; column 0, left of the board, has none."""
+        columns = [[] for _ in range(self.board.cols + 1)]
+        for t in self.tiles:
+            columns[t.col].append((t.kind, t.row))
+        return [_walk_masks(tiles) for tiles in columns]
 
-class EdgeId(NamedTuple):
-    """A unit grid-line segment named by its lower/left endpoint."""
 
-    orientation: Orientation
-    x: int
-    y: int
+def _walk_masks(tiles):
+    """The walk masks (spill, cross) of one column's (kind, row) tiles, the
+    one rule that a walk may not cross the interior edge of a domino.
+
+    A horizontal domino in row r sets bit r-1 of `spill`: it blocks the
+    climb from (x, r-1) to (x, r) on the column's right grid line x, and it
+    covers row r of the next column. A vertical domino over rows r and r+1
+    sets bit r of `cross`: it blocks the step from (x-1, r) to (x, r).
+    """
+    spill = cross = 0
+    for kind, row in tiles:
+        if kind == TileKind.HDOMINO:
+            spill |= 1 << (row - 1)
+        elif kind == TileKind.VDOMINO:
+            cross |= 1 << row
+    return spill, cross
 
 
 @lru_cache(maxsize=None)
@@ -104,26 +117,24 @@ def _column_fills(rows, occupied, closed, squares_allowed):
     domino at each free row, so the fills come in canonical order. Bit r-1
     of `occupied` marks row r as already covered, bit r-1 of `closed` marks
     row r of the next column as unavailable to a horizontal domino. `tiles`
-    holds (kind, row) pairs; bit r-1 of `spill` marks a horizontal domino in
-    row r, which covers row r of the next column; bit r of `cross` marks a
-    vertical domino over rows r and r+1.
+    holds (kind, row) pairs, and (spill, cross) are their `_walk_masks`.
     """
     fills = []
 
-    def fill(i, tiles, spill, cross):
+    def fill(i, tiles):
         while i < rows and occupied >> i & 1:
             i += 1
         if i == rows:
-            fills.append((tiles, spill, cross))
+            fills.append((tiles, *_walk_masks(tiles)))
             return
         if squares_allowed:
-            fill(i + 1, tiles + ((TileKind.SQUARE, i + 1),), spill, cross)
+            fill(i + 1, tiles + ((TileKind.SQUARE, i + 1),))
         if not closed >> i & 1:
-            fill(i + 1, tiles + ((TileKind.HDOMINO, i + 1),), spill | 1 << i, cross)
+            fill(i + 1, tiles + ((TileKind.HDOMINO, i + 1),))
         if i + 1 < rows and not occupied >> (i + 1) & 1:
-            fill(i + 2, tiles + ((TileKind.VDOMINO, i + 1),), spill, cross | 2 << i)
+            fill(i + 2, tiles + ((TileKind.VDOMINO, i + 1),))
 
-    fill(0, (), 0, 0)
+    fill(0, ())
     return tuple(fills)
 
 
@@ -231,17 +242,6 @@ def tiling_at(board, index, squares_allowed=True):
         tiles += (TilePlacement(k, j, r) for k, r in fill)
         spill = out
     return Tiling(board, tuple(tiles))
-
-
-def forbidden_edges(tiling):
-    """The interior edge of every domino; walks may not traverse these."""
-    edges = set()
-    for t in tiling.tiles:
-        if t.kind == TileKind.HDOMINO:
-            edges.add(EdgeId(Orientation.VERTICAL, t.col, t.row - 1))
-        elif t.kind == TileKind.VDOMINO:
-            edges.add(EdgeId(Orientation.HORIZONTAL, t.col - 1, t.row))
-    return frozenset(edges)
 
 
 def _partial_setup(board, kind):

@@ -9,7 +9,8 @@ from collections import deque
 from itertools import count
 from math import comb
 
-from .errors import DEFAULT_BUDGET, OutputNotWritable, TileWalksError, UnknownSequence
+from .errors import (DEFAULT_BUDGET, CheckResult, OutputNotWritable, TileWalksError,
+                     UnknownSequence)
 
 
 def _text(value):
@@ -191,7 +192,6 @@ def _table(name, keys, streams, report):
                 failures[a, b] = n
         if not ended:  # an ended stream makes no more rows
             yield row
-    from .recurrences import CheckResult
     report.checks += [CheckResult(f"agree:{name}:{keys[a]}={keys[b]}", n is None,
                                   first_failure=n) for (a, b), n in failures.items()]
 
@@ -266,7 +266,7 @@ def _verify_lemmas():
 
 def _verify_elimination():
     from . import elimination
-    from .recurrences import CheckResult, agreement_check
+    from .recurrences import agreement_check
     m = elimination.build_matrix_m()
     basis = elimination.kernel(m)
     weights = elimination.ALPHA_WEIGHTS + elimination.BETA_WEIGHTS
@@ -283,7 +283,7 @@ def _verify_elimination():
 def _verify_closed_forms():
     from . import closedforms, recurrences
     from .qsqrt5 import ALPHA, BETA
-    from .recurrences import CheckResult, agreement_check
+    from .recurrences import agreement_check
     upto = 50
     [rec] = recurrences.eval_system(recurrences.domino_only_recurrence(), upto).values()
     [r2] = recurrences.eval_system(recurrences.domino_only_system(), upto, ("r2",)).values()
@@ -310,7 +310,6 @@ def _verify_closed_forms():
 
 def _verify_oeis():
     from . import oeis
-    from .recurrences import CheckResult
     checks = []
     for name, seq_id, upto in [("fib", "A000045", 45), ("v", "A001629", 40),
                                ("r", "A030186", 40), ("w-domino", "A054454", 40)]:
@@ -344,7 +343,6 @@ def cmd_verify(args, report):
 
 
 def cmd_render(args, report):
-    from .recurrences import CheckResult
     from .render import svg_for_tiling
     svg = svg_for_tiling(args.board, args.index, not args.dominoes_only)
     try:

@@ -15,12 +15,12 @@ from itertools import zip_longest
 from math import gcd, lcm
 from operator import index
 
+from .errors import CheckResult
 from .polynomials import IntPoly, expand, factored_str
 from .recurrences import (
     CHARPOLY_FACTORS,
     RELATIONS,
     W_FACTORS,
-    CheckResult,
     eval_system,
     relation_check,
     w_ninth_order_spec,

@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types and the check result shared across the package."""
+
+from typing import NamedTuple
+
+
+class CheckResult(NamedTuple):
+    """One check under the name a report shows: both sides where they are
+    single values, and the first n where a check over a range fails."""
+
+    name: str
+    passed: bool
+    expected: object = None
+    actual: object = None
+    first_failure: int = None
 
 
 class TileWalksError(Exception):

@@ -32,7 +32,7 @@ from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZ
                      InvalidOperation, Overflow, Rounded, setcontext)
 from functools import lru_cache, partial
 
-from .errors import NonIntegralStep, UnstratifiableSystem
+from .errors import CheckResult, NonIntegralStep, UnstratifiableSystem
 from .polynomials import IntPoly, expand
 
 
@@ -277,18 +277,6 @@ def domino_only_recurrence():
     """The 6th-order recurrence for walk totals on dominoes-only tilings."""
     return CoupledSystemSpec("w-domino", {"w-domino": {"w-domino": (0, 2, 2, -4, -2, 2, 1)}},
                              {"w-domino": (1, 2, 6, 12, 26, 50)})
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One check under the name a report shows: both sides where they are
-    single values, and the first n where a check over a range fails."""
-
-    name: str
-    passed: bool
-    expected: object = None
-    actual: object = None
-    first_failure: int = None
 
 
 def _check(name, lo, hi, pred):

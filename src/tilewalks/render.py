@@ -1,7 +1,7 @@
 """Deterministic SVG rendering of a tiled board with its admissible walks."""
 
 from . import walks
-from .boards import Orientation, TileKind, forbidden_edges, tiling_at
+from .boards import TileKind, tiling_at
 from .errors import BudgetExceeded, IndexOutOfRange
 
 CELL = 60
@@ -65,15 +65,17 @@ def svg_for_tiling(board, tiling_index, squares_allowed=True):
             f'<line x1="{_vx(0)}" y1="{_vy(y, rows)}" '
             f'x2="{_vx(n)}" y2="{_vy(y, rows)}" {GRID_STYLE}/>'
         )
-    for e in sorted(forbidden_edges(tiling)):
-        if e.orientation == Orientation.VERTICAL:
-            x1, y1, x2, y2 = e.x, e.y, e.x, e.y + 1
-        else:
-            x1, y1, x2, y2 = e.x, e.y, e.x + 1, e.y
-        out.append(
-            f'<line x1="{_vx(x1)}" y1="{_vy(y1, rows)}" '
-            f'x2="{_vx(x2)}" y2="{_vy(y2, rows)}" {FORBIDDEN_STYLE}/>'
-        )
+    # each domino's interior edge: bit y of column x's cross is the edge
+    # from (x-1, y) to (x, y), bit y of its spill the edge from (x, y) to
+    # (x, y+1); the horizontal edges come first, each kind by x, then y
+    for i, dx, dy in ((1, 1, 0), (0, 0, 1)):
+        for x, column in enumerate(tiling.masks()):
+            for y in range(rows + 1):
+                if column[i] >> y & 1:
+                    out.append(
+                        f'<line x1="{_vx(x - dx)}" y1="{_vy(y, rows)}" '
+                        f'x2="{_vx(x)}" y2="{_vy(y + dy, rows)}" {FORBIDDEN_STYLE}/>'
+                    )
     paths = walks.enumerate_walks(tiling)
     for i, walk in enumerate(paths):
         # small per-walk offset so overlapping walks stay distinguishable

@@ -9,16 +9,7 @@ additions (`_column_fan`), from the same step source as `_column_step`.
 
 from functools import lru_cache, partial as bind
 
-from .boards import (
-    Board,
-    EdgeId,
-    Orientation,
-    TileKind,
-    _column_fills,
-    _taken,
-    count_tilings,
-    forbidden_edges,
-)
+from .boards import Board, _column_fills, _taken, count_tilings
 from .errors import DEFAULT_BUDGET, BudgetExceeded
 
 
@@ -26,7 +17,7 @@ def _step_source(rows, spill, cross, out, inp="w"):
     """The lines of straight-line source that step the rows + 1 walk counts
     inp0, inp1, ... on grid line x-1 to out0, out1, ... on line x.
 
-    `spill` and `cross` are the masks of column x from `_column_fills`: bit
+    `spill` and `cross` are the masks of column x, `boards._walk_masks`: bit
     y-1 of `spill` blocks the climb from (x, y-1) to (x, y), bit y of `cross`
     blocks the step from (x-1, y) to (x, y), so out[y] = (inp[y] unless
     cross) + (out[y-1] unless spill). The source is built from the ints and
@@ -99,21 +90,14 @@ def _column_fan(rows, spill, keys, squares_allowed):
 
 
 def count_walks_for_tiling(tiling, end_line):
-    """Monotone paths from (0,0) to (n, end_line) avoiding forbidden edges,
-    stepped from line 0 through each column's masks from its tiles: a
-    horizontal domino in row r sets spill bit r-1, a vertical one cross bit r."""
-    rows, n = tiling.board.rows, tiling.board.cols
+    """Monotone paths from (0,0) to (n, end_line) that cross no domino,
+    stepped from (1, 0, ..., 0) through the masks of each column 0..n."""
+    rows = tiling.board.rows
     if not 0 <= end_line <= rows:
         raise ValueError(f"end_line {end_line} outside 0..{rows}")
-    spill, cross = [0] * (n + 1), [0] * (n + 1)
-    for t in tiling.tiles:
-        if t.kind == TileKind.HDOMINO:
-            spill[t.col] |= 1 << (t.row - 1)
-        elif t.kind == TileKind.VDOMINO:
-            cross[t.col] |= 1 << t.row
-    ways = (1,) * (rows + 1)  # line 0: each vertex straight up from (0, 0)
-    for x in range(1, n + 1):
-        ways = _column_step(rows, spill[x], cross[x])(*ways)
+    ways = (1,) + (0,) * rows
+    for spill, cross in tiling.masks():
+        ways = _column_step(rows, spill, cross)(*ways)
     return ways[end_line]
 
 
@@ -124,13 +108,13 @@ def enumerate_walks(tiling):
     rendering, counting goes through count_walks_for_tiling.
     """
     rows, n = tiling.board.rows, tiling.board.cols
-    forb = forbidden_edges(tiling)
+    masks = tiling.masks()
     out, steps, stack = [], [], []  # stack: (x, y, the step that reaches it)
 
     def expand(x, y):  # "R" goes on top, so it is taken first
-        if y < rows and EdgeId(Orientation.VERTICAL, x, y) not in forb:
+        if y < rows and not masks[x][0] >> y & 1:  # spill of column x: no climb
             stack.append((x, y + 1, "U"))
-        if x < n and EdgeId(Orientation.HORIZONTAL, x, y) not in forb:
+        if x < n and not masks[x + 1][1] >> y & 1:  # cross of column x+1: no step
             stack.append((x + 1, y, "R"))
 
     expand(0, 0)

@@ -8,8 +8,6 @@ import pytest
 import tilewalks
 from tilewalks.boards import (
     Board,
-    EdgeId,
-    Orientation,
     PartialKind,
     TileKind,
     TilePlacement,
@@ -19,7 +17,6 @@ from tilewalks.boards import (
     count_tilings,
     enumerate_partial_tilings,
     enumerate_tilings,
-    forbidden_edges,
     tiling_at,
 )
 from tilewalks.recurrences import eval_system, tiling_system
@@ -114,7 +111,7 @@ def test_enumeration_is_deterministic():
 def test_forbidden_edges_all_squares():
     all_squares = enumerate_tilings(Board(2, 3))[0]
     assert all(t.kind == TileKind.SQUARE for t in all_squares.tiles)
-    assert forbidden_edges(all_squares) == frozenset()
+    assert all_squares.masks() == [(0, 0)] * 4
 
 
 def test_forbidden_edges_hdomino():
@@ -122,17 +119,18 @@ def test_forbidden_edges_hdomino():
         Board(1, 3),
         (TilePlacement(TileKind.HDOMINO, 1, 1), TilePlacement(TileKind.SQUARE, 3, 1)),
     )
-    assert forbidden_edges(til) == frozenset({EdgeId(Orientation.VERTICAL, 1, 0)})
+    assert til.masks() == [(0, 0), (0b1, 0), (0, 0), (0, 0)]  # spill bit 0 of column 1
 
 
 def test_forbidden_edges_vdomino():
     til = Tiling(Board(2, 1), (TilePlacement(TileKind.VDOMINO, 1, 1),))
-    assert forbidden_edges(til) == frozenset({EdgeId(Orientation.HORIZONTAL, 0, 1)})
+    assert til.masks() == [(0, 0), (0, 0b10)]  # cross bit 1 of column 1
 
 
 def test_forbidden_edge_count_equals_domino_count():
     for til in enumerate_tilings(Board(2, 4)):
-        assert len(forbidden_edges(til)) == len(til.dominoes())
+        bits = sum(bin(spill).count("1") + bin(cross).count("1") for spill, cross in til.masks())
+        assert bits == len(til.dominoes())
 
 
 def test_partial_tiling_examples():

@@ -392,19 +392,24 @@ def test_render_deterministic(tmp_path, capsys):
     assert b"<svg" in out1.read_bytes()
 
 
-# sha256 of `render 2x8 INDEX`, taken before the walk budget was added
-RENDER_2X8_SHA256 = {
-    0: "7548f943b23b151f53879297b2bb2861915e0f1c871c86f20ea31fb206a02b71",
-    1234: "61a7d3e118f452f3e083a6b768359b0ae98011ca0552f39a694dc2aaed2cf4df",
-    7572: "647be51f893cdf56d032d72586c2d2948ec13513e16643cf0e769e65750e6ff7",
+# sha256 of `render ARGS`: the 2x8 rows taken before the walk budget was
+# added, the others before the red edges were drawn from the column masks.
+# 1x6 tiling 1 has one horizontal domino; 2x6 dominoes-only tiling 3 has
+# both horizontal and vertical ones.
+RENDER_SHA256 = {
+    "2x8 0": "7548f943b23b151f53879297b2bb2861915e0f1c871c86f20ea31fb206a02b71",
+    "2x8 1234": "61a7d3e118f452f3e083a6b768359b0ae98011ca0552f39a694dc2aaed2cf4df",
+    "2x8 7572": "647be51f893cdf56d032d72586c2d2948ec13513e16643cf0e769e65750e6ff7",
+    "1x6 1": "bc185004243947293f75baa15ecc30009e73fc97ed51c7895afe030ce5ab495e",
+    "2x6 3 --dominoes-only": "91b66a6512b23c7c3bb50e60444935820270a7ff8282888c1c446a9ee9ea8a25",
 }
 
 
-@pytest.mark.parametrize("index", RENDER_2X8_SHA256)
-def test_render_2x8_bytes_are_pinned(tmp_path, capsys, index):
+@pytest.mark.parametrize("args", RENDER_SHA256, ids=lambda args: "-".join(args.replace("--", "").split()))
+def test_render_bytes_are_pinned(tmp_path, capsys, args):
     out = tmp_path / "x.svg"
-    assert run(capsys, "render", "2x8", str(index), "--out", str(out))[0] == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == RENDER_2X8_SHA256[index]
+    assert run(capsys, "render", *args.split(), "--out", str(out))[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RENDER_SHA256[args]
 
 
 def test_render_refuses_more_walks_than_its_budget(tmp_path, capsys, monkeypatch):
@@ -529,7 +534,10 @@ def _fresh(*args):
 @pytest.mark.parametrize("code, not_loaded, loaded", [
     ("cli.build_parser()", NOT_LOADED_BY_PARSER, ["tilewalks.errors"]),
     ("cli.main(['seq', 'w', '--upto', '10'])", NOT_LOADED_BY_SEQ, ["tilewalks.recurrences"]),
-], ids=["build_parser", "seq"])
+    ("import os; cli.main(['render', '2x6', '3', '--dominoes-only', '--out', os.devnull])",
+     ["tilewalks.recurrences", "tilewalks.polynomials", "decimal"],
+     ["tilewalks.render", "tilewalks.walks", "tilewalks.boards"]),
+], ids=["build_parser", "seq", "render"])
 def test_a_command_imports_only_what_it_runs(code, not_loaded, loaded):
     names = not_loaded + loaded
     proc = _fresh("-c", f"import sys, tilewalks.cli as cli; {code}; "

@@ -1,5 +1,5 @@
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import product
 from math import comb
 from operator import add
@@ -8,8 +8,6 @@ import pytest
 
 from tilewalks.boards import (
     Board,
-    EdgeId,
-    Orientation,
     PartialKind,
     TileKind,
     TilePlacement,
@@ -17,9 +15,8 @@ from tilewalks.boards import (
     count_tilings,
     enumerate_partial_tilings,
     enumerate_tilings,
-    forbidden_edges,
 )
-from tilewalks import walks
+from tilewalks import boards, walks
 from tilewalks.boards import _column_fills, _raw_tilings, _taken
 from tilewalks.cli import SEQUENCES
 from tilewalks.closedforms import fib
@@ -124,16 +121,48 @@ def test_enumerate_walks_on_a_board_deeper_than_the_recursion_limit():
     assert walks[-1] == ("U",) + ("R",) * n
 
 
+def edge_model_mismatches(til):
+    """The walk functions that disagree with the edge model on every grid
+    edge: count_walks_for_tiling on a line of x = n, enumerate_walks on a
+    vertex, read as the distinct prefixes of its walks that end there. Each
+    vertex reaches (n, rows), as no vertex has both its climb and its step
+    right blocked, so each walk to it is such a prefix."""
+    rows, n = til.board.rows, til.board.cols
+    ways = edge_model(til, region=False)
+    prefixes = {w[:k] for w in enumerate_walks(til) for k in range(n + rows + 1)}
+    found = []
+    if any(count_walks_for_tiling(til, y) != ways[n, y] for y in range(rows + 1)):
+        found.append("count_walks_for_tiling")
+    if dict(Counter((p.count("R"), p.count("U")) for p in prefixes)) != ways:
+        found.append("enumerate_walks")
+    return found
+
+
 def test_enumerate_walks_matches_count():
-    # the column-step kernel against the independent edge-set model
+    # both walk functions read the column masks; the edge model reads none
     for rows in (1, 2):
         for n in range(7):
             for squares in (True, False):
                 for til in enumerate_tilings(Board(rows, n), squares_allowed=squares):
-                    assert len(enumerate_walks(til)) == count_walks_for_tiling(til, rows)
+                    assert edge_model_mismatches(til) == []
         for kind in PartialKind:
             for til in enumerate_partial_tilings(Board(2, n + 1), kind):
-                assert len(enumerate_walks(til)) == count_walks_for_tiling(til, 2)
+                assert edge_model_mismatches(til) == []
+
+
+def test_the_walk_functions_fail_the_edge_model_on_a_misplaced_cross_bit(monkeypatch):
+    # negative control: a vertical domino that sets its cross bit one row
+    # low blocks the step onto (1, 0) instead of the one onto (1, 1)
+    til = Tiling(Board(2, 1), (TilePlacement(TileKind.VDOMINO, 1, 1),))
+    assert edge_model_mismatches(til) == []
+    rule = boards._walk_masks
+
+    def one_row_low(tiles):
+        spill, cross = rule(tiles)
+        return spill, cross >> 1
+
+    monkeypatch.setattr(boards, "_walk_masks", one_row_low)
+    assert edge_model_mismatches(til) == ["count_walks_for_tiling", "enumerate_walks"]
 
 
 def per_vertex_step(tiles, ways):
@@ -154,21 +183,27 @@ def edge_model(tiling, region=True):
     """The monotone walks from (0, 0) to each vertex of the board that never
     cross a domino, by vertex. With `region`, a walk uses a grid edge only
     if the edge bounds a present cell of the tiling's region or lies on
-    x = 0; without it, any grid edge."""
+    x = 0; without it, any grid edge. A domino blocks the edge its two cells
+    share, read from its cells, not from the column masks."""
     present = tiling.board.cells - tiling.removed
-    blocked = forbidden_edges(tiling)
+    blocked = set()  # edges as (lower or left end, upper or right end)
+    for cells in (t.covered_cells() for t in tiling.tiles):
+        if len(cells) == 2:  # a domino: cells (a, b), (c, d) share this edge
+            (a, b), (c, d) = cells
+            blocked.add(((c - 1, d - 1), (a, b)))
 
     def usable(edge, *cells):
-        on_x0 = edge.orientation == Orientation.VERTICAL and edge.x == 0
+        (x0, _), (x1, _) = edge
+        on_x0 = x0 == x1 == 0
         return edge not in blocked and (not region or on_x0 or not present.isdisjoint(cells))
 
     ways = {}
     for x in range(tiling.board.cols + 1):
         for y in range(tiling.board.rows + 1):
             w = int((x, y) == (0, 0))
-            if x and usable(EdgeId(Orientation.HORIZONTAL, x - 1, y), (x, y), (x, y + 1)):
+            if x and usable(((x - 1, y), (x, y)), (x, y), (x, y + 1)):
                 w += ways[x - 1, y]
-            if y and usable(EdgeId(Orientation.VERTICAL, x, y - 1), (x, y), (x + 1, y)):
+            if y and usable(((x, y - 1), (x, y)), (x, y), (x + 1, y)):
                 w += ways[x, y - 1]
             ways[x, y] = w
     return ways
