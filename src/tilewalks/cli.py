@@ -252,15 +252,21 @@ def _verify_theorems():
 
 
 def _verify_lemmas():
-    from .boards import Board, _raw_tilings
+    from itertools import zip_longest
+    from .boards import TileKind, _column_fills
     from .recurrences import agreement_check, verify_intermediate_identities
-    checks = []
-    for n in range(17):
-        hist = [0] * (n // 2 + 1)  # tilings by their number of dominoes
-        for raw in _raw_tilings(Board(1, n)):
-            hist[n - len(raw)] += 1  # k dominoes leave n - k tiles
+    checks, hists = [], {0: [1]}  # per spill into the next column, tilings by number of dominoes
+    for n in range(17):  # the spill-0 list after column n is the histogram of 1xn
         checks.append(agreement_check(f"domino-count-histogram-n{n}",
-                                      [comb(n - k, k) for k in range(n // 2 + 1)], hist))
+                                      [comb(n - k, k) for k in range(n // 2 + 1)], hists[0]))
+        if n == 16:
+            break
+        step = {}  # column n + 1: each fill moves its list by the dominoes it starts
+        for spill, hist in hists.items():
+            for fill, out, _ in _column_fills(1, spill, 0, True):
+                moved = [0] * sum(kind != TileKind.SQUARE for kind, _ in fill) + hist
+                step[out] = [sum(p) for p in zip_longest(step.get(out, ()), moved, fillvalue=0)]
+        hists = step
     return checks + verify_intermediate_identities(30)
 
 

@@ -4,9 +4,8 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
 
-from .errors import NonIntegralStep
+from .errors import NonIntegralStep, _check
 from .qsqrt5 import ALPHA, BETA, SQRT5, QSqrt5
-from .recurrences import _check
 
 
 def _fib_pair(n):

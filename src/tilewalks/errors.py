@@ -1,4 +1,4 @@
-"""Exception types and the check result shared across the package."""
+"""Exception types, and the check result and range check shared across the package."""
 
 from typing import NamedTuple
 
@@ -12,6 +12,15 @@ class CheckResult(NamedTuple):
     expected: object = None
     actual: object = None
     first_failure: int = None
+
+
+def _check(name, lo, hi, pred):
+    """`pred(n)` holds for n = lo..hi, checked in order; the first n where it
+    does not is the failure."""
+    for n in range(lo, hi + 1):
+        if not pred(n):
+            return CheckResult(name, False, first_failure=n)
+    return CheckResult(name, True)
 
 
 class TileWalksError(Exception):

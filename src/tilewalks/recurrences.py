@@ -32,7 +32,7 @@ from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZ
                      InvalidOperation, Overflow, Rounded, setcontext)
 from functools import lru_cache, partial
 
-from .errors import CheckResult, NonIntegralStep, UnstratifiableSystem
+from .errors import NonIntegralStep, UnstratifiableSystem, _check
 from .polynomials import IntPoly, expand
 
 
@@ -277,13 +277,6 @@ def domino_only_recurrence():
     """The 6th-order recurrence for walk totals on dominoes-only tilings."""
     return CoupledSystemSpec("w-domino", {"w-domino": {"w-domino": (0, 2, 2, -4, -2, 2, 1)}},
                              {"w-domino": (1, 2, 6, 12, 26, 50)})
-
-
-def _check(name, lo, hi, pred):
-    for n in range(lo, hi + 1):
-        if not pred(n):
-            return CheckResult(name, False, first_failure=n)
-    return CheckResult(name, True)
 
 
 def agreement_check(name, *tables):

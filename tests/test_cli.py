@@ -537,7 +537,10 @@ def _fresh(*args):
     ("import os; cli.main(['render', '2x6', '3', '--dominoes-only', '--out', os.devnull])",
      ["tilewalks.recurrences", "tilewalks.polynomials", "decimal"],
      ["tilewalks.render", "tilewalks.walks", "tilewalks.boards"]),
-], ids=["build_parser", "seq", "render"])
+    ("cli.main(['seq', 'v', '--upto', '10', '--route', 'closed'])",
+     ["tilewalks.recurrences", "tilewalks.polynomials"],
+     ["tilewalks.closedforms", "tilewalks.qsqrt5"]),
+], ids=["build_parser", "seq", "render", "seq-closed"])
 def test_a_command_imports_only_what_it_runs(code, not_loaded, loaded):
     names = not_loaded + loaded
     proc = _fresh("-c", f"import sys, tilewalks.cli as cli; {code}; "
@@ -593,6 +596,40 @@ def test_verify_reports_the_first_failing_n(capsys, monkeypatch, suite, term, at
     assert main(["verify", suite]) == 1
     failed = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
     assert [(c["name"], c["first_failure"]) for c in failed] == [(check, at)]
+
+
+def _lemmas_checks(capsys):
+    code = main(["verify", "lemmas"])
+    return code, json.loads(capsys.readouterr().out)["checks"]
+
+
+def test_verify_lemmas_enumerates_no_tiling(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify lemmas enumerated tilings")
+
+    monkeypatch.setattr(boards, "_raw_tilings", refuse)
+    monkeypatch.setattr(boards, "enumerate_tilings", refuse)
+    code, checks = _lemmas_checks(capsys)
+    assert code == 0 and all(c["passed"] for c in checks)
+    names = [c["name"] for c in checks]
+    assert len(set(names)) == len(names) == 27
+    assert names[:17] == [f"domino-count-histogram-n{n}" for n in range(17)]
+
+
+def test_verify_lemmas_fails_without_horizontal_dominoes(capsys, monkeypatch):
+    fills = boards._column_fills
+
+    def no_hdomino(*args):
+        return tuple(f for f in fills(*args)
+                     if all(kind != boards.TileKind.HDOMINO for kind, _ in f[0]))
+
+    monkeypatch.setattr(boards, "_column_fills", no_hdomino)
+    code, checks = _lemmas_checks(capsys)
+    failed = [c for c in checks if not c["passed"]]
+    assert code == 1
+    # 1x2 has one tiling with a domino, so its list of counts ends one entry early
+    assert (failed[0]["name"], failed[0]["first_failure"]) == ("domino-count-histogram-n2", 1)
+    assert {c["name"] for c in failed} == {f"domino-count-histogram-n{n}" for n in range(2, 17)}
 
 
 # Per subcommand: argv that exits 0, argv that exits 1 once the closed form
