@@ -12,6 +12,8 @@ from math import comb
 from .errors import (DEFAULT_BUDGET, CheckResult, OutputNotWritable, TileWalksError,
                      UnknownSequence)
 
+BLOCK = 64 * 1024  # characters of a csv, text or bfile table per write to stdout
+
 
 def _text(value):
     """One side of a check as the report prints it: str() of the object, so
@@ -143,8 +145,8 @@ SEQUENCES = {
 
 
 def cmd_seq(args, report):
-    """The columns of the sequence by each route asked for, printed a row at
-    a time as the routes make them, with each route's time in the report and
+    """The columns of the sequence by each route asked for, read a row at a
+    time as the routes make them, with each route's time in the report and
     one agreement check for each column after the first of each member."""
     if args.name not in SEQUENCES:
         raise UnknownSequence(f"unknown sequence {args.name!r}")
@@ -215,16 +217,23 @@ def _emit_table(args, keys, rows, report):
     if args.format == "json":  # the run report, with the table
         columns = dict(zip(keys, map(list, zip(*_rows(rows)))))  # the rows go before encoding
         print(report.to_json(name=args.name, columns=columns))
-    elif args.format == "bfile":
-        if len(keys) != 1:
-            print("# b-file output uses the first route only")
-        for n, (text,) in enumerate(_rows(row[:1] for row in rows)):
-            print(f"{n} {text}")
+        return
+    if args.format == "bfile":  # "n value" of the first route, with no header
+        sep, rows = " ", (row[:1] for row in rows)
+        block = [] if len(keys) == 1 else ["# b-file output uses the first route only"]
     else:  # csv or text: a header, then one row per n
         sep = "," if args.format == "csv" else "\t"
-        print(sep.join(["n"] + keys))
+        block = [sep.join(["n"] + keys)]
+    size = 0
+    try:  # the lines made before an error reach stdout before it propagates
         for n, texts in enumerate(_rows(rows)):
-            print(sep.join([str(n)] + texts))
+            block.append(sep.join([str(n)] + texts))
+            if (size := size + len(block[-1])) >= BLOCK:
+                text, block, size = "\n".join([*block, ""]), [], 0
+                sys.stdout.write(text)
+    finally:
+        if block:
+            sys.stdout.write("\n".join([*block, ""]))
 
 
 # ---------------------------------------------------------------------------

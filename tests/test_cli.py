@@ -257,26 +257,51 @@ def _int_columns(name, upto):
             [str(v) for v in tables[m].values] for m in members}
 
 
+def _table_lines(columns, fmt):
+    """The csv, text or bfile lines of `columns`, built a row at a time."""
+    keys = sorted(columns)
+    if fmt == "bfile":
+        lines = ["# b-file output uses the first route only"] if len(keys) > 1 else []
+        return lines + [f"{n} {v}" for n, v in enumerate(columns[keys[0]])]
+    sep = "," if fmt == "csv" else "\t"
+    lines = [sep.join(["n"] + keys)]
+    return lines + [sep.join((str(n), *row)) for n, row in enumerate(zip(*map(columns.get, keys)))]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "text", "bfile", "json"])
 @pytest.mark.parametrize("name", SYSTEM_COLUMNS)
 def test_system_columns_print_the_int_tables(capsys, name, fmt):
     # seq prints a system column from a base-10 run; it must read exactly
     # as str() of the int table, w(600) having 300 digits
     columns = _int_columns(name, 600)
-    keys = sorted(columns)
     code, out = run(capsys, "seq", name, "--upto", "600", "--format", fmt)
     assert code == 0
     if fmt == "json":
         assert json.loads(out)["columns"] == columns
         return
-    if fmt == "bfile":
-        lines = ["# b-file output uses the first route only"] if len(keys) > 1 else []
-        lines += [f"{n} {v}" for n, v in enumerate(columns[keys[0]])]
-    else:
-        sep = "," if fmt == "csv" else "\t"
-        lines = [sep.join(["n"] + keys)]
-        lines += [sep.join((str(n), *row)) for n, row in enumerate(zip(*map(columns.get, keys)))]
-    assert out == "".join(line + "\n" for line in lines)
+    assert out == "".join(line + "\n" for line in _table_lines(columns, fmt))
+
+
+class _CountingStdout(io.StringIO):
+    """A stdout that counts the calls to its write."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text", "bfile"])
+def test_seq_writes_a_long_table_in_blocks(monkeypatch, fmt):
+    # w to 2000 is about 1 MB of text in 2,001 rows; a print per line made
+    # 4,004 writes, blocks of about 64 KiB make 16
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["seq", "w", "--upto", "2000", "--route", "recurrence", "--format", fmt]) == 0
+    text = out.getvalue()
+    assert text == "".join(line + "\n" for line in _table_lines(_int_columns("w", 2000), fmt))
+    assert out.writes <= len(text.encode()) / 2**16 + 3
 
 
 @pytest.fixture
@@ -309,6 +334,26 @@ def test_seq_stops_where_str_of_the_int_fails(capsys, int_max_str_digits_640):
     assert capsys.readouterr().out == "".join(row + "\n" for row in rows)
 
 
+@pytest.mark.parametrize("fmt", ["text", "bfile"])
+def test_seq_writes_every_row_before_the_one_str_refuses(capsys, int_max_str_digits_640, fmt):
+    # the refused row ends about 400 KB of text, several blocks: the pending
+    # block reaches stdout, in full, before the interpreter's own ValueError
+    texts = []
+    for value in recurrences.eval_system(recurrences.walk_system(), 1300, ("r2",))["r2"].values:
+        try:
+            texts.append(str(value))
+        except ValueError as exc:
+            message = str(exc)
+            break
+    assert 1000 < len(texts) < 1300
+    with pytest.raises(ValueError) as raised:
+        main(["seq", "w", "--upto", "1300", "--route", "recurrence", "--format", fmt])
+    assert str(raised.value) == message
+    out = capsys.readouterr().out
+    assert len(out) > 4 * 2**16
+    assert out == "".join(line + "\n" for line in _table_lines({"recurrence": texts}, fmt))
+
+
 def test_seq_restores_the_decimal_context_where_str_of_the_int_fails(
         capsys, int_max_str_digits_640):
     # the ValueError's traceback holds the open stream, whose exact context
@@ -333,8 +378,9 @@ def test_seq_restores_the_decimal_context_after_a_closed_pipe(monkeypatch):
                                   if "recurrence" in routes])
 def test_seq_keeps_one_row_at_a_time(monkeypatch, name):
     # traced peak of the w table to 4000 (values to about 2,000 digits):
-    # 2.1 MiB when the whole column was held, about 0.07 MiB streamed; the
-    # v table, about 0.9 MiB held
+    # 2.1 MiB when the whole column was held, about 0.07 MiB with a write
+    # per row, about 0.25 MiB with blocks of 64 KiB; the v table, about
+    # 0.9 MiB held
     argv = ["seq", name, "--upto", "4000", "--route", "recurrence", "--format", "csv"]
     with open(os.devnull, "w") as devnull:
         monkeypatch.setattr(sys, "stdout", devnull)
