@@ -1,5 +1,9 @@
 """Command-line front end: compute, verify and render. Importing it loads
-only `errors` of the package; each command imports what it runs."""
+only `errors` of the package and builds no parser; each command imports what
+it runs. The first `main` call builds the parser, reading the `--route`
+choices from `SEQUENCES` then, and every later call in the process reuses
+it. A command runs as the module's `cmd_<name>`, looked up by name at each
+call."""
 
 import argparse
 import os
@@ -408,30 +412,33 @@ def build_parser():
                        default="text")
     p_seq.add_argument("--budget", type=_size, default=DEFAULT_BUDGET,
                        help="tiling-count cap for the brute route")
-    p_seq.set_defaults(fn=cmd_seq)
 
     p_ver = sub.add_parser("verify", help="run an invariant suite")
     p_ver.add_argument("suite", choices=list(VERIFY_SUITES) + ["all"])
-    p_ver.set_defaults(fn=cmd_verify)
 
     p_ren = sub.add_parser("render", help="render one tiling and its walks as SVG")
     p_ren.add_argument("board", type=_board, help="ROWSxCOLS, e.g. 2x3")
     p_ren.add_argument("index", type=int)
     p_ren.add_argument("--out", required=True)
     p_ren.add_argument("--dominoes-only", action="store_true")
-    p_ren.set_defaults(fn=cmd_render)
     return parser
 
 
+_parser = None  # built by the first main call and reused by every later one
+
+
 def main(argv=None):
+    global _parser
     argv = sys.argv[1:] if argv is None else list(argv)
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:  # bad options (2) or --help (0), already printed
         return exc.code
     report = RunReport(argv)
     try:
-        args.fn(args, report)
+        globals()[f"cmd_{args.cmd}"](args, report)  # by name: a rebound cmd_* is the one run
         if args.cmd != "seq":  # seq prints its report only as --format json
             print(report.to_json())
         sys.stdout.flush()  # a closed pipe raises here at the latest, not at exit

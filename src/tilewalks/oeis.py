@@ -39,12 +39,18 @@ def parse_bfile(sequence_id, text):
     return BFile(sequence_id, tuple(entries))
 
 
+_LOADED = {}  # BFile by id: each embedded b-file is parsed once per process
+
+
 def load_fixture(sequence_id):
-    """Parse one of the b-files embedded in the package."""
+    """Parse one of the b-files embedded in the package, or return the BFile
+    of its first parse: a BFile is frozen and its entries are a tuple."""
     if sequence_id not in FIXTURE_IDS:
         raise UnknownFixture(f"no fixture for {sequence_id}")
-    text = (resources.files("tilewalks.fixtures") / f"b{sequence_id[1:]}.txt").read_text()
-    return parse_bfile(sequence_id, text)
+    if sequence_id not in _LOADED:
+        text = (resources.files("tilewalks.fixtures") / f"b{sequence_id[1:]}.txt").read_text()
+        _LOADED[sequence_id] = parse_bfile(sequence_id, text)
+    return _LOADED[sequence_id]
 
 
 class OffsetMatch(NamedTuple):

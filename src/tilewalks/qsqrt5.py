@@ -16,6 +16,8 @@ class QSqrt5:
 
     def __new__(cls, a, b=0):
         """a + b*sqrt(5) for rationals a, b."""
+        if type(a) is int and type(b) is int:  # not a bool: that goes through Fraction
+            return _new(a, b, 1)
         a, b = Fraction(a), Fraction(b)
         q = lcm(a.denominator, b.denominator)
         return _new(a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q)
@@ -72,8 +74,8 @@ class QSqrt5:
 
     def __pow__(self, k):
         if k < 0:
-            return QSqrt5(1) / self ** (-k)
-        result, base = QSqrt5(1), self
+            return _ONE / self ** (-k)
+        result, base = _ONE, self
         while k:
             if k & 1:
                 result = result * base
@@ -102,13 +104,15 @@ class QSqrt5:
         return f"QSqrt5(a={self.a!r}, b={self.b!r})"
 
 
-def _new(p, r, q, _set=object.__setattr__):
-    """The canonical triple of (p + r*sqrt5)/q, for any q != 0."""
+def _new(p, r, q, _set_p=QSqrt5.p.__set__, _set_r=QSqrt5.r.__set__,
+         _set_q=QSqrt5.q.__set__):
+    """The canonical triple of (p + r*sqrt5)/q, for any q != 0. The slots are
+    set through their descriptors, past the refusing __setattr__."""
     g = gcd(p, r, q) if q > 0 else -gcd(p, r, q)
     x = object.__new__(QSqrt5)
-    _set(x, "p", p // g)
-    _set(x, "r", r // g)
-    _set(x, "q", q // g)
+    _set_p(x, p // g)
+    _set_r(x, r // g)
+    _set_q(x, q // g)
     return x
 
 
@@ -118,6 +122,7 @@ def _coerce(x):
     return x if isinstance(x, QSqrt5) else QSqrt5(x)
 
 
+_ONE = _new(1, 0, 1)
 SQRT5 = QSqrt5(0, 1)
 ALPHA = QSqrt5(Fraction(1, 2), Fraction(1, 2))  # (1 + sqrt5)/2
 BETA = QSqrt5(Fraction(1, 2), Fraction(-1, 2))  # (1 - sqrt5)/2

@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import tilewalks
-from tilewalks import boards, closedforms, recurrences, walks
+from tilewalks import boards, cli, closedforms, recurrences, walks
 from tilewalks.cli import SEQUENCES, _system_column, build_parser, main
+from tilewalks.errors import CheckResult
 from tilewalks.oeis import parse_bfile
 
 
@@ -709,3 +710,57 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch, cmd):
         monkeypatch.setitem(SEQUENCES["v"], "closed",
                             lambda upto, budget: (("",), [(bad_v(n),) for n in range(upto + 1)]))
         assert exit_code(failing) == 1
+
+
+# main builds the parser on its first call and reuses it, so nothing that a
+# call parses, refuses or prints may carry over into the next call.
+GOOD_CALL = "seq w --upto 8 --route all --format csv"
+
+
+def test_calls_of_main_build_one_parser_tree(capsys, monkeypatch):
+    imported = _fresh("-c", "import tilewalks.cli as cli; print(cli._parser)")
+    assert imported.stdout == "None\n"  # importing cli builds nothing
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    build_parser()
+    tree = len(built)  # the parser and one for each subcommand
+    assert tree == 1 + len(EXIT_CODES)
+    built.clear()
+    monkeypatch.setattr(cli, "_parser", None)  # as in a fresh process
+    for command in [GOOD_CALL, "seq w --bogus", "--help", "verify lemmas", GOOD_CALL] * 3:
+        main(command.split())
+    capsys.readouterr()
+    assert len(built) == tree
+
+
+@pytest.mark.parametrize("before, code", [
+    ("seq w --bogus", 2),
+    ("--help", 0),
+    ("seq w --upto 3 --route brute --budget 0", 2),  # refused: 22 tilings of 2x3
+], ids=["bad-option", "help", "refused"])
+def test_a_call_after_a_failed_one_prints_what_it_prints_alone(capsys, before, code):
+    alone = _fresh("-m", "tilewalks.cli", *GOOD_CALL.split())
+    assert main(before.split()) == code
+    capsys.readouterr()
+    after = main(GOOD_CALL.split())
+    assert (capsys.readouterr(), after) == ((alone.stdout, alone.stderr), alone.returncode)
+    assert alone.returncode == 0 and len(alone.stdout.splitlines()) == 10
+
+
+def test_main_runs_the_command_bound_at_call_time(capsys, monkeypatch):
+    # the benchmark's tracer rebinds cmd_* after earlier calls have built the parser
+    assert main(["seq", "fib", "--upto", "0"]) == 0
+    capsys.readouterr()
+
+    def stub(args, report):
+        report.checks.append(CheckResult(f"stub:{args.suite}", True))
+
+    monkeypatch.setattr(cli, "cmd_verify", stub)
+    assert main(["verify", "lemmas"]) == 0
+    assert [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]] == ["stub:lemmas"]

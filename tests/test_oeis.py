@@ -2,6 +2,7 @@ import pytest
 
 from tilewalks.errors import BFileParseError, InsufficientOverlap, UnknownFixture
 from tilewalks.oeis import (
+    FIXTURE_IDS,
     find_offset_shift,
     load_fixture,
     parse_bfile,
@@ -25,6 +26,14 @@ def test_fixture_first_terms():
 def test_unknown_fixture():
     with pytest.raises(UnknownFixture):
         load_fixture("A999999")
+
+
+def test_each_fixture_is_parsed_once():
+    for seq_id in FIXTURE_IDS:
+        assert load_fixture(seq_id) is load_fixture(seq_id)
+    for _ in range(2):  # an unknown id is refused on every call, not remembered
+        with pytest.raises(UnknownFixture):
+            load_fixture("A999999")
 
 
 def test_fixture_roundtrip():

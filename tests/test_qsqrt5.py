@@ -173,11 +173,28 @@ def test_spellings_of_one_value_have_one_triple():
     assert ALPHA * ALPHA == ALPHA + 1 and hash(ALPHA * ALPHA) == hash(ALPHA + 1)
     assert QSqrt5(-2, -4) / -2 == QSqrt5(1, 2)
     assert {QSqrt5(3), QSqrt5(Fraction(7, 2))} == {3, Fraction(7, 2)}
+    for one in (QSqrt5(True, False), QSqrt5(1), ALPHA ** 0):  # a bool reads as the int it equals
+        assert (one.p, one.r, one.q) == (1, 0, 1)
+        assert type(one.p) is type(one.r) is int
+
+
+big = st.integers(-10**30, 10**30)
+
+
+@given(big, big)
+def test_int_and_fraction_arguments_give_one_triple(a, b):
+    spellings = [QSqrt5(a, b), QSqrt5(Fraction(a), Fraction(b)), QSqrt5(a, Fraction(b)),
+                 QSqrt5(Fraction(a), b)]
+    for x in spellings:
+        assert (x.p, x.r, x.q) == (a, b, 1)
+        assert type(x.p) is type(x.r) is type(x.q) is int
+    assert QSqrt5(a) == QSqrt5(Fraction(a)) == a
 
 
 def test_repr_round_trips_and_values_are_immutable():
     x = QSqrt5(Fraction(-3, 4), Fraction(5, 6))
     assert eval(repr(x)) == x
     assert repr(x) == "QSqrt5(a=Fraction(-3, 4), b=Fraction(5, 6))"
-    with pytest.raises(AttributeError):
-        x.p = 1
+    for y in (x, QSqrt5(2, 3), x ** 0):  # made through Fraction, from ints, and the shared one
+        with pytest.raises(AttributeError):
+            y.p = 1

@@ -1,8 +1,9 @@
 """The names and parameters that the benchmark looks up in the package.
 
 `perfbench/tracer.py` wraps these by name and reads these parameters in its
-work counters, and `perfbench/workloads.py` calls the closed forms by name,
-so a rename would otherwise show only in a benchmark run.
+work counters, `perfbench/workloads.py` calls the closed forms by name, and
+the set-up time of `perfbench/run.py` calls `cli.build_parser`, so a rename
+would otherwise show only in a benchmark run.
 """
 
 import importlib
@@ -21,6 +22,11 @@ FUNCTIONS = [
     ("boards", "count_tilings"),
     ("closedforms", "w_domino_ceiling"),
     ("closedforms", "w_domino_explicit"),
+    # cli.main runs cmd_<command> by name, so the wrapped one is the one run
+    ("cli", "cmd_seq"),
+    ("cli", "cmd_verify"),
+    ("cli", "cmd_render"),
+    ("cli", "build_parser"),
 ]
 CLASSES = [
     ("boards", "Board"),
