@@ -1,4 +1,4 @@
-"""Boards, tiles, tilings and exhaustive tiling enumeration.
+"""Boards, tiles, tilings, and their counting and unranking.
 
 Cells are addressed (col, row) with col in 1..n and row in 1..rows.
 Grid vertices are (x, y) with x in 0..n and y in 0..rows; walks run from
@@ -139,14 +139,17 @@ def _column_fills(rows, occupied, closed, squares_allowed):
 
 
 def _taken(board, partial):
-    """Rows of each column 0..n+1 covered before the search, as masks, with
+    """Rows of each column 0..n+1 covered before any fill, as masks, with
     column n+1 closed: a `partial` shape's removed cells and the cells of
     the tiles it forces. None for a shape that does not fit the board, one
-    with such a cell left of column 1."""
+    with such a cell left of column 1; a ValueError for a shape on a board
+    without two rows."""
     n, rows = board.cols, board.rows
     taken = [0] * (n + 2)
     taken[n + 1] = (1 << rows) - 1
     if partial is not None:
+        if rows != 2:
+            raise ValueError("partial tilings are defined for 2xn boards only")
         removed, forced = _partial_setup(board, partial)
         for j, r in removed.union(*(t.covered_cells() for t in forced)):
             if j < 1:
@@ -155,93 +158,73 @@ def _taken(board, partial):
     return taken
 
 
-def _completions(rows, after, occupied, closed, squares_allowed):
-    """Covers of columns j..n per spill into column j, from `after`, the
-    covers of columns j+1..n per spill into column j+1; `occupied` and
-    `closed` are the taken rows of columns j and j+1."""
-    return [sum(after[out] for _, out, _ in _column_fills(
-        rows, spill | occupied, closed, squares_allowed)) for spill in range(1 << rows)]
+def _completion_rows(rows, taken, squares_allowed):
+    """The completion rows of the columns n+1, n, ..., 1 of the board whose
+    `_taken` masks are `taken`: row j counts, per spill into column j, the
+    covers of columns j..n, from row j+1 and column j's fills (the transfer
+    counts of Stanley, EC I, section 4.7). Row n+1 counts the empty cover."""
+    after = [1] + [0] * ((1 << rows) - 1)
+    yield after
+    for j in range(len(taken) - 2, 0, -1):
+        after = [sum(after[out] for _, out, _ in _column_fills(
+            rows, spill | taken[j], taken[j + 1], squares_allowed)) for spill in range(1 << rows)]
+        yield after
 
 
-def _raw_tilings(board, squares_allowed=True, partial=None):
-    """Cover stream in canonical order; yields a live list of TilePlacements,
-    consume at once.
-
-    A depth-first search over a table of every column's fills, built once
-    per call: fills[j][spill] lists the covers of column j, given the rows
-    `spill` that column j-1's horizontal dominoes cover, as (TilePlacements,
-    spill into column j+1) in canonical order, so the stream is
-    lexicographic over sorted tile lists. A `partial` shape starts with its
-    taken masks, and the tiles it forces are not in the stream; a shape
-    that does not fit the board has no tilings.
-    """
+def count_tilings(board, squares_allowed=True, partial=None):
+    """Tilings of the board, or of its truncated `partial` shape: row 1 of
+    its completion rows, keeping one row at a time, without enumerating."""
     taken = _taken(board, partial)
     if taken is None:
-        return
-    n, rows, tiles = board.cols, board.rows, []
-    if n == 0:
-        yield tiles
-        return
-    fills = [None] + [
-        [[(tuple(TilePlacement(k, j, r) for k, r in fill), out)
-          for fill, out, _ in _column_fills(
-              rows, spill | taken[j], taken[j + 1], squares_allowed)]
-         for spill in range(1 << rows)]
-        for j in range(1, n + 1)
-    ]
-    stack = [(0, iter(fills[1][0]))]  # (length of `tiles` before the column, fills)
-    while stack:
-        mark, it = stack[-1]
-        for col_tiles, spill in it:
-            tiles[mark:] = col_tiles
-            if len(stack) < n:
-                stack.append((len(tiles), iter(fills[len(stack) + 1][spill])))
-                break
-            yield tiles
-        else:
-            stack.pop()
+        return 0
+    for after in _completion_rows(board.rows, taken, squares_allowed):
+        pass
+    return after[0]
+
+
+def _unranker(board, squares_allowed, partial=None):
+    """(count, tiles_at) for the covers of the board or of its `partial`
+    shape, without the shape's forced tiles. tiles_at(i) is the tile list
+    of cover i in enumeration order, lexicographic over sorted tile lists:
+    each column takes the first fill whose completions reach past the
+    index, in `_column_fills` order, and skips the ones before it. It keeps
+    every completion row while it lives, n rows of O(n)-bit counts."""
+    taken = _taken(board, partial)
+    if taken is None:
+        return 0, None
+    rows = board.rows
+    # after[j]: covers of columns j+1..n, per spill into column j+1
+    after = list(_completion_rows(rows, taken, squares_allowed))[::-1]
+
+    def tiles_at(index):
+        tiles, spill = [], 0
+        for j in range(1, board.cols + 1):
+            for fill, out, _ in _column_fills(rows, spill | taken[j], taken[j + 1], squares_allowed):
+                if index < after[j][out]:
+                    break
+                index -= after[j][out]
+            tiles += (TilePlacement(k, j, r) for k, r in fill)
+            spill = out
+        return tuple(tiles)
+
+    return after[0][0], tiles_at
 
 
 def enumerate_tilings(board, squares_allowed=True):
     """All exact covers of the board, in deterministic lexicographic order."""
-    return [Tiling(board, tuple(raw)) for raw in _raw_tilings(board, squares_allowed)]
-
-
-def count_tilings(board, squares_allowed=True, partial=None):
-    """Tilings of the board, or of its truncated `partial` shape, from one
-    row of completion counts carried from the last column to the first,
-    without enumerating or keeping a table."""
-    taken = _taken(board, partial)
-    if taken is None:
-        return 0
-    after = [1] + [0] * ((1 << board.rows) - 1)
-    for j in range(board.cols, 0, -1):
-        after = _completions(board.rows, after, taken[j], taken[j + 1], squares_allowed)
-    return after[0]
+    total, tiles_at = _unranker(board, squares_allowed)
+    return [Tiling(board, tiles_at(i)) for i in range(total)]
 
 
 def tiling_at(board, index, squares_allowed=True):
-    """The tiling at `index` of the enumeration order, in O(n 2^rows) steps:
-    each column skips the fills whose completions all come before it, from
-    the completion rows of `count_tilings`, kept for every column."""
-    rows, n = board.rows, board.cols
-    taken = _taken(board, None)
-    after = [None] * (n + 1) + [[1] + [0] * ((1 << rows) - 1)]
-    for j in range(n, 0, -1):
-        after[j] = _completions(rows, after[j + 1], taken[j], taken[j + 1], squares_allowed)
-    total = after[1][0]
+    """The tiling at `index` of the enumeration order, unranked in O(n)
+    column steps; n completion rows of O(n)-bit counts are kept while it
+    runs, so its memory is quadratic in n."""
+    total, tiles_at = _unranker(board, squares_allowed)
     if not 0 <= index < total:
         raise IndexError(f"tiling index {index} outside 0..{total - 1}" if total
-                         else f"{rows}x{n} has no dominoes-only tilings")
-    tiles, spill = [], 0
-    for j in range(1, n + 1):
-        for fill, out, _ in _column_fills(rows, spill, taken[j + 1], squares_allowed):
-            if index < after[j + 1][out]:
-                break
-            index -= after[j + 1][out]
-        tiles += (TilePlacement(k, j, r) for k, r in fill)
-        spill = out
-    return Tiling(board, tuple(tiles))
+                         else f"{board.rows}x{board.cols} has no dominoes-only tilings")
+    return Tiling(board, tiles_at(index))
 
 
 def _partial_setup(board, kind):
@@ -258,12 +241,9 @@ def _partial_setup(board, kind):
 
 
 def enumerate_partial_tilings(board, kind):
-    """Exact covers of a truncated 2xn board of shape A, C, or D: each cover
-    of the search with the shape's forced tiles added in canonical order."""
-    if board.rows != 2:
-        raise ValueError("partial tilings are defined for 2xn boards only")
-    if board.cols < 1:
-        raise ValueError("partial tilings need n >= 1")
+    """Exact covers of a truncated 2xn board of shape A, C, or D: each
+    unranked cover with the shape's forced tiles added in canonical order."""
+    total, tiles_at = _unranker(board, True, kind)
     removed, forced = _partial_setup(board, kind)
-    return [Tiling(board, tuple(sorted((*raw, *forced), key=TilePlacement.sort_key)), removed)
-            for raw in _raw_tilings(board, partial=kind)]
+    return [Tiling(board, tuple(sorted((*tiles_at(i), *forced), key=TilePlacement.sort_key)),
+                   removed) for i in range(total)]

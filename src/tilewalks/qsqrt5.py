@@ -47,9 +47,6 @@ class QSqrt5:
         o = _coerce(other)
         return _new(self.p * o.q - o.p * self.q, self.r * o.q - o.r * self.q, self.q * o.q)
 
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
     def __neg__(self):
         return _new(-self.p, -self.r, self.q)
 
@@ -68,9 +65,6 @@ class QSqrt5:
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt5)")
         return _new((p1 * p2 - 5 * r1 * r2) * q2, (r1 * p2 - p1 * r2) * q2, self.q * n)
-
-    def __rtruediv__(self, other):
-        return _coerce(other) / self
 
     def __pow__(self, k):
         if k < 0:

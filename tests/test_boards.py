@@ -12,14 +12,21 @@ from tilewalks.boards import (
     TileKind,
     TilePlacement,
     Tiling,
-    _raw_tilings,
     _taken,
     count_tilings,
     enumerate_partial_tilings,
     enumerate_tilings,
     tiling_at,
 )
+from tilewalks import boards
 from tilewalks.recurrences import eval_system, tiling_system
+from tilewalks.walks import brute_line_totals
+
+
+def search_counts(rows, upto, kind=None):
+    # line 0 of the walks' fan search, which shares only `_taken` and
+    # `_column_fills` with the completion rows
+    return [t[0] for t in brute_line_totals(rows, upto, partial=kind)]
 
 
 def fib(n):
@@ -86,11 +93,7 @@ def test_1xn_enumeration_matches_count():
 
 
 def test_2xn_count_recurrence():
-    from tilewalks.boards import _raw_tilings
-
-    # count the raw enumeration stream; building 10^6 Tiling objects with
-    # full exact-cover validation is needlessly slow for a pure count
-    counts = [sum(1 for _ in _raw_tilings(Board(2, n))) for n in range(13)]
+    counts = search_counts(2, 12)
     assert counts[:3] == [1, 2, 7]
     for n in range(3, 13):
         assert counts[n] == 3 * counts[n - 1] + counts[n - 2] - counts[n - 3]
@@ -150,6 +153,34 @@ def test_partial_tiling_examples():
 PARTIAL_TILINGS_SHA256 = "ce91eb7c9080a8278dd398ede248aaa0fc8341cd6f4ccb47ce2d8223841cdcdf"
 
 
+# sha256 of the (kind, col, row) lists of the tilings of the 1xn boards,
+# n <= 14, and of the 2xn boards, n <= 8, in both modes, as the depth-first
+# search over column fills listed them before the unranker replaced it
+TILINGS_SHA256 = "68914914dc7c3dfaac8a4961f310bbc854bb384b86a1a243d021cb5faae95c2c"
+
+
+def tilings_digest():
+    digest = hashlib.sha256()
+    for squares_allowed in (True, False):
+        for rows, upto in ((1, 14), (2, 8)):
+            for n in range(upto + 1):
+                digest.update(repr([[(int(t.kind), t.col, t.row) for t in til.tiles] for til
+                                    in enumerate_tilings(Board(rows, n), squares_allowed)]).encode())
+    return digest.hexdigest()
+
+
+def test_tilings_keep_their_tiles_and_order():
+    assert tilings_digest() == TILINGS_SHA256
+
+
+def test_the_tiling_digest_sees_another_fill_order(monkeypatch):
+    # the same fills, last first: the counts hold, the order does not
+    fills = boards._column_fills
+    monkeypatch.setattr(boards, "_column_fills", lambda *args: fills(*args)[::-1])
+    assert count_tilings(Board(2, 8)) == 7573
+    assert tilings_digest() != TILINGS_SHA256
+
+
 def test_partial_tilings_keep_their_tiles_and_order():
     digest = hashlib.sha256()
     for kind in PartialKind:
@@ -166,14 +197,24 @@ def test_a_shape_fits_exactly_the_boards_as_wide_as_its_cells(kind, width):
         assert (_taken(Board(2, n), kind) is None) == (n < width), n
 
 
-def test_partial_counts_satisfy_coupled_system():
-    def counts(n, kind):  # on the stream, without building Tiling objects
-        return sum(1 for _ in _raw_tilings(Board(2, n), True, kind))
+@pytest.mark.parametrize("kind", list(PartialKind), ids=lambda kind: kind.name)
+def test_a_shape_on_one_row_is_refused_by_every_path(kind):
+    message = "^partial tilings are defined for 2xn boards only$"
+    for refused in (lambda: count_tilings(Board(1, 5), True, kind),
+                    lambda: brute_line_totals(1, 5, partial=kind),
+                    lambda: enumerate_partial_tilings(Board(1, 5), kind)):
+        with pytest.raises(ValueError, match=message):
+            refused()
 
-    r = [counts(n, None) for n in range(11)]
-    a = [counts(n, PartialKind.A) for n in range(11)]
-    c = [counts(n, PartialKind.C) for n in range(11)]
-    d = [counts(n, PartialKind.D) for n in range(11)]
+
+@pytest.mark.parametrize("kind", list(PartialKind), ids=lambda kind: kind.name)
+def test_a_shape_on_the_empty_board_has_no_tilings(kind):
+    assert enumerate_partial_tilings(Board(2, 0), kind) == []
+    assert count_tilings(Board(2, 0), True, kind) == 0
+
+
+def test_partial_counts_satisfy_coupled_system():
+    r, a, c, d = (search_counts(2, 10, kind) for kind in (None, *PartialKind))
     for n in range(2, 11):
         assert r[n] == r[n - 1] + a[n] + c[n] + d[n]
         assert a[n] == c[n - 1]
@@ -198,11 +239,12 @@ def test_counts_match_the_tiling_system_and_the_stream():
     tables = eval_system(tiling_system(), 40)
     shapes = {"r": None, "a": PartialKind.A, "c": PartialKind.C, "d": PartialKind.D}
     for name, kind in shapes.items():
+        searched = search_counts(2, 9, kind)
         for n in range(41):
             count = count_tilings(Board(2, n), True, kind)
             assert count == tables[name][n], (name, n)
             if n <= 9:
-                assert count == sum(1 for _ in _raw_tilings(Board(2, n), True, kind))
+                assert count == searched[n], (name, n)
     for n in range(41):
         assert count_tilings(Board(2, n), False) == fib(n + 1)
         assert count_tilings(Board(1, n), False) == 1 - n % 2
@@ -212,12 +254,12 @@ def test_counts_match_the_tiling_system_and_the_stream():
                                    Board(1, 0)], ids=str)
 @pytest.mark.parametrize("squares_allowed", [True, False])
 def test_tiling_at_follows_the_stream(board, squares_allowed):
-    stream = [tuple(raw) for raw in _raw_tilings(board, squares_allowed)]
-    assert len(stream) == count_tilings(board, squares_allowed)
-    assert [tiling_at(board, i, squares_allowed).tiles
-            for i in range(len(stream))] == stream
+    # every board here is in the range that TILINGS_SHA256 pins
+    tilings = enumerate_tilings(board, squares_allowed)
+    assert len(tilings) == count_tilings(board, squares_allowed)
+    assert [tiling_at(board, i, squares_allowed) for i in range(len(tilings))] == tilings
     with pytest.raises(IndexError):
-        tiling_at(board, len(stream), squares_allowed)
+        tiling_at(board, len(tilings), squares_allowed)
 
 
 def test_tiling_at_names_the_range_or_the_board_without_tilings():

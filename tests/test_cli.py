@@ -654,7 +654,7 @@ def test_verify_lemmas_enumerates_no_tiling(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("verify lemmas enumerated tilings")
 
-    monkeypatch.setattr(boards, "_raw_tilings", refuse)
+    monkeypatch.setattr(boards, "_unranker", refuse)
     monkeypatch.setattr(boards, "enumerate_tilings", refuse)
     code, checks = _lemmas_checks(capsys)
     assert code == 0 and all(c["passed"] for c in checks)
