@@ -245,7 +245,7 @@ def _emit_table(args, keys, rows, report):
 
 
 def _verify_theorems():
-    from . import closedforms, recurrences
+    from . import closedforms, elimination, recurrences
     from .recurrences import agreement_check
     upto = 200
     theorem = recurrences.eval_recurrence(recurrences.v_theorem_spec(), upto)
@@ -260,7 +260,7 @@ def _verify_theorems():
         agreement_check("v-fibonacci-closed-form", theorem, closed),
         recurrences.theorem_step_check(fourth, upto),
         agreement_check("w-ninth-order-equals-system", w9, r2),
-        recurrences.composed_form_check(w9, 50),
+        elimination.composed_form_check(w9, 50),
     ]
 
 

@@ -4,8 +4,10 @@ Relations A and B and their weights are polynomials in the backward shift
 x. Column k of the 12x11 matrix is x^k R_A (k < 6) or -x^k R_B (k < 5), its
 rows the coefficients of c2(n+1), c2(n), ..., c2(n-10). Its kernel holds
 the weights alpha, beta with alpha R_A = beta R_B, and alpha L_A - beta L_B
-is x times the 9th-order recurrence for the walk totals. Every numeric
-check applies these operators to the walk tables through
+is x times the 9th-order recurrence for the walk totals. The factored
+characteristic polynomials of the one-member recurrences are tables here,
+and the composed form of w is the product of W_FACTORS' reversed factors.
+Every numeric check applies these operators to the walk tables through
 `recurrences.relation_check`.
 """
 
@@ -18,11 +20,11 @@ from operator import index
 from .errors import CheckResult
 from .polynomials import IntPoly, expand, factored_str
 from .recurrences import (
-    CHARPOLY_FACTORS,
     RELATIONS,
-    W_FACTORS,
+    domino_only_recurrence,
     eval_system,
     relation_check,
+    v_fourth_order_spec,
     w_ninth_order_spec,
     walk_system,
 )
@@ -179,6 +181,25 @@ def charpoly(spec):
     return IntPoly(annihilator(spec).coeffs[::-1])
 
 
+# The factored characteristic polynomial of the 9th-order w recurrence as
+# (factor, power) pairs; the squared cubic is that of the tiling count r.
+W_FACTORS = (
+    (IntPoly([1, 1]), 1),
+    (IntPoly([1, -3, 1]), 1),
+    (IntPoly([1, -1, -3, 1]), 2),
+)
+_FIB_QUAD = IntPoly([-1, -1, 1])  # x^2 - x - 1
+
+# The factored characteristic polynomial of each one-member spec as rows
+# (check name, spec, (factor, power) pairs).
+CHARPOLY_FACTORS = (
+    ("charpoly-w-9th", w_ninth_order_spec, W_FACTORS),
+    ("charpoly-domino-6th", domino_only_recurrence,
+     ((IntPoly([-1, 1]), 1), (IntPoly([1, 1]), 1), (_FIB_QUAD, 2))),
+    ("charpoly-v-4th", v_fourth_order_spec, ((_FIB_QUAD, 2),)),
+)
+
+
 def charpoly_factorization_check():
     """Expand the factor tables and compare with the recurrences: each check
     expects the factored form and reads the characteristic polynomial."""
@@ -191,3 +212,13 @@ def charpoly_factorization_check():
     ] + [
         CheckResult("tiling-poly-divides-walk-poly", not rem, IntPoly([]), rem),
     ]
+
+
+def composed_form_check(w, upto):
+    """The composed form: the reversed factors of W_FACTORS, applied to w
+    one after another (w(n)+w(n-1), then y(n)-3y(n-1)+y(n-2), ...), leave 0
+    at every n = 9..upto."""
+    if len(w) <= upto:
+        raise ValueError("w table too short for requested range")
+    op = expand((IntPoly(p.coeffs[::-1]), k) for p, k in W_FACTORS)
+    return relation_check("w-composed-form", op.degree, upto, 0, {"w": op.coeffs}, {"w": w})

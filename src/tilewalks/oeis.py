@@ -1,6 +1,5 @@
 """Offline OEIS b-file fixtures and prefix comparison against them."""
 
-from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
 
@@ -11,8 +10,7 @@ MIN_OVERLAP = 10  # fewest shared indices a comparison accepts
 SHIFT_WINDOW = 5  # largest offset shift find_offset_shift tries, either way
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(NamedTuple):
     sequence_id: str
     entries: tuple  # (index, value) pairs, indices strictly increasing
 
@@ -44,7 +42,7 @@ _LOADED = {}  # BFile by id: each embedded b-file is parsed once per process
 
 def load_fixture(sequence_id):
     """Parse one of the b-files embedded in the package, or return the BFile
-    of its first parse: a BFile is frozen and its entries are a tuple."""
+    of its first parse: a BFile and its entries are tuples."""
     if sequence_id not in FIXTURE_IDS:
         raise UnknownFixture(f"no fixture for {sequence_id}")
     if sequence_id not in _LOADED:

@@ -67,13 +67,6 @@ class IntPoly:
                 rem[i + j] -= q * b
         return IntPoly(quot), IntPoly(rem)
 
-    def apply_shift(self, seq, n):
-        """Apply the polynomial in the backward shift x to seq at index n:
-        sum_k p[k] * seq[n - k]. Needs n >= the degree."""
-        if n < self.degree:
-            raise ValueError(f"shift of degree {self.degree} applied at n = {n}")
-        return sum(c * seq[n - k] for k, c in enumerate(self.coeffs))
-
     def _signed_terms(self):
         for i, c in enumerate(self.coeffs):
             if c:

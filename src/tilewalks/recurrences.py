@@ -1,7 +1,8 @@
 """Exact linear-recurrence evaluation and the named sequence systems.
 
 Every relation is one row format: a polynomial in the backward shift x per
-sequence, {sequence: coefficients by shift} (`polynomials.IntPoly`). Integer
+sequence, {sequence: coefficients by shift}, each coefficient an int or
+the tuple of a polynomial's ascending coefficients in n. Integer
 arithmetic only, on `int` or on integer-valued `Decimal`.
 
 * CoupledSystemSpec - each member is a row read as lead(n) member(n) =
@@ -18,38 +19,31 @@ arithmetic only, on `int` or on integer-valued `Decimal`.
   seeds in a context that traps any rounding, so that `seq` prints each
   row as it is made.
 * The paper's linear relations between shifted sequences (the intermediate
-  identities, relations A and B, the composed form of w) are rows that sum
-  to zero, and one `relation_check` applies any row to the sequence tables.
+  identities, relations A and B, the v theorem moved to one side) are rows
+  that sum to zero, and one `relation_check` applies any row to the
+  sequence tables: `theorem_step_check` applies the v theorem's to a v
+  table that no division built.
 * Every check returns a `CheckResult` under the name a report shows, and
   `agreement_check` compares whole tables, reporting the first index where
-  they differ. `theorem_step_check` applies the v theorem's row to a v
-  table that no division built.
+  they differ.
 """
 
 from contextvars import copy_context
-from dataclasses import dataclass, field, replace
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact,
                      InvalidOperation, Overflow, Rounded, setcontext)
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .errors import NonIntegralStep, UnstratifiableSystem, _check
-from .polynomials import IntPoly, expand
 
 
-@dataclass(frozen=True)
-class SequenceTable:
-    name: str
-    values: tuple
+class SequenceTable(tuple):
+    """A sequence's values by index; the benchmark's tracer reads `values`."""
 
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def __len__(self):
-        return len(self.values)
+    values = property(lambda self: self)
 
 
-@dataclass(frozen=True)
-class CoupledSystemSpec:
+class CoupledSystemSpec(NamedTuple):
     """lead(n) member(n) = sum_s P_s(x) s(n) for n >= len(initial[member]):
     equations[member] maps each sequence s to the coefficients of P_s by
     backward shift, x^0 a same-step reference, each an int or the tuple of
@@ -58,12 +52,12 @@ class CoupledSystemSpec:
     name: str
     equations: dict
     initial: dict
-    leads: dict = field(default_factory=dict)
+    leads: dict = {}
 
 
 def eval_recurrence(spec, upto):
     """The `int` table of the one-member system `spec` to index `upto`."""
-    return SequenceTable(spec.name, tuple(v for v, in _columns(spec, upto, None)))
+    return SequenceTable(v for v, in _columns(spec, upto, None))
 
 
 @lru_cache(maxsize=None)
@@ -162,7 +156,7 @@ def eval_system(spec, upto, members=None):
     for row in _columns(spec, upto, members):
         for column, value in zip(columns, row):
             column.append(value)
-    return {s: SequenceTable(s, tuple(column)) for s, column in zip(keep, columns)}
+    return {s: SequenceTable(column) for s, column in zip(keep, columns)}
 
 
 # The context of the base-10 runs: integers of any size, and an error where a
@@ -180,7 +174,7 @@ def decimal_columns(spec, upto, members):
     row is made in the stream's own `contextvars` context, whose decimal
     context is a copy of `EXACT`, so that the caller's holds between rows
     and after an error, however the rows are read, interleaved or left."""
-    seeds = replace(spec, initial={s: tuple(map(Decimal, v)) for s, v in spec.initial.items()})
+    seeds = spec._replace(initial={s: tuple(map(Decimal, v)) for s, v in spec.initial.items()})
     rows, run = _columns(seeds, upto, members), copy_context().run
     run(setcontext, EXACT.copy())
     return iter(partial(run, next, rows, None), None)
@@ -320,59 +314,29 @@ IDENTITIES = (
      {"c2": (1, 0, -1, 2, 2), "r2": (0, -2, 0, 5, 3), "c": (0, -1)}),
 )
 
-# The factored characteristic polynomial of the 9th-order w recurrence as
-# (factor, power) pairs; the squared cubic is that of the tiling count r.
-W_FACTORS = (
-    (IntPoly([1, 1]), 1),
-    (IntPoly([1, -3, 1]), 1),
-    (IntPoly([1, -1, -3, 1]), 2),
-)
-_FIB_QUAD = IntPoly([-1, -1, 1])  # x^2 - x - 1
-
-# The factored characteristic polynomial of each one-member spec as rows
-# (check name, spec, (factor, power) pairs).
-CHARPOLY_FACTORS = (
-    ("charpoly-w-9th", w_ninth_order_spec, W_FACTORS),
-    ("charpoly-domino-6th", domino_only_recurrence,
-     ((IntPoly([-1, 1]), 1), (IntPoly([1, 1]), 1), (_FIB_QUAD, 2))),
-    ("charpoly-v-4th", v_fourth_order_spec, ((_FIB_QUAD, 2),)),
-)
-
 
 def relation_check(name, first, upto, lead, ops, tables):
-    """Check sum_s P_s(x) tables[s] at n + lead is 0 for n = first..upto,
-    where ops maps each sequence s to the coefficients of P_s by shift."""
-    polys = [(IntPoly(coeffs), tables[s]) for s, coeffs in ops.items()]
+    """Check sum_s P_s(x) tables[s] at m = n + lead is 0 for n = first..upto:
+    ops maps each s to P_s's coefficients by shift, x^k reading tables[s][m - k],
+    each an int or a polynomial in m as in `CoupledSystemSpec`. A row that
+    would read before index 0 is refused before any n is checked."""
+    terms = [(j, k, a, tables[s]) for s, coeffs in ops.items() for k, c in enumerate(coeffs)
+             for j, a in enumerate(c if isinstance(c, tuple) else (c,)) if a]
+    reach = max((k for _, k, _, _ in terms), default=0)
+    if first + lead < reach:
+        raise ValueError(f"{name}: a shift of {reach} at n = {first + lead} reads before index 0")
     return _check(name, first, upto, lambda n: sum(
-        p.apply_shift(seq, n + lead) for p, seq in polys) == 0)
+        a * (n + lead)**j * seq[n + lead - k] for j, k, a, seq in terms) == 0)
 
 
 def theorem_step_check(v, upto):
-    """The row of `v_theorem_spec` applied to a v table built another way:
-    its sum at n divides exactly by its lead at n, with quotient v(n), for
-    every n = 2..upto."""
+    """The row of `v_theorem_spec` moved to one side, n v(n) - (n+1) v(n-1)
+    - (n+2) v(n-2), is 0 on a v table built another way for n = 2..upto."""
     spec = v_theorem_spec()
-    row, lead = spec.equations["v"]["v"], spec.leads["v"]
-
-    def at(n, p):  # p(n) by Horner's rule, p's coefficients ascending
-        value = 0
-        for c in reversed(p):
-            value = value * n + c
-        return value
-
-    return _check("v-polynomial-step-divisibility", len(spec.initial["v"]), upto,
-                  lambda n: divmod(sum(at(n, c) * v[n - k] for k, c in enumerate(row) if c),
-                                   at(n, lead)) == (v[n], 0))
-
-
-def composed_form_check(w, upto):
-    """The composed form: the reversed factors of W_FACTORS, applied to w
-    one after another (w(n)+w(n-1), then y(n)-3y(n-1)+y(n-2), ...), leave 0
-    at every n = 9..upto."""
-    if len(w) <= upto:
-        raise ValueError("w table too short for requested range")
-    op = expand((IntPoly(p.coeffs[::-1]), k) for p, k in W_FACTORS)
-    return relation_check("w-composed-form", op.degree, upto, 0, {"w": op.coeffs}, {"w": w})
+    _, *row = spec.equations["v"]["v"]
+    ops = {"v": (spec.leads["v"], *(tuple(-c for c in p) for p in row))}
+    return relation_check("v-polynomial-step-divisibility", len(spec.initial["v"]), upto, 0,
+                          ops, {"v": v})
 
 
 def verify_intermediate_identities(upto):

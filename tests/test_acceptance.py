@@ -18,12 +18,12 @@ from tilewalks.closedforms import (
 from tilewalks.elimination import (
     build_matrix_m,
     charpoly_factorization_check,
+    composed_form_check,
     kernel,
     verify_la_lb_combination,
 )
 from tilewalks.oeis import find_offset_shift, load_fixture
 from tilewalks.recurrences import (
-    composed_form_check,
     domino_only_recurrence,
     domino_only_system,
     eval_recurrence,

@@ -566,9 +566,8 @@ def test_cli_import_compiles_no_fan():
 # process its import.
 NOT_LOADED_BY_SEQ = ["tilewalks.closedforms", "tilewalks.qsqrt5", "tilewalks.elimination",
                      "tilewalks.oeis", "tilewalks.render", "tilewalks.boards", "tilewalks.walks",
-                     "fractions"]
-NOT_LOADED_BY_PARSER = NOT_LOADED_BY_SEQ + ["tilewalks.recurrences", "tilewalks.polynomials",
-                                            "dataclasses", "json", "decimal"]
+                     "tilewalks.polynomials", "fractions", "dataclasses", "inspect"]
+NOT_LOADED_BY_PARSER = NOT_LOADED_BY_SEQ + ["tilewalks.recurrences", "json", "decimal"]
 
 
 def _fresh(*args):

@@ -14,7 +14,8 @@ from tilewalks.elimination import (
     verify_la_lb_combination,
 )
 from tilewalks.polynomials import IntPoly, factored_str
-from tilewalks.recurrences import eval_system, fibonacci_spec, w_ninth_order_spec, walk_system
+from tilewalks.recurrences import (eval_system, fibonacci_spec, relation_check, w_ninth_order_spec,
+                                   walk_system)
 
 KERNEL_VECTOR = (1, -5, 7, -3, -4, 2, 1, -3, 5, -2, -1)
 
@@ -64,7 +65,7 @@ def test_la_lb_perturbed_table_fails():
     tables = dict(eval_system(walk_system(), 31))
     bad = list(tables["r2"].values)
     bad[15] += 1
-    tables["r2"] = type(tables["r2"])("r2", tuple(bad))
+    tables["r2"] = bad
     results = verify_la_lb_combination(30, tables=tables)
     failed = [c for c in results if not c.passed]
     assert failed
@@ -77,7 +78,7 @@ def test_relations_a_b_perturbed_table_fail(seq):
     tables = dict(eval_system(walk_system(), 31))
     bad = list(tables[seq].values)
     bad[15] += 1
-    tables[seq] = type(tables[seq])(seq, tuple(bad))
+    tables[seq] = bad
     results = {c.name: c for c in verify_la_lb_combination(30, tables=tables)}
     for name in ("elimination:relation-A", "elimination:relation-B"):
         assert not results[name].passed
@@ -104,16 +105,22 @@ def test_charpoly_expansion_degree6():
 
 
 def test_poly_as_shift_operator():
+    # x^k reads seq[n - k]: F(n) - F(n-1) - F(n-2) is 0, and 2x reads 2 seq[n - 1]
     seq = [0, 1, 1, 2, 3, 5, 8]
-    fib = IntPoly([1, -1, -1])  # F(n) - F(n-1) - F(n-2)
-    assert [fib.apply_shift(seq, n) for n in range(2, 7)] == [0] * 5
-    assert IntPoly([0, 2]).apply_shift(seq, 6) == 2 * seq[5]
+    assert relation_check("fib", 2, 6, 0, {"s": (1, -1, -1)}, {"s": seq}).passed
+    doubled = [None] + [2 * v for v in seq[:-1]]
+    assert relation_check("2x", 1, 6, 0, {"s": (0, 2), "d": (-1,)},
+                          {"s": seq, "d": doubled}).passed
+    assert relation_check("2x", 1, 6, 0, {"s": (2,), "d": (-1,)},
+                          {"s": seq, "d": doubled}).first_failure == 1
 
 
 def test_poly_shift_below_its_degree_fails():
-    with pytest.raises(ValueError):  # would read seq[-1]
-        IntPoly([1, -1]).apply_shift([5, 7], 0)
-    assert IntPoly([1, -1]).apply_shift([5, 7], 1) == 2
+    with pytest.raises(ValueError, match="before index 0"):  # would read seq[-1]
+        relation_check("1-x", 0, 1, 0, {"s": (1, -1)}, {"s": [5, 7]})
+    # at n = 1 it reads 7 - 5 = 2
+    assert relation_check("1-x", 1, 1, 0, {"s": (1, -1), "two": (-2,)},
+                          {"s": [5, 7], "two": [1, 1]}).passed
 
 
 def test_poly_is_not_iterable():

@@ -3,12 +3,12 @@ import decimal
 import hashlib
 import inspect
 import tracemalloc
-from dataclasses import replace
 from itertools import islice
 
 import pytest
 
 from tilewalks.closedforms import v_fibonacci_form, w_domino_fibonacci_form
+from tilewalks.elimination import composed_form_check
 
 from tilewalks.errors import NonIntegralStep, UnstratifiableSystem
 from tilewalks import recurrences
@@ -16,7 +16,6 @@ from tilewalks.recurrences import (
     IDENTITIES,
     CoupledSystemSpec,
     agreement_check,
-    composed_form_check,
     decimal_columns,
     domino_only_recurrence,
     domino_only_system,
@@ -96,6 +95,18 @@ def test_theorem_step_negative_control():
     check = theorem_step_check(v, 200)
     assert not check.passed
     assert check.first_failure == 50
+
+
+def test_theorem_row_with_a_polynomial_bumped_fails():
+    # negative control for polynomial coefficients: the theorem's row moved
+    # to one side, n v(n) - (n+1) v(n-1) - (n+2) v(n-2), holds on the
+    # 4th-order table, and fails at its first n once one polynomial changes
+    v = eval_system(v_fourth_order_spec(), 200)["v"]
+    row = ((0, 1), (-1, -1), (-2, -1))
+    assert relation_check("theorem", 2, 200, 0, {"v": row}, {"v": v}).passed
+    for bumped in (((1, 1), *row[1:]), (*row[:2], (-3, -1))):
+        check = relation_check("bumped", 2, 200, 0, {"v": bumped}, {"v": v})
+        assert (check.passed, check.first_failure) == (False, 2), bumped
 
 
 def test_tiling_system_reproduces_table():
@@ -223,11 +234,11 @@ def _mutants(spec):
                 if k == 0 and order.index(t) >= order.index(s):
                     continue  # a same-step reference to itself or a later member
                 for bumped in _bumped(coeffs, k):
-                    yield (s, t, k, bumped), replace(
-                        spec, equations={**spec.equations, s: {**row, t: bumped}})
+                    yield (s, t, k, bumped), spec._replace(
+                        equations={**spec.equations, s: {**row, t: bumped}})
     for s, lead in spec.leads.items():
         for [bumped] in _bumped((lead,), 0):
-            yield (s, "lead", bumped), replace(spec, leads={**spec.leads, s: bumped})
+            yield (s, "lead", bumped), spec._replace(leads={**spec.leads, s: bumped})
 
 
 @pytest.mark.parametrize("factory", SYSTEM_SPECS, ids=lambda fn: fn.__name__)
