@@ -5,7 +5,7 @@ from itertools import accumulate, repeat
 from operator import mul
 
 from .errors import NonIntegralStep, _check
-from .qsqrt5 import ALPHA, BETA, SQRT5, QSqrt5
+from .qsqrt5 import ALPHA, BETA, SQRT5, QSqrt5, _new
 
 
 def _fib_pair(n):
@@ -19,6 +19,14 @@ def _fib_pair(n):
         if bit == "1":
             a, b = b, a + b
     return a, b
+
+
+def _powers(n):
+    """(alpha^n, beta^n) = ((L(n) + F(n) sqrt5)/2, (L(n) - F(n) sqrt5)/2), n >= 0,
+    from one `_fib_pair`, with the Lucas number L(n) = 2F(n+1) - F(n)."""
+    f0, f1 = _fib_pair(n)
+    lucas = 2 * f1 - f0
+    return _new(lucas, f0, 2), _new(lucas, -f0, 2)
 
 
 def fib(n):
@@ -68,10 +76,6 @@ EXPLICIT_E = QSqrt5(0, Fraction(-3, 25))
 EXPLICIT_F = QSqrt5(Fraction(2, 5), Fraction(-1, 5))
 
 
-def _dominant_term(n):
-    return (EXPLICIT_C + EXPLICIT_D * n) * ALPHA**n
-
-
 def w_domino_explicit(n):
     """Evaluate the explicit form entirely in Q(sqrt5).
 
@@ -79,8 +83,9 @@ def w_domino_explicit(n):
     an integer; anything else raises.
     """
     sign = 1 if n % 2 == 0 else -1
-    val = (EXPLICIT_A + EXPLICIT_B * sign + _dominant_term(n)
-           + (EXPLICIT_E + EXPLICIT_F * n) * BETA**n)
+    alpha_n, beta_n = _powers(n)
+    val = (EXPLICIT_A + EXPLICIT_B * sign + (EXPLICIT_C + EXPLICIT_D * n) * alpha_n
+           + (EXPLICIT_E + EXPLICIT_F * n) * beta_n)
     rat = val.rational_value()
     if rat.denominator != 1:
         raise NonIntegralStep(f"explicit form gave non-integer {rat} at n={n}")
@@ -89,14 +94,15 @@ def w_domino_explicit(n):
 
 def w_domino_ceiling(n):
     """ceil((3 sqrt5/25 + (2 + sqrt5)/5 * n) alpha^n), decided exactly."""
-    return _dominant_term(n).ceil()
+    return ((EXPLICIT_C + EXPLICIT_D * n) * _powers(n)[0]).ceil()
 
 
 def binet_identity_check(upto):
     """(alpha^n - beta^n)/sqrt5 = F(n) and alpha^n + beta^n = 2F(n+1) - F(n).
 
-    The powers are stepped from n to n+1; the last pair must also equal
-    ALPHA**upto and BETA**upto, so that `QSqrt5.__pow__` is checked once.
+    The powers are stepped from n to n+1; each pair must equal the one
+    `_powers` builds from F(n) and L(n), and the last pair also ALPHA**upto
+    and BETA**upto, so that `QSqrt5.__pow__` is checked once.
     """
     powers = zip(accumulate(repeat(ALPHA), mul, initial=QSqrt5(1)),
                  accumulate(repeat(BETA), mul, initial=QSqrt5(1)))
@@ -106,6 +112,7 @@ def binet_identity_check(upto):
         f0, f1 = _fib_pair(n)
         return ((an - bn) / SQRT5 == QSqrt5(f0)
                 and an + bn == QSqrt5(2 * f1 - f0)
+                and (an, bn) == _powers(n)
                 and (n < upto or (an, bn) == (ALPHA**n, BETA**n)))
 
     return _check("binet-identities", 0, upto, holds)

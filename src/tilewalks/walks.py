@@ -5,6 +5,10 @@ package is cross-checked against the sums computed here. Its search,
 `_line_totals`, still enumerates every tiling, but a group of columns at a
 time: each group's subtree is one call of a fan compiled to straight-line
 additions (`_column_fan`), from the same step source as `_column_step`.
+The source holds only the additions a tiling needs, with no line for a
+count that is copied or 0, and every tiling adds its own term to the
+totals. A fan calls the next group's fan for each node it ends at, and
+a stack takes the nodes past a bounded depth of such calls.
 """
 
 from functools import lru_cache, partial as bind
@@ -13,32 +17,46 @@ from .boards import Board, _column_fills, _taken, count_tilings
 from .errors import DEFAULT_BUDGET, BudgetExceeded
 
 
-def _step_source(rows, spill, cross, out, inp="w"):
+def _step_source(rows, spill, cross, out, names):
     """The lines of straight-line source that step the rows + 1 walk counts
-    inp0, inp1, ... on grid line x-1 to out0, out1, ... on line x.
+    on grid line x-1, held by `names`, to line x, and the names that hold
+    the counts on line x.
 
     `spill` and `cross` are the masks of column x, `boards._walk_masks`: bit
     y-1 of `spill` blocks the climb from (x, y-1) to (x, y), bit y of `cross`
-    blocks the step from (x-1, y) to (x, y), so out[y] = (inp[y] unless
-    cross) + (out[y-1] unless spill). The source is built from the ints and
-    the two name prefixes alone.
+    blocks the step from (x-1, y) to (x, y), so out[y] = (in[y] unless
+    cross) + (out[y-1] unless spill). A name is a str, or None for a count
+    that is 0. Only a sum of two counts gets a line, `<out>y = a + b`; a
+    count that is one of the two is held by that one's name, and 0 by None.
+    The source is built from the ints and the names alone.
     """
     climb = spill << 1 | 1  # row 0 has no climb
-    return "".join(
-        f"    {out}{y} = " + (" + ".join([f"{inp}{y}"] * (not cross >> y & 1)
-                                     + [f"{out}{y - 1}"] * (not climb >> y & 1)) or "0") + "\n"
-        for y in range(rows + 1))
+    lines, held = [], []
+    for y in range(rows + 1):
+        terms = [name for name in (None if cross >> y & 1 else names[y],
+                                   None if climb >> y & 1 else held[-1])
+                 if name is not None]
+        if len(terms) == 2:
+            lines.append(f"    {out}{y} = {terms[0]} + {terms[1]}\n")
+            terms = [f"{out}{y}"]
+        held.append(terms[0] if terms else None)
+    return "".join(lines), held
+
+
+def _inputs(rows):
+    return [f"w{y}" for y in range(rows + 1)]
 
 
 def _compile(rows, head, body):
     """The function `def f(<head>w0, ..., w<rows>):` + body, compiled."""
     namespace = {}
-    exec(f"def f({head}{', '.join(f'w{y}' for y in range(rows + 1))}):\n{body}", namespace)
+    exec(f"def f({head}{', '.join(_inputs(rows))}):\n{body}", namespace)
     return namespace["f"]
 
 
-def _vector(rows, out):
-    return f"({''.join(f'{out}{y}, ' for y in range(rows + 1))})"
+def _args(names):
+    """The names as call arguments, 0 for None."""
+    return ", ".join(name or "0" for name in names)
 
 
 @lru_cache(maxsize=None)
@@ -48,8 +66,33 @@ def _column_step(rows, spill, cross):
     compiled to straight-line additions on first use. Line 0 is the step
     from (1, 0, ..., 0) with nothing blocked.
     """
-    return _compile(rows, "", _step_source(rows, spill, cross, "n")
-                    + f"    return {_vector(rows, 'n')}\n")
+    source, names = _step_source(rows, spill, cross, "n", _inputs(rows))
+    return _compile(rows, "", source + f"    return ({_args(names)},)\n")
+
+
+def _fan_source(rows, spill, keys, squares_allowed):
+    """The head and body of the fan of `_column_fan`."""
+    lines, sums = [], [[] for _ in keys]
+    frontier = [(spill, _inputs(rows))]  # (spill in, names of the parent's counts)
+    for l, (taken, closed, last) in enumerate(keys):
+        grown = []
+        for into, parent in frontier:
+            for _, out, cross in _column_fills(rows, into | taken, closed, squares_allowed):
+                source, names = _step_source(rows, out, cross, f"n{len(lines)}_", parent)
+                lines.append(source)
+                if not out:
+                    sums[l].append(names)
+                if not last:
+                    grown.append((out, names))
+        frontier = grown
+    for l, vectors in enumerate(sums, 1):
+        for y in range(rows + 1):
+            terms = [names[y] for names in vectors if names[y] is not None]
+            if terms:
+                lines.append(f"    t{l}[{y}] += {' + '.join(terms)}\n")
+    lines += (f"    nxt[{out}]({_args(names)})\n" for out, names in frontier)
+    head = "".join(f"t{l}, " for l in range(1, len(keys) + 1)) + "nxt, "
+    return head, "".join(lines) or "    pass\n"
 
 
 @lru_cache(maxsize=None)
@@ -59,34 +102,18 @@ def _column_fan(rows, spill, keys, squares_allowed):
 
     Each key is (rows taken, rows of the next column taken, last), and
     `spill` holds the rows the column before the group spills into its
-    first column. fan(j, t1, ..., tg, *ways) steps the walk counts `ways`
+    first column. fan(t1, ..., tg, nxt, *ways) steps the walk counts `ways`
     through every fill path of the group, each fill from its parent's
-    vector by `_step_source`, and adds the vectors of column l's fills that
-    spill nothing out into the totals row tl in place, one += per grid
-    line. It returns the fills of the group's last column as (j, spill out,
-    vector) children; a column whose key is `last` has no fills after it,
-    while an inner column closed on every row, as the first column of a
-    mirrored D shape is, has them.
+    counts by `_step_source`, so the source holds one line per addition
+    and none for a count that is copied or 0. It adds the counts of column
+    l's fills that spill nothing out into the totals row tl in place, one
+    += per grid line with one term per fill, and then calls nxt[spill
+    out](*counts) for each fill of the group's last column, the next
+    group's fan. A column whose key is `last` has no fills after it, while
+    an inner column closed on every row, as the first column of a mirrored
+    D shape is, has them.
     """
-    lines, sums = [], [[] for _ in keys]
-    frontier = [(spill, "w")]  # (spill in, name of the parent's vector)
-    for l, (taken, closed, last) in enumerate(keys):
-        grown = []
-        for into, parent in frontier:
-            for _, out, cross in _column_fills(rows, into | taken, closed, squares_allowed):
-                name = f"n{len(lines)}_"
-                lines.append(_step_source(rows, out, cross, name, parent))
-                if not out:
-                    sums[l].append(name)
-                if not last:
-                    grown.append((out, name))
-        frontier = grown
-    body = "".join(lines) + "".join(
-        f"    t{l}[{y}] += {' + '.join(f'{name}{y}' for name in names)}\n"
-        for l, names in enumerate(sums, 1) if names for y in range(rows + 1))
-    children = "".join(f"(j, {out}, {_vector(rows, name)}), " for out, name in frontier)
-    head = "j, " + "".join(f"t{l}, " for l in range(1, len(keys) + 1))
-    return _compile(rows, head, body + f"    return ({children})\n")
+    return _compile(rows, *_fan_source(rows, spill, keys, squares_allowed))
 
 
 def count_walks_for_tiling(tiling, end_line):
@@ -159,21 +186,29 @@ def _group_size(rows, n, squares_allowed):
     return g
 
 
+_CHAINED = 8  # groups whose fans call the next fan directly: the call depth
+
+
 def _line_totals(board, squares_allowed=True, partial=None):
     """Walk totals per ending grid line, summed over every tiling of each
     prefix board: entry j belongs to the board's first j columns. The bottom
     walk is never blocked, so line 0 counts the tilings.
 
     A depth-first search over column fills that carries each partial
-    tiling's walk vector, so a tiling costs O(1) column steps amortized. A
+    tiling's walk counts, so a tiling costs O(1) column steps amortized. A
     node at depth j with no spill into column j+1 is a tiling of the
-    j-column board; its vector is added when it is made. The columns are
+    j-column board; its counts are added when it is made. The columns are
     cut into groups of `_group_size` columns, the first taking n mod g (or
-    g), so that the last group ends at column n. A node is pushed only at a
-    group boundary, and is one call of its group's compiled fan, which
-    makes the whole subtree down to the next boundary; the nodes at depth n
-    are never made. The fans come from one table per distinct group of
-    (taken, next column taken, last) keys: at most three for a full board.
+    g), so that the last group ends at column n. Each node at a group
+    boundary is one call of its group's compiled fan, which makes the whole
+    subtree down to the next boundary; the nodes at depth n are never made.
+    The fans come from one table per distinct group of (taken, next column
+    taken, last) keys: at most three for a full board.
+
+    A fan of one of the last `_CHAINED` groups is called directly by the
+    fan before it; a fan of an earlier group is pushed with its counts onto
+    a stack that a loop pops, so that the Python call depth stays at most
+    `_CHAINED` fans whatever n is.
 
     A `partial` shape is searched as its mirror image, the taken masks of
     `boards._taken` in reverse column order, which has the same tilings, so
@@ -185,21 +220,33 @@ def _line_totals(board, squares_allowed=True, partial=None):
     keys = tuple((taken[j], taken[j + 1], j == n) for j in range(1, n + 1))
     start = _column_step(rows, 0, 0)(1, *[0] * rows)
     totals = [list(start)] + [[0] * (rows + 1) for _ in range(n)]
+    if not n:
+        return totals
     g = _group_size(rows, n, squares_allowed)
     bounds = [0, *range(n % g or g, n + 1, g)]  # the last group ends at column n
     spans = list(zip(bounds, bounds[1:]))  # group i holds columns a+1..b
     tables = {group: [_column_fan(rows, spill, group, squares_allowed)
                       for spill in range(1 << rows)]
               for group in dict.fromkeys(keys[a:b] for a, b in spans)}
-    # fans[i][spill](*ways): group i's fan, its j and totals rows bound
-    fans = [[bind(fan, i + 1, *totals[a + 1:b + 1]) for fan in tables[keys[a:b]]]
-            for i, (a, b) in enumerate(spans)]
-    # (groups filled, spill into the next group, walk counts on its last line)
-    stack = [(0, 0, start)] if n else []
-    pop, extend = stack.pop, stack.extend
+    stack = []  # (fan, counts) of the deferred nodes
+    push, pop = stack.append, stack.pop
+
+    def defer(fan, *ways):
+        push((fan, ways))
+
+    # fans[spill](*ways): group i's fan with its totals rows and nxt bound,
+    # from the last group back; nxt is group i+1's fans, reached through the
+    # stack where group i+1 heads the last _CHAINED groups or one before them
+    fans = None
+    for i in range(len(spans) - 1, -1, -1):
+        a, b = spans[i]
+        if fans is not None and len(spans) - (i + 1) >= _CHAINED:
+            fans = [bind(defer, fan) for fan in fans]
+        fans = [bind(fan, *totals[a + 1:b + 1], fans) for fan in tables[keys[a:b]]]
+    fans[0](*start)
     while stack:
-        j, spill, ways = pop()
-        extend(fans[j][spill](*ways))
+        fan, ways = pop()
+        fan(*ways)
     return totals
 
 
@@ -212,7 +259,8 @@ def brute_line_totals(rows, upto, squares_allowed=True, budget=DEFAULT_BUDGET, p
     """
     board = Board(rows, upto)
     _check_budget(board, budget, squares_allowed, partial)
-    fits = [_taken(Board(rows, j), partial) is not None for j in range(upto + 1)]
+    fits = [partial is None or _taken(Board(rows, j), partial) is not None
+            for j in range(upto + 1)]
     if not fits[-1]:  # a shape too wide for the largest board fits none: no search
         return [[0] * (rows + 1) for _ in fits]
     totals = _line_totals(board, squares_allowed, partial)

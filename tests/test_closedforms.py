@@ -106,6 +106,16 @@ def test_binet_identities():
     assert report.passed
 
 
+def test_binet_identities_check_the_powers_built_from_fibonacci_numbers(monkeypatch):
+    # negative control: alpha^7 and beta^7 built swapped, each still a unit
+    # of the ring with the right trace, fail the comparison with the steps
+    powers = closedforms._powers
+    monkeypatch.setattr(closedforms, "_powers",
+                        lambda n: powers(n)[::-1] if n == 7 else powers(n))
+    assert binet_identity_check(6).passed
+    assert not binet_identity_check(100).passed
+
+
 def test_fib_fast_doubling_matches_iteration():
     a, b = 0, 1
     for n in range(2001):

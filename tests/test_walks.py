@@ -1,5 +1,8 @@
 import random
+import re
+import sys
 from collections import Counter, namedtuple
+from functools import partial
 from itertools import product
 from math import comb
 from operator import add
@@ -21,7 +24,13 @@ from tilewalks.boards import _column_fills, _taken
 from tilewalks.cli import SEQUENCES
 from tilewalks.closedforms import fib
 from tilewalks.errors import BudgetExceeded
-from tilewalks.recurrences import eval_system, walk_system
+from tilewalks.recurrences import (
+    domino_only_recurrence,
+    eval_system,
+    tiling_system,
+    v_theorem_spec,
+    walk_system,
+)
 from tilewalks.walks import (
     DEFAULT_BUDGET,
     brute_line_totals,
@@ -278,7 +287,7 @@ def fan_model(rows, spill, keys, squares, ways):
     """The children and totals-row increments of a group of columns, from
     per_vertex_step composed along every fill path: column l's fills that
     spill nothing out add to increment l, a `last` column ends its paths,
-    and the group's last column makes the children (7, out, vector)."""
+    and the group's last column makes the children (out, vector)."""
     children, increments = [], [[0] * (rows + 1) for _ in keys]
 
     def walk(l, into, vector):
@@ -292,10 +301,19 @@ def fan_model(rows, spill, keys, squares, ways):
             if l + 1 < len(keys):
                 walk(l + 1, out, step)
             else:
-                children.append((7, out, step))
+                children.append((out, step))
 
     walk(0, spill, ways)
     return children, increments
+
+
+def recorder(rows, children):
+    """The nxt of a fan that appends each child it is called with to
+    `children` as (spill out, vector), in call order."""
+    def record(out, *vector):
+        children.append((out, vector))
+
+    return [partial(record, out) for out in range(1 << rows)]
 
 
 def fan_groups():
@@ -316,10 +334,11 @@ def column_fan_mismatches(column_fan):
     """(rows, spill, keys, squares, vector) for every group of columns in
     fan_groups, every spill into it and both tile sets, where
     column_fan(rows, spill, keys, squares) disagrees with fan_model on each
-    unit vector or on one random vector: its children must be those of every
-    fill path in path order, none after a `last` column, also below an inner
-    column closed on every row, and its increment of each totals row the
-    sum of the steps of that column's fills with no spill out."""
+    unit vector or on one random vector: the children it calls nxt with must
+    be those of every fill path in path order, none after a `last` column,
+    also below an inner column closed on every row, and its increment of
+    each totals row the sum of the steps of that column's fills with no
+    spill out."""
     rng, bad = random.Random(1), []
     for rows, keys in fan_groups():
         vectors = [tuple(int(i == y) for i in range(rows + 1)) for y in range(rows + 1)]
@@ -330,10 +349,28 @@ def column_fan_mismatches(column_fan):
                 for ways in vectors:
                     children, increments = fan_model(rows, spill, keys, squares, ways)
                     totals = [[3] * (rows + 1) for _ in keys]  # the fan adds to what is there
-                    if (list(fan(7, *totals, *ways)) != children
+                    called = []
+                    fan(*totals, recorder(rows, called), *ways)
+                    if (called != children
                             or totals != [[3 + v for v in inc] for inc in increments]):
                         bad.append((rows, spill, keys, squares, ways))
     return bad
+
+
+def edit_children(edit):
+    """A column_fan whose fans pass the children they make through
+    edit(children, totals rows) before they call nxt with them."""
+    def column_fan(rows, spill, keys, squares):
+        fan = walks._column_fan(rows, spill, keys, squares)
+
+        def edited(*args):
+            totals, nxt, ways = args[:len(keys)], args[len(keys)], args[len(keys) + 1:]
+            children = []
+            fan(*totals, recorder(rows, children), *ways)
+            for out, vector in edit(children, totals):
+                nxt[out](*vector)
+        return edited
+    return column_fan
 
 
 def test_compiled_column_fan_matches_a_per_vertex_model():
@@ -341,28 +378,19 @@ def test_compiled_column_fan_matches_a_per_vertex_model():
 
 
 def test_per_vertex_model_catches_a_fan_that_drops_a_fill():
-    def mutant(*key):
-        fan = walks._column_fan(*key)
-        return lambda j, *args: fan(j, *args)[:-1]
-
-    assert column_fan_mismatches(mutant)
+    assert column_fan_mismatches(edit_children(lambda children, totals: children[:-1]))
 
 
 def test_per_vertex_model_catches_a_fan_that_adds_an_open_child_to_the_totals():
-    def mutant(rows, spill, keys, squares):
-        fan = walks._column_fan(rows, spill, keys, squares)
+    def add_open_child(children, totals):
+        row = totals[-1]  # the totals row of the group's last column
+        for out, vector in children:
+            if out:
+                row[:] = map(add, row, vector)
+                break
+        return children
 
-        def wrong(j, *args):
-            children = fan(j, *args)
-            row = args[len(keys) - 1]  # the totals row of the group's last column
-            for _, out, vector in children:
-                if out:
-                    row[:] = map(add, row, vector)
-                    break
-            return children
-        return wrong
-
-    assert column_fan_mismatches(mutant)
+    assert column_fan_mismatches(edit_children(add_open_child))
 
 
 def test_per_vertex_model_catches_a_fan_that_ends_at_a_closed_inner_column():
@@ -407,6 +435,65 @@ def test_per_vertex_model_catches_a_fan_that_ends_at_an_inner_column():
     assert bad and all(len(keys) > 1 for _, _, keys, _, _ in bad)
 
 
+def idle_lines(source):
+    """The assignments of a source that add nothing: a copy `x = name`, or
+    `x = 0`."""
+    return [line for line in source.splitlines() if re.fullmatch(r" *\w+ = \w+", line)]
+
+
+def step_sources():
+    """The step source of every fill of a 1- to 4-row column, from inputs
+    with each set of counts 0 (None)."""
+    for rows in range(1, 5):
+        masks = {(spill, cross) for occupied, closed, squares in product(
+                     range(1 << rows), (0, (1 << rows) - 1), (True, False))
+                 for _, spill, cross in _column_fills(rows, occupied, closed, squares)}
+        for (spill, cross), zero in product(sorted(masks), range(1 << (rows + 1))):
+            names = [None if zero >> y & 1 else f"w{y}" for y in range(rows + 1)]
+            yield walks._step_source(rows, spill, cross, "n", names)[0]
+
+
+def fan_sources():
+    for rows, keys in fan_groups():
+        for spill, squares in product(range(1 << rows), (True, False)):
+            yield walks._fan_source(rows, spill, keys, squares)[1]
+
+
+def test_a_step_or_fan_source_has_a_line_only_for_an_addition():
+    # every assignment adds two counts, and every += adds at least one
+    for source in step_sources():
+        assert all(re.fullmatch(r" *\w+ = \w+ \+ \w+", line) for line in source.splitlines())
+    for source in fan_sources():
+        assert idle_lines(source) == []
+        for line in source.splitlines():
+            assert re.fullmatch(r" *(\w+ = \w+ \+ \w+|t\d+\[\d+\] \+= \w+( \+ \w+)*"
+                                r"|nxt\[\d+\]\((\w+, )*\w+\)|pass)", line), line
+
+
+def test_the_idle_line_check_catches_a_step_source_that_keeps_its_copies(monkeypatch):
+    # negative control: each count on the new line also gets its own name,
+    # copied from the name that holds it or set to 0, as every line once
+    # did; the fans still count right, so only the structure tells them apart
+    step_source, expected = walks._step_source, brute_line_totals(2, 8)
+
+    def keeping_copies(rows, spill, cross, out, names):
+        source, held = step_source(rows, spill, cross, out, names)
+        for y, name in enumerate(held):
+            if name != f"{out}{y}":
+                source += f"    {out}{y} = {name or 0}\n"
+        return source, [f"{out}{y}" for y in range(rows + 1)]
+
+    monkeypatch.setattr(walks, "_step_source", keeping_copies)
+    assert any(" = 0" in line for source in step_sources() for line in idle_lines(source))
+    walks._column_fan.cache_clear()
+    try:
+        # line 0 is copied by every fill: only a fan with no fill has none
+        assert all(idle_lines(source) or source == "    pass\n" for source in fan_sources())
+        assert walks._line_totals(Board(2, 8)) == expected
+    finally:
+        walks._column_fan.cache_clear()
+
+
 def test_a_search_compiles_one_fan_per_spill_and_closed_pair():
     # groups of 3 columns end at the last column: 2x12 has inner groups and
     # the last one, 2x7 a 1-column inner group first (start-aligned groups
@@ -447,6 +534,50 @@ def test_no_fan_passes_7_columns_or_128_leaves_of_an_empty_column():
     walks._column_fan.cache_clear()
     assert brute_line_totals(1, 4000, False)[4000] == [1, 2001]
     assert walks._column_fan.cache_info().currsize <= 2 * 3  # spills x (inner, last, first)
+
+
+def set_default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    return limit
+
+
+def test_the_search_call_depth_is_bounded_whatever_n_is():
+    # 2,858 groups of 7 columns: a fan chain across all of them would pass
+    # the default recursion limit
+    limit = set_default_recursion_limit()
+    try:
+        assert brute_line_totals(1, 20000, False)[20000] == [1, 10001]
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_a_search_that_chains_every_fan_passes_the_recursion_limit(monkeypatch):
+    # negative control: without the stack, one fan calls the next to the end
+    monkeypatch.setattr(walks, "_CHAINED", 10**6)
+    limit = set_default_recursion_limit()
+    try:
+        with pytest.raises(RecursionError):
+            brute_line_totals(1, 20000, False)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("chained", [1, 2])
+def test_searches_through_the_stack_match_their_recurrences(monkeypatch, chained):
+    # with chains of 1 or 2 fans, nodes with real tilings below them cross
+    # the stack at every boundary (1) or at every other one (2): 2x12 in 4
+    # groups of 3 columns, the dominoes-only 2x20 and the 1x25 board in 3
+    # and 4 groups of 7
+    monkeypatch.setattr(walks, "_CHAINED", chained)
+    walk = eval_system(walk_system(), 12, ("r", "r1", "r2"))
+    assert brute_line_totals(2, 12) == [list(t) for t in zip(*walk.values())]
+    shape = eval_system(tiling_system(), 12, ("c",))["c"]
+    assert tiling_counts(2, 12, PartialKind.C) == list(shape)
+    domino = eval_system(domino_only_recurrence(), 20)["w-domino"]
+    assert [t[2] for t in brute_line_totals(2, 20, False)] == list(domino)
+    v = eval_system(v_theorem_spec(), 25)["v"]
+    assert [t[1] for t in brute_line_totals(1, 25)] == list(v)
 
 
 def test_the_search_is_row_generic():
