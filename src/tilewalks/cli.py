@@ -16,7 +16,7 @@ from math import comb
 from .errors import (DEFAULT_BUDGET, CheckResult, OutputNotWritable, TileWalksError,
                      UnknownSequence)
 
-BLOCK = 64 * 1024  # characters of a csv, text or bfile table per write to stdout
+BLOCK = 64 * 1024  # characters of values in a csv, text or bfile table per write to stdout
 
 
 def _text(value):
@@ -224,20 +224,24 @@ def _emit_table(args, keys, rows, report):
         return
     if args.format == "bfile":  # "n value" of the first route, with no header
         sep, rows = " ", (row[:1] for row in rows)
-        block = [] if len(keys) == 1 else ["# b-file output uses the first route only"]
+        block = [] if len(keys) == 1 else ["# b-file output uses the first route only\n"]
     else:  # csv or text: a header, then one row per n
         sep = "," if args.format == "csv" else "\t"
-        block = [sep.join(["n"] + keys)]
+        block = [sep.join(["n"] + keys), "\n"]
     size = 0
     try:  # the lines made before an error reach stdout before it propagates
         for n, texts in enumerate(_rows(rows)):
-            block.append(sep.join([str(n)] + texts))
-            if (size := size + len(block[-1])) >= BLOCK:
-                text, block, size = "\n".join([*block, ""]), [], 0
+            block.append(str(n))
+            for text in texts:  # one join per block, none per row
+                block += sep, text
+                size += len(text)
+            block.append("\n")
+            if size >= BLOCK:
+                text, block, size = "".join(block), [], 0
                 sys.stdout.write(text)
     finally:
         if block:
-            sys.stdout.write("\n".join([*block, ""]))
+            sys.stdout.write("".join(block))
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,13 @@ arithmetic only, on `int` or on integer-valued `Decimal`.
   polynomial in n, and the lead, 1 by default, a polynomial in n that
   divides the row's sum exactly, as in the v theorem. The coupled 2xn
   systems and the one-member specs of fib, v, w and w-domino are all
-  systems. Each system's step is compiled once to straight-line additions,
-  as the brute column step is (`walks._column_step`), in a loop that yields
-  the members a caller reads one row at a time: `eval_system` collects the
-  rows into `int` tables, and `decimal_columns` streams them from `Decimal`
-  seeds in a context that traps any rounding, so that `seq` prints each
-  row as it is made.
+  systems. Each system's step is built once per structure to straight-line
+  additions that share sums between rows (`_plan`), as the brute column
+  step is (`walks._column_step`), in a loop that yields the members a
+  caller reads one row at a time: `eval_system` collects the rows into
+  `int` tables, and `decimal_columns` streams them from `Decimal` seeds in
+  a context that traps any rounding, so that `seq` prints each row as it
+  is made.
 * The paper's linear relations between shifted sequences (the intermediate
   identities, relations A and B, the v theorem moved to one side) are rows
   that sum to zero, and one `relation_check` applies any row to the
@@ -32,6 +33,7 @@ from contextvars import copy_context
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact,
                      InvalidOperation, Overflow, Rounded, setcontext)
 from functools import lru_cache, partial
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import NonIntegralStep, UnstratifiableSystem, _check
@@ -74,24 +76,96 @@ def _in_n(coeffs):
                       for j, c in enumerate(coeffs) if c)
 
 
+def _sum(terms):
+    """The source of the sum of `terms`, {(k, i): coefficient} reading s<i>_k,
+    each coefficient but +1 and -1 multiplied once: 2 * (s0_1 - s0_2)."""
+    groups = {}
+    for (k, i), c in terms.items():
+        negative = not isinstance(c, tuple) and c < 0
+        groups.setdefault(-c if negative else c, []).append(("-+"[not negative], f"s{i}_{k}"))
+    source = "".join(f" {sign} {local}" for sign, local in groups.pop(1, ()))
+    for c, ((lead, local), *rest) in groups.items():
+        inner = local + "".join(f" {'+' if sign == lead else '-'} {other}" for sign, other in rest)
+        scale = f"({_in_n(c)})" if isinstance(c, tuple) else c
+        source += f" {lead} {scale} * " + (f"({inner})" if rest else inner)
+    return ("0" + source).removeprefix("0 + ")
+
+
+@lru_cache(maxsize=None)
+def _plan(name, equations, leads, first, keep):
+    """The loop source of a system structure, built on first use, its shared
+    sums (a, b, d, sign) and the (value, shift) of each state entry. In
+    run(rows, steps, state), s<i>_k holds value i at n - k: member i, or
+    past the members a shared sum. Each step assigns every s<i>_0 once, the
+    `_sum` of its row over the member's lead, an exact division or a
+    `NonIntegralStep` naming n, as is a lead that is 0 at n. While a pair of
+    +1/-1 terms a(n - k) + sign b(n - k - d) occurs in two or more member
+    rows, the most frequent is named a shared sum a(n) + sign b(n - d), read
+    at each row's k and assigned right after its last same-step input. The
+    step yields the kept members, then rotates each history, as deep as the
+    largest shift read, by one tuple assignment. Rows read at the same step
+    only earlier members, and no shift reaches back past index 0.
+    """
+    index, leads, rows = {s: i for i, (s, _) in enumerate(equations)}, dict(leads), []
+    for s, row in equations:
+        terms = {}
+        for t, coeffs in row:
+            for k, c in enumerate(coeffs):
+                polynomial = isinstance(c, tuple)
+                if not (any(c) if polynomial else c):
+                    continue
+                if k == 0 and index.get(t, len(index)) >= index[s]:
+                    raise UnstratifiableSystem(f"system {name!r}: {s!r} refers to {t!r} "
+                                               "at the same step before it is filled in")
+                if k > first:
+                    raise ValueError(f"system {name!r}: {s!r} reads {t!r} {k} steps "
+                                     f"back from n = {first}, before index 0")
+                terms[k, index[t]] = c
+        rows.append(terms)
+    shared, order = (), list(index.values())
+    while True:
+        pairs = {}  # (a, b, d, sign): {member row: its first (term of a, term of b)}
+        for j, terms in enumerate(rows[:len(index)]):
+            for a, b in combinations(sorted(t for t, c in terms.items() if c in (1, -1)), 2):
+                pair = (a[1], b[1], b[0] - a[0], terms[a] * terms[b])
+                pairs.setdefault(pair, {}).setdefault(j, (a, b))
+        pair, found = max(pairs.items(), key=lambda item: len(item[1]), default=(None, {}))
+        if len(found) < 2:
+            break
+        for j, (a, b) in found.items():
+            del rows[j][b]
+            rows[j][a[0], len(rows)] = rows[j].pop(a)
+        order.insert(1 + max(map(order.index, pair[:1] if pair[2] else pair[:2])), len(rows))
+        rows.append({(0, pair[0]): 1, (pair[2], pair[1]): pair[3]})
+        shared += (pair,)
+    depth = [max([0] + [k for t in rows for k, j in t if j == i]) for i in range(len(rows))]
+    body = ""
+    for i in order:
+        value, s = _sum(rows[i]), i < len(index) and equations[i][0]
+        if s in leads:
+            lead, member = _in_n(leads[s]), f"system {name!r}: {s!r}"
+            zero = f"{member} has a zero lead at n = "
+            failure = f"{member} is not an integer at n = "
+            body += (f"        if not {lead}:\n"
+                     f"            raise NonIntegralStep({zero!r} + str(n))\n"
+                     f"        s{i}_0, rem = divmod({value}, {lead})\n"
+                     f"        if rem:\n            raise NonIntegralStep({failure!r} + str(n))\n")
+        else:
+            body += f"        s{i}_0 = {value}\n"
+    body += f"        yield ({''.join(f's{index[s]}_0, ' for s in keep)})\n"
+    history = [[f"s{i}_{k}" for k in range(d + 1)] for i, d in enumerate(depth) if d]
+    body += "".join(f"        {', '.join(h[:0:-1])} = {', '.join(h[-2::-1])}\n" for h in history)
+    state = "".join(f"{local}, " for h in history for local in h[1:])
+    source = ("def run(rows, steps, state):\n    yield from rows\n"
+              + f"    {state}= state\n" * bool(state)
+              + "    for n in steps:\n" + body)
+    return source, shared, tuple((i, k) for i, d in enumerate(depth) for k in range(1, d + 1))
+
+
 def _columns(spec, upto, members):
     """The rows of `members` (every member, in equation order, when None):
-    one tuple of their values for each n = 0..upto, checked and compiled at
-    once and made as they are read.
-
-    Every member has equally many initial values, and the steps from the
-    first index past them run in one generator compiled from straight-line
-    source, run(rows, steps, state), where the local s<i>_k holds
-    member i's value at n - k. Each step assigns s<i>_0 once per member, in
-    equation order, from its row's nonzero terms (a coefficient of +1 or -1
-    adds or subtracts its term without a multiplication, a polynomial one is
-    evaluated at the loop's n) over its lead, an exact division or a
-    `NonIntegralStep` naming n, as is a lead that is 0 at n. It yields the
-    kept members' s<i>_0, and rotates each member's history, kept to the
-    largest shift any row reads of it, by one tuple assignment. A same-step
-    reference must name an earlier member, and no shift may reach back past
-    index 0, so each step reads only values already filled in.
-    """
+    one tuple of their values for each n = 0..upto, checked at once and made
+    as they are read, past the initial values by the loop of `_plan`."""
     keep = tuple(spec.equations) if members is None else tuple(members)
     for s in keep:
         if s not in spec.equations:
@@ -101,52 +175,16 @@ def _columns(spec, upto, members):
         raise ValueError(f"system {spec.name!r}: its members have different numbers "
                          "of initial values")
     [first] = counts
-    index = {s: i for i, s in enumerate(spec.equations)}
-    depth = dict.fromkeys(index, 0)
-    body, in_n = "", bool(spec.leads)
-    for s, row in spec.equations.items():
-        terms = ""
-        for t, coeffs in row.items():
-            for k, c in enumerate(coeffs):
-                polynomial = isinstance(c, tuple)
-                if not (any(c) if polynomial else c):
-                    continue
-                if k == 0 and index.get(t, len(index)) >= index[s]:
-                    raise UnstratifiableSystem(f"system {spec.name!r}: {s!r} refers to {t!r} "
-                                               "at the same step before it is filled in")
-                if k > first:
-                    raise ValueError(f"system {spec.name!r}: {s!r} reads {t!r} {k} steps "
-                                     f"back from n = {first}, before index 0")
-                depth[t] = max(depth[t], k)
-                if polynomial:
-                    sign, scale, in_n = "+", f"({_in_n(c)}) * ", True
-                else:
-                    sign, scale = "-" if c < 0 else "+", f"{abs(c)} * " * (abs(c) != 1)
-                terms += f" {sign} {scale}s{index[t]}_{k}"
-        value = ("0" + terms).removeprefix("0 + ")
-        if s in spec.leads:
-            lead, member = _in_n(spec.leads[s]), f"system {spec.name!r}: {s!r}"
-            zero = f"{member} has a zero lead at n = "
-            failure = f"{member} is not an integer at n = "
-            body += (f"        if not {lead}:\n"
-                     f"            raise NonIntegralStep({zero!r} + str(n))\n"
-                     f"        s{index[s]}_0, rem = divmod({value}, {lead})\n"
-                     f"        if rem:\n            raise NonIntegralStep({failure!r} + str(n))\n")
-        else:
-            body += f"        s{index[s]}_0 = {value}\n"
-    body += f"        yield ({''.join(f's{index[s]}_0, ' for s in keep)})\n"
-    history = {s: [f"s{index[s]}_{k}" for k in range(depth[s] + 1)] for s in index if depth[s]}
-    body += "".join(f"        {', '.join(h[:0:-1])} = {', '.join(h[-2::-1])}\n"
-                    for h in history.values())
-    state = "".join(f"{local}, " for h in history.values() for local in h[1:])
-    source = ("def run(rows, steps, state):\n    yield from rows\n"
-              + f"    {state}= state\n" * bool(state)
-              + f"    for {'n' if in_n else '_'} in steps:\n" + body)
+    equations = tuple((s, tuple(row.items())) for s, row in spec.equations.items())
+    source, shared, slots = _plan(spec.name, equations, tuple(spec.leads.items()), first, keep)
     rows = [tuple(spec.initial[s][n] for s in keep) for n in range(min(first, upto + 1))]
     if upto < first:
         return iter(rows)
-    return _compile_loop(source)(rows, range(first, upto + 1), [
-        spec.initial[s][first - k] for s in history for k in range(1, depth[s] + 1)])
+    values = [spec.initial[s] for s in spec.equations]
+    for a, b, d, sign in shared:  # 0 where a sum would read before index 0: never read
+        values.append([0] * d + [values[a][m] + sign * values[b][m - d] for m in range(d, first)])
+    return _compile_loop(source)(rows, range(first, upto + 1),
+                                 [values[i][first - k] for i, k in slots])
 
 
 def eval_system(spec, upto, members=None):
@@ -175,8 +213,9 @@ def decimal_columns(spec, upto, members):
     context is a copy of `EXACT`, so that the caller's holds between rows
     and after an error, however the rows are read, interleaved or left."""
     seeds = spec._replace(initial={s: tuple(map(Decimal, v)) for s, v in spec.initial.items()})
-    rows, run = _columns(seeds, upto, members), copy_context().run
+    run = copy_context().run
     run(setcontext, EXACT.copy())
+    rows = run(_columns, seeds, upto, members)  # a shared sum's first values are sums too
     return iter(partial(run, next, rows, None), None)
 
 

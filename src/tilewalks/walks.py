@@ -5,8 +5,8 @@ package is cross-checked against the sums computed here. Its search,
 `_line_totals`, still enumerates every tiling, but a group of columns at a
 time: each group's subtree is one call of a fan compiled to straight-line
 additions (`_column_fan`), from the same step source as `_column_step`.
-The source holds only the additions a tiling needs, with no line for a
-count that is copied or 0, and every tiling adds its own term to the
+The source holds each distinct sum of two counts once, with no line for
+a count that is copied or 0, and every tiling adds its own term to the
 totals. A fan calls the next group's fan for each node it ends at, and
 a stack takes the nodes past a bounded depth of such calls.
 """
@@ -17,7 +17,7 @@ from .boards import Board, _column_fills, _taken, count_tilings
 from .errors import DEFAULT_BUDGET, BudgetExceeded
 
 
-def _step_source(rows, spill, cross, out, names):
+def _step_source(rows, spill, cross, out, names, sums):
     """The lines of straight-line source that step the rows + 1 walk counts
     on grid line x-1, held by `names`, to line x, and the names that hold
     the counts on line x.
@@ -26,9 +26,10 @@ def _step_source(rows, spill, cross, out, names):
     y-1 of `spill` blocks the climb from (x, y-1) to (x, y), bit y of `cross`
     blocks the step from (x-1, y) to (x, y), so out[y] = (in[y] unless
     cross) + (out[y-1] unless spill). A name is a str, or None for a count
-    that is 0. Only a sum of two counts gets a line, `<out>y = a + b`; a
-    count that is one of the two is held by that one's name, and 0 by None.
-    The source is built from the ints and the names alone.
+    that is 0. Only a sum of two counts not in `sums`, {sum: its name} for
+    the source, gets a line, `<out>y = a + b`; a count that is one of the
+    two is held by that one's name, and 0 by None. The source is built from
+    the ints and the names alone.
     """
     climb = spill << 1 | 1  # row 0 has no climb
     lines, held = [], []
@@ -37,8 +38,9 @@ def _step_source(rows, spill, cross, out, names):
                                    None if climb >> y & 1 else held[-1])
                  if name is not None]
         if len(terms) == 2:
-            lines.append(f"    {out}{y} = {terms[0]} + {terms[1]}\n")
-            terms = [f"{out}{y}"]
+            rhs = " + ".join(sorted(terms))
+            lines += [f"    {out}{y} = {rhs}\n"] * (rhs not in sums)
+            terms = [sums.setdefault(rhs, f"{out}{y}")]
         held.append(terms[0] if terms else None)
     return "".join(lines), held
 
@@ -66,19 +68,19 @@ def _column_step(rows, spill, cross):
     compiled to straight-line additions on first use. Line 0 is the step
     from (1, 0, ..., 0) with nothing blocked.
     """
-    source, names = _step_source(rows, spill, cross, "n", _inputs(rows))
+    source, names = _step_source(rows, spill, cross, "n", _inputs(rows), {})
     return _compile(rows, "", source + f"    return ({_args(names)},)\n")
 
 
 def _fan_source(rows, spill, keys, squares_allowed):
     """The head and body of the fan of `_column_fan`."""
-    lines, sums = [], [[] for _ in keys]
+    lines, sums, named = [], [[] for _ in keys], {}
     frontier = [(spill, _inputs(rows))]  # (spill in, names of the parent's counts)
     for l, (taken, closed, last) in enumerate(keys):
         grown = []
         for into, parent in frontier:
             for _, out, cross in _column_fills(rows, into | taken, closed, squares_allowed):
-                source, names = _step_source(rows, out, cross, f"n{len(lines)}_", parent)
+                source, names = _step_source(rows, out, cross, f"n{len(lines)}_", parent, named)
                 lines.append(source)
                 if not out:
                     sums[l].append(names)
@@ -104,8 +106,8 @@ def _column_fan(rows, spill, keys, squares_allowed):
     `spill` holds the rows the column before the group spills into its
     first column. fan(t1, ..., tg, nxt, *ways) steps the walk counts `ways`
     through every fill path of the group, each fill from its parent's
-    counts by `_step_source`, so the source holds one line per addition
-    and none for a count that is copied or 0. It adds the counts of column
+    counts by `_step_source`, so the source holds one line per distinct
+    sum and none for a count that is copied or 0. It adds the counts of column
     l's fills that spill nothing out into the totals row tl in place, one
     += per grid line with one term per fill, and then calls nxt[spill
     out](*counts) for each fill of the group's last column, the next

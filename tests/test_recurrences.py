@@ -2,10 +2,12 @@ import ast
 import decimal
 import hashlib
 import inspect
+import re
 import tracemalloc
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tilewalks.closedforms import v_fibonacci_form, w_domino_fibonacci_form
 from tilewalks.elimination import composed_form_check
@@ -270,50 +272,130 @@ def test_the_theorem_mutants_bump_its_polynomials_and_its_lead():
         ("v", "lead", (1, 1)), ("v", "lead", (0, 2))]
 
 
-# sha256 of the loop source each constant-coefficient spec generated before
-# rows could have polynomial coefficients and leads, every member kept: the
-# new formats leave their source as it was
+# sha256 of the loop source each constant-coefficient spec compiles, every
+# member kept: a pin on the compiled source, so that any change to it is
+# deliberate and re-pins it here
 CONSTANT_SOURCES = {
-    "domino_only_recurrence": "97757866c8e952fe",
-    "domino_only_system": "bcb3c584640d99a6",
-    "fibonacci_spec": "529693f8f3e9197e",
-    "tiling_system": "655a5769566c47ff",
-    "v_fourth_order_spec": "53d8c71b80b582df",
-    "v_inhomogeneous_system": "5033a18735fa5d75",
-    "w_ninth_order_spec": "1b21e4b08a87a25c",
-    "walk_system": "61a0fd5f805f6180",
+    "domino_only_recurrence": "947c8619f0c298ab",
+    "domino_only_system": "e5cbf772202f7f92",
+    "fibonacci_spec": "77adc84384b19b29",
+    "tiling_system": "2b1179d85b7addd6",
+    "v_fourth_order_spec": "005a1d13076a1dd3",
+    "v_inhomogeneous_system": "ce86e9fcc61596e6",
+    "w_ninth_order_spec": "fec0226ae0a6a9d6",
+    "walk_system": "b0a1549ede3efff7",
 }
+
+
+def _loop_source(monkeypatch, spec, members=None):
+    """The loop source that `eval_system(spec, 12, members)` compiles."""
+    sources = []
+    compile_loop = recurrences._compile_loop
+    monkeypatch.setattr(recurrences, "_compile_loop",
+                        lambda source: sources.append(source) or compile_loop(source))
+    eval_system(spec, 12, members)
+    [source] = sources
+    return source
 
 
 @pytest.mark.parametrize("factory", CONSTANT_SOURCES)
 def test_constant_coefficient_sources_are_unchanged(monkeypatch, factory):
-    sources = []
-    compile_loop = recurrences._compile_loop
-    monkeypatch.setattr(recurrences, "_compile_loop",
-                        lambda source: sources.append(source) or compile_loop(source))
-    eval_system(getattr(recurrences, factory)(), 12)
-    [source] = sources
+    source = _loop_source(monkeypatch, getattr(recurrences, factory)())
     assert hashlib.sha256(source.encode()).hexdigest()[:16] == CONSTANT_SOURCES[factory]
 
 
 def test_walk_step_source_assigns_each_member_once(monkeypatch):
-    sources = []
-    compile_loop = recurrences._compile_loop
-    monkeypatch.setattr(recurrences, "_compile_loop",
-                        lambda source: sources.append(source) or compile_loop(source))
     spec = walk_system()
-    eval_system(spec, 10, ("r2",))
-    [source] = sources
+    source = _loop_source(monkeypatch, spec, ("r2",))
     assert "1 *" not in source
     [loop] = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.For)]
-    # per step, each member's value is assigned once, and its history is
-    # rotated by at most one more assignment
+    # per step, each member and each shared sum (the locals past the
+    # members) is assigned once, and its history is rotated by at most one
+    # more assignment
     targets = [[name.id for name in ast.walk(node.targets[0]) if isinstance(name, ast.Name)]
                for node in loop.body if isinstance(node, ast.Assign)]
-    values = [names for names in targets if names[0].endswith("_0")]
-    assert sorted(values) == sorted([f"s{i}_0"] for i in range(len(spec.equations)))
-    members = [names[0].split("_")[0] for names in targets]
-    assert all(members.count(m) <= 2 for m in members)
+    values = sorted(int(names[0][1:-2]) for names in targets if names[0].endswith("_0"))
+    assert len(values) > len(spec.equations) and values == list(range(len(values)))
+    locals_ = [names[0].split("_")[0] for names in targets]
+    assert all(locals_.count(m) <= 2 for m in locals_)
+
+
+def _binary_operations(source, *kinds):
+    return sum(isinstance(node, ast.BinOp) and isinstance(node.op, kinds)
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_shared_sums_and_grouped_coefficients_cut_the_step_arithmetic(monkeypatch):
+    # 27 additions per walk_system step and 5 multiplications per
+    # domino_only_recurrence step when every row summed its own terms
+    walk = _loop_source(monkeypatch, walk_system())
+    assert _binary_operations(walk, ast.Add, ast.Sub) <= 20
+    domino = _loop_source(monkeypatch, domino_only_recurrence())
+    assert _binary_operations(domino, ast.Mult) <= 2
+    assert " = s0_6 + 2 * (s0_1 + s0_2 - s0_4 + s0_5) - 4 * s0_3\n" in domino
+
+
+@pytest.mark.parametrize("term", [0, 1])
+def test_a_shared_sum_that_drops_a_term_fails(monkeypatch, term):
+    # negative control: each shared sum of walk_system in turn reads only
+    # one of its two terms, and the tables differ from the plain evaluator's
+    spec, compile_loop = walk_system(), recurrences._compile_loop
+    reference = _plain_columns(spec, 40)
+    source = _loop_source(monkeypatch, spec)
+    shared = [int(i) for i in re.findall(r"\n +s(\d+)_0 = ", source)
+              if int(i) >= len(spec.equations)]
+    assert shared
+    for i in shared:
+        def dropping(source):
+            dropped = re.sub(rf"(s{i}_0 = )(\w+) \+ (\w+)", rf"\g<1>\g<{2 + term}>", source)
+            assert dropped != source
+            return compile_loop(dropped)
+
+        monkeypatch.setattr(recurrences, "_compile_loop", dropping)
+        tables = eval_system(spec, 40)
+        assert {s: list(t.values) for s, t in tables.items()} != reference, i
+
+
+def test_a_plan_is_built_once_per_spec_structure():
+    recurrences._plan.cache_clear()
+    for upto in (0, 1, 12, 300):  # a new spec object each time, one structure
+        eval_system(walk_system(), upto)
+    eval_system(walk_system(), 12, ("r2",))  # another set of kept members
+    assert recurrences._plan.cache_info().misses == 2
+    # and each copy with one coefficient or lead changed has its own
+    for spec in (domino_only_system(), v_theorem_spec()):
+        recurrences._plan.cache_clear()
+        mutants = [mutant for _, mutant in _mutants(spec)]
+        for mutant in mutants:
+            try:
+                eval_system(mutant, 30)
+            except NonIntegralStep:
+                pass
+        assert recurrences._plan.cache_info().misses == len(mutants) > 4
+
+
+@st.composite
+def constant_systems(draw):
+    """A stratified system of 1 to 4 members, each row reading every member
+    at shifts 1 to 3 and each earlier member at shift 0, with coefficients
+    -3..3, from 3 initial values each."""
+    names = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+    coefficient = st.integers(-3, 3)
+    equations = {s: {t: (draw(coefficient) if j < i else 0,
+                         *draw(st.lists(coefficient, min_size=3, max_size=3)))
+                     for j, t in enumerate(names)} for i, s in enumerate(names)}
+    initial = {s: tuple(draw(st.lists(st.integers(-9, 9), min_size=3, max_size=3)))
+               for s in names}
+    return CoupledSystemSpec("random", equations, initial)
+
+
+@settings(max_examples=60, deadline=None)
+@given(constant_systems())
+def test_random_constant_systems_match_the_plain_evaluator(spec):
+    reference = _plain_columns(spec, 40)
+    assert {s: list(t.values) for s, t in eval_system(spec, 40).items()} == reference
+    columns = zip(spec.equations, zip(*decimal_columns(spec, 40, None)))
+    assert {s: [int(v) for v in column] for s, column in columns} == reference
 
 
 def _caller_context():

@@ -450,7 +450,7 @@ def step_sources():
                  for _, spill, cross in _column_fills(rows, occupied, closed, squares)}
         for (spill, cross), zero in product(sorted(masks), range(1 << (rows + 1))):
             names = [None if zero >> y & 1 else f"w{y}" for y in range(rows + 1)]
-            yield walks._step_source(rows, spill, cross, "n", names)[0]
+            yield walks._step_source(rows, spill, cross, "n", names, {})[0]
 
 
 def fan_sources():
@@ -470,14 +470,23 @@ def test_a_step_or_fan_source_has_a_line_only_for_an_addition():
                                 r"|nxt\[\d+\]\((\w+, )*\w+\)|pass)", line), line
 
 
+def test_no_two_sum_lines_of_a_fan_share_a_right_hand_side():
+    # sibling fill paths read one name for a sum they both make, as the
+    # search shares their parents; every tiling still adds its own term
+    for source in fan_sources():
+        sums = [tuple(sorted(line.split(" = ")[1].split(" + "))) for line in source.splitlines()
+                if re.fullmatch(r" *\w+ = \w+ \+ \w+", line)]
+        assert len(set(sums)) == len(sums), source
+
+
 def test_the_idle_line_check_catches_a_step_source_that_keeps_its_copies(monkeypatch):
     # negative control: each count on the new line also gets its own name,
     # copied from the name that holds it or set to 0, as every line once
     # did; the fans still count right, so only the structure tells them apart
     step_source, expected = walks._step_source, brute_line_totals(2, 8)
 
-    def keeping_copies(rows, spill, cross, out, names):
-        source, held = step_source(rows, spill, cross, out, names)
+    def keeping_copies(rows, spill, cross, out, names, sums):
+        source, held = step_source(rows, spill, cross, out, names, sums)
         for y, name in enumerate(held):
             if name != f"{out}{y}":
                 source += f"    {out}{y} = {name or 0}\n"
