@@ -93,10 +93,13 @@ def _system_column(system, *members):
     return route
 
 
-def _closed_column(term):
+# A closed route maps its per-n function's pair form(n, F(n+at), F(n+at+1)) over
+# `_fib_pairs`: one fast doubling per `_BLOCK` terms, two big-by-small products per term.
+def _closed_column(form, at=0):
     def route(upto, budget):
         from . import closedforms
-        return ("",), zip(map(getattr(closedforms, term), range(upto + 1)))
+        term, pairs = getattr(closedforms, form), closedforms._fib_pairs(at, upto + 1 + at)
+        return ("",), ((term(n, *pair),) for n, pair in enumerate(pairs))
 
     return route
 
@@ -105,7 +108,7 @@ SEQUENCES = {
     "v": {
         "brute": _line_column(1, v=1),
         "recurrence": _system_column("v_theorem_spec", "v"),
-        "closed": _closed_column("v_fibonacci_form"),
+        "closed": _closed_column("_v_form", at=1),
     },
     "w": {
         "brute": _line_column(2, r2=2),
@@ -114,7 +117,7 @@ SEQUENCES = {
     "w-domino": {
         "brute": _line_column(2, squares_allowed=False, r2=2),
         "recurrence": _system_column("domino_only_recurrence", "w-domino"),
-        "closed": _closed_column("w_domino_fibonacci_form"),
+        "closed": _closed_column("_w_domino_form"),
     },
     "r": {
         "brute": _line_column(2, r=0),
@@ -139,7 +142,7 @@ SEQUENCES = {
     "fib": {
         "brute": _brute_fib,
         "recurrence": _system_column("fibonacci_spec", "fib"),
-        "closed": _closed_column("fib"),
+        "closed": _closed_column("_fib_form"),
     },
     "w-by-line": {  # the walk totals ending on each grid line
         "brute": _line_column(2, r=0, r1=1, r2=2),

@@ -1,11 +1,14 @@
 """Fibonacci and Q(sqrt5) closed forms for the tiling-walking sequences."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul
 
 from .errors import NonIntegralStep, _check
 from .qsqrt5 import ALPHA, BETA, SQRT5, QSqrt5, _new
+
+_BLOCK = 64  # terms per `_fib_pair` call in `_fib_pairs`
 
 
 def _fib_pair(n):
@@ -21,6 +24,21 @@ def _fib_pair(n):
     return a, b
 
 
+@lru_cache(maxsize=None)
+def _small_pairs():  # (F(k), F(k+1)) for k = 0.._BLOCK, built on first use
+    return tuple(map(_fib_pair, range(_BLOCK + 1)))
+
+
+def _fib_pairs(start, stop):
+    """(F(n), F(n+1)), start <= n < stop: F(m+k) = F(m)F(k+1) + F(m-1)F(k) from one
+    `_fib_pair(m)` per _BLOCK-aligned base m, two big-by-small products per term."""
+    for m in range(start - start % _BLOCK, stop, _BLOCK):
+        a, b = _fib_pair(m)
+        c, ks = b - a, _small_pairs()[max(start - m, 0):min(stop - m, _BLOCK) + 1]
+        fs = [a * f1 + c * f0 for f0, f1 in ks]  # F(m+k), one more than the pairs
+        yield from zip(fs, fs[1:])
+
+
 def _powers(n):
     """(alpha^n, beta^n) = ((L(n) + F(n) sqrt5)/2, (L(n) - F(n) sqrt5)/2), n >= 0,
     from one `_fib_pair`, with the Lucas number L(n) = 2F(n+1) - F(n)."""
@@ -29,9 +47,13 @@ def _powers(n):
     return _new(lucas, f0, 2), _new(lucas, -f0, 2)
 
 
+def _fib_form(n, f0, f1):
+    return f0
+
+
 def fib(n):
     """F(n), n >= 0."""
-    return _fib_pair(n)[0]
+    return _fib_form(n, *_fib_pair(n))
 
 
 def _exact_div(num, d, what):
@@ -41,17 +63,23 @@ def _exact_div(num, d, what):
     return q
 
 
-def v_fibonacci_form(n):
+def _v_form(n, f1, f2):
     """5 v(n) = 2(n+2) F(n+1) + (n+1) F(n+2), solved for v(n)."""
-    f1, f2 = _fib_pair(n + 1)
     return _exact_div(2 * (n + 2) * f1 + (n + 1) * f2, 5, "v closed form")
 
 
-def w_domino_fibonacci_form(n):
+def v_fibonacci_form(n):
+    return _v_form(n, *_fib_pair(n + 1))
+
+
+def _w_domino_form(n, f0, f1):
     """Dominoes-only walk total as a rational combination of Fibonacci numbers."""
-    f0, f1 = _fib_pair(n)
     num = 5 * ((1 + (-1) ** n) // 2) + 3 * (1 + n) * f0 + 4 * n * f1
     return _exact_div(num, 5, "domino-only closed form")
+
+
+def w_domino_fibonacci_form(n):
+    return _w_domino_form(n, *_fib_pair(n))
 
 
 def w_domino_even_form(n):
@@ -104,12 +132,11 @@ def binet_identity_check(upto):
     `_powers` builds from F(n) and L(n), and the last pair also ALPHA**upto
     and BETA**upto, so that `QSqrt5.__pow__` is checked once.
     """
-    powers = zip(accumulate(repeat(ALPHA), mul, initial=QSqrt5(1)),
-                 accumulate(repeat(BETA), mul, initial=QSqrt5(1)))
+    steps = zip(accumulate(repeat(ALPHA), mul, initial=QSqrt5(1)),
+                accumulate(repeat(BETA), mul, initial=QSqrt5(1)), _fib_pairs(0, upto + 1))
 
     def holds(n):  # called for n = 0..upto in order
-        an, bn = next(powers)
-        f0, f1 = _fib_pair(n)
+        an, bn, (f0, f1) = next(steps)
         return ((an - bn) / SQRT5 == QSqrt5(f0)
                 and an + bn == QSqrt5(2 * f1 - f0)
                 and (an, bn) == _powers(n)

@@ -1,8 +1,11 @@
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
-from tilewalks import closedforms
+from tilewalks import cli, closedforms
 from tilewalks.closedforms import (
     EXPLICIT_A,
     EXPLICIT_B,
@@ -135,3 +138,66 @@ def test_binet_sample_values():
     # F(10) = 55 and 2F(11) - F(10) = 123 (a Lucas number)
     assert fib(10) == 55
     assert 2 * fib(11) - fib(10) == 123
+
+
+# _fib_pairs: one fast doubling per block of closedforms._BLOCK terms, and
+# every term of the block from its base by the addition law.
+FIB_PAIR = closedforms._fib_pair
+PAIR_STARTS = (0, 1, 63, 64, 65)
+PAIR_SPANS = [(s, e) for s in PAIR_STARTS for e in (s, s + 1, 64, 65, 127, 128, 129, 300)]
+
+
+def pairs_agree(start, stop):
+    return list(closedforms._fib_pairs(start, stop)) == [FIB_PAIR(n) for n in range(start, stop)]
+
+
+def closed_rows(name, route, upto=2000):
+    """The exit code and the value rows of `seq name --route route` as csv."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["seq", name, "--upto", str(upto), "--route", route, "--format", "csv"])
+    return code, out.getvalue().splitlines()[1:]
+
+
+def closed_agrees(name):
+    return closed_rows(name, "closed") == closed_rows(name, "recurrence")
+
+
+@pytest.mark.parametrize("start,stop", PAIR_SPANS)
+def test_fib_pairs_equal_fresh_fast_doublings(start, stop):
+    assert pairs_agree(start, stop)
+
+
+@pytest.mark.parametrize("name", ["fib", "v", "w-domino"])
+def test_closed_routes_equal_the_recurrence_to_2000(name):
+    code, rows = closed_rows(name, "closed")
+    assert code == 0 and len(rows) == 2001
+    assert (code, rows) == closed_rows(name, "recurrence")
+
+
+def shifted_base(monkeypatch):
+    closedforms._small_pairs()  # the small table from the true pairs
+    monkeypatch.setattr(closedforms, "_fib_pair", lambda m: FIB_PAIR(m + 1))
+
+
+def shifted_table(monkeypatch):
+    table = tuple(map(FIB_PAIR, range(1, closedforms._BLOCK + 2)))
+    monkeypatch.setattr(closedforms, "_small_pairs", lambda: table)
+
+
+@pytest.mark.parametrize("mutate", [shifted_base, shifted_table])
+def test_an_off_by_one_block_fails_both_checks(monkeypatch, mutate):
+    # negative control: a block base F(m+1) in place of F(m), or a small table
+    # read one term on, must show in the pairs and in every closed column
+    mutate(monkeypatch)
+    assert not all(pairs_agree(s, e) for s, e in PAIR_SPANS)
+    assert not any(map(closed_agrees, ["fib", "v", "w-domino"]))
+
+
+def test_a_closed_column_makes_one_fast_doubling_per_block(monkeypatch):
+    calls = []
+    monkeypatch.setattr(closedforms, "_fib_pair", lambda n: calls.append(n) or FIB_PAIR(n))
+    closedforms._small_pairs.cache_clear()
+    code, rows = closed_rows("v", "closed")
+    assert code == 0 and len(rows) == 2001
+    assert len(calls) <= ceil(2001 / 64) + 65  # 2001 with one fast doubling per term
