@@ -93,13 +93,17 @@ def _system_column(system, *members):
     return route
 
 
-# A closed route maps its per-n function's pair form(n, F(n+at), F(n+at+1)) over
+# A closed column maps its per-n function's pair form(n, F(n+at), F(n+at+1)) over
 # `_fib_pairs`: one fast doubling per `_BLOCK` terms, two big-by-small products per term.
+def _closed(form, upto, at=0):
+    from . import closedforms
+    term, pairs = getattr(closedforms, form), closedforms._fib_pairs(at, upto + 1 + at)
+    return (term(n, *pair) for n, pair in enumerate(pairs))
+
+
 def _closed_column(form, at=0):
     def route(upto, budget):
-        from . import closedforms
-        term, pairs = getattr(closedforms, form), closedforms._fib_pairs(at, upto + 1 + at)
-        return ("",), ((term(n, *pair),) for n, pair in enumerate(pairs))
+        return ("",), zip(_closed(form, upto, at))
 
     return route
 
@@ -252,19 +256,18 @@ def _emit_table(args, keys, rows, report):
 
 
 def _verify_theorems():
-    from . import closedforms, elimination, recurrences
+    from . import elimination, recurrences
     from .recurrences import agreement_check
     upto = 200
     theorem = recurrences.eval_recurrence(recurrences.v_theorem_spec(), upto)
     [fourth] = recurrences.eval_system(recurrences.v_fourth_order_spec(), upto).values()
     [inhomogeneous] = recurrences.eval_system(recurrences.v_inhomogeneous_system(), upto,
                                               ("v",)).values()
-    closed = [closedforms.v_fibonacci_form(n) for n in range(upto + 1)]
     [w9] = recurrences.eval_system(recurrences.w_ninth_order_spec(), 50).values()
     [r2] = recurrences.eval_system(recurrences.walk_system(), 50, ("r2",)).values()
     return [
         agreement_check("v-three-routes-agree", theorem, fourth, inhomogeneous),
-        agreement_check("v-fibonacci-closed-form", theorem, closed),
+        agreement_check("v-fibonacci-closed-form", theorem, [*_closed("_v_form", upto, at=1)]),
         recurrences.theorem_step_check(fourth, upto),
         agreement_check("w-ninth-order-equals-system", w9, r2),
         elimination.composed_form_check(w9, 50),
@@ -313,24 +316,15 @@ def _verify_closed_forms():
     upto = 50
     [rec] = recurrences.eval_system(recurrences.domino_only_recurrence(), upto).values()
     [r2] = recurrences.eval_system(recurrences.domino_only_system(), upto, ("r2",)).values()
-    splits = [closedforms.w_domino_odd_form(n // 2) if n % 2
-              else closedforms.w_domino_even_form(n // 2) for n in range(upto)]
-
-    def column(term):
-        return [term(n) for n in range(upto + 1)]
-
     return [
         CheckResult("alpha-beta-product", ALPHA * BETA == -1),
         CheckResult("alpha-beta-sum", ALPHA + BETA == 1),
         closedforms.binet_identity_check(100),
         agreement_check("domino-system-vs-recurrence", rec, r2),
-        agreement_check("domino-fibonacci-vs-recurrence", rec,
-                        column(closedforms.w_domino_fibonacci_form)),
-        agreement_check("domino-explicit-vs-recurrence", rec,
-                        column(closedforms.w_domino_explicit)),
-        agreement_check("domino-ceiling-vs-recurrence", rec,
-                        column(closedforms.w_domino_ceiling)),
-        agreement_check("domino-even-odd-splits", rec[:upto], splits),
+        agreement_check("domino-fibonacci-vs-recurrence", rec, [*_closed("_w_domino_form", upto)]),
+        agreement_check("domino-explicit-vs-recurrence", rec, [*_closed("_explicit_form", upto)]),
+        agreement_check("domino-ceiling-vs-recurrence", rec, [*_closed("_ceiling_form", upto)]),
+        agreement_check("domino-even-odd-splits", rec[:upto], [*_closed("_split_form", upto - 1)]),
     ]
 
 

@@ -1,4 +1,8 @@
-"""Fibonacci and Q(sqrt5) closed forms for the tiling-walking sequences."""
+"""Fibonacci and Q(sqrt5) closed forms for the tiling-walking sequences.
+
+`seq` and `verify` map the pair forms form(n, F(n), F(n+1)) over `_fib_pairs`:
+`_fib_form`, `_w_domino_form`, `_split_form`, `_explicit_form`, `_ceiling_form`
+and `_v_form`, of (F(n+1), F(n+2)). Each public per-n form reads one `_fib_pair`."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -39,10 +43,9 @@ def _fib_pairs(start, stop):
         yield from zip(fs, fs[1:])
 
 
-def _powers(n):
-    """(alpha^n, beta^n) = ((L(n) + F(n) sqrt5)/2, (L(n) - F(n) sqrt5)/2), n >= 0,
-    from one `_fib_pair`, with the Lucas number L(n) = 2F(n+1) - F(n)."""
-    f0, f1 = _fib_pair(n)
+def _powers(f0, f1):
+    """(alpha^n, beta^n) = ((L(n) + F(n) sqrt5)/2, (L(n) - F(n) sqrt5)/2) from the
+    pair (F(n), F(n+1)), n >= 0, with the Lucas number L(n) = 2F(n+1) - F(n)."""
     lucas = 2 * f1 - f0
     return _new(lucas, f0, 2), _new(lucas, -f0, 2)
 
@@ -82,16 +85,21 @@ def w_domino_fibonacci_form(n):
     return _w_domino_form(n, *_fib_pair(n))
 
 
+def _split_form(n, f0, f1):
+    """w(n) by the even split, 5 w(2k) = 5 + (3 + 6k) F(2k) + 8k F(2k+1), or the
+    odd one, 5 w(2k+1) = (6 + 6k) F(2k+1) + (4 + 8k) F(2k+2), for k = n // 2."""
+    k = n // 2
+    if n % 2:
+        return _exact_div((6 + 6 * k) * f0 + (4 + 8 * k) * f1, 5, "odd split form")
+    return _exact_div(5 + (3 + 6 * k) * f0 + 8 * k * f1, 5, "even split form")
+
+
 def w_domino_even_form(n):
-    """5 w(2n) = 5 + (3 + 6n) F(2n) + 8n F(2n+1)."""
-    f0, f1 = _fib_pair(2 * n)
-    return _exact_div(5 + (3 + 6 * n) * f0 + 8 * n * f1, 5, "even split form")
+    return _split_form(2 * n, *_fib_pair(2 * n))
 
 
 def w_domino_odd_form(n):
-    """5 w(2n+1) = (6 + 6n) F(2n+1) + (4 + 8n) F(2n+2)."""
-    f1, f2 = _fib_pair(2 * n + 1)
-    return _exact_div((6 + 6 * n) * f1 + (4 + 8 * n) * f2, 5, "odd split form")
+    return _split_form(2 * n + 1, *_fib_pair(2 * n + 1))
 
 
 # Constants of the explicit dominoes-only formula
@@ -104,14 +112,11 @@ EXPLICIT_E = QSqrt5(0, Fraction(-3, 25))
 EXPLICIT_F = QSqrt5(Fraction(2, 5), Fraction(-1, 5))
 
 
-def w_domino_explicit(n):
-    """Evaluate the explicit form entirely in Q(sqrt5).
-
-    The sqrt(5) component must cancel exactly and the rational part must be
-    an integer; anything else raises.
-    """
+def _explicit_form(n, f0, f1):
+    """The explicit form evaluated entirely in Q(sqrt5): the sqrt(5) component must
+    cancel exactly and the rational part must be an integer; anything else raises."""
     sign = 1 if n % 2 == 0 else -1
-    alpha_n, beta_n = _powers(n)
+    alpha_n, beta_n = _powers(f0, f1)
     val = (EXPLICIT_A + EXPLICIT_B * sign + (EXPLICIT_C + EXPLICIT_D * n) * alpha_n
            + (EXPLICIT_E + EXPLICIT_F * n) * beta_n)
     rat = val.rational_value()
@@ -120,16 +125,24 @@ def w_domino_explicit(n):
     return int(rat)
 
 
-def w_domino_ceiling(n):
+def w_domino_explicit(n):
+    return _explicit_form(n, *_fib_pair(n))
+
+
+def _ceiling_form(n, f0, f1):
     """ceil((3 sqrt5/25 + (2 + sqrt5)/5 * n) alpha^n), decided exactly."""
-    return ((EXPLICIT_C + EXPLICIT_D * n) * _powers(n)[0]).ceil()
+    return ((EXPLICIT_C + EXPLICIT_D * n) * _powers(f0, f1)[0]).ceil()
+
+
+def w_domino_ceiling(n):
+    return _ceiling_form(n, *_fib_pair(n))
 
 
 def binet_identity_check(upto):
     """(alpha^n - beta^n)/sqrt5 = F(n) and alpha^n + beta^n = 2F(n+1) - F(n).
 
     The powers are stepped from n to n+1; each pair must equal the one
-    `_powers` builds from F(n) and L(n), and the last pair also ALPHA**upto
+    `_powers` builds from a fresh `_fib_pair(n)`, and the last pair also ALPHA**upto
     and BETA**upto, so that `QSqrt5.__pow__` is checked once.
     """
     steps = zip(accumulate(repeat(ALPHA), mul, initial=QSqrt5(1)),
@@ -137,9 +150,9 @@ def binet_identity_check(upto):
 
     def holds(n):  # called for n = 0..upto in order
         an, bn, (f0, f1) = next(steps)
-        return ((an - bn) / SQRT5 == QSqrt5(f0)
-                and an + bn == QSqrt5(2 * f1 - f0)
-                and (an, bn) == _powers(n)
+        return ((an - bn) / SQRT5 == f0
+                and an + bn == 2 * f1 - f0
+                and (an, bn) == _powers(*_fib_pair(n))
                 and (n < upto or (an, bn) == (ALPHA**n, BETA**n)))
 
     return _check("binet-identities", 0, upto, holds)

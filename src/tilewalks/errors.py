@@ -15,8 +15,8 @@ class CheckResult(NamedTuple):
 
 
 def _check(name, lo, hi, pred):
-    """`pred(n)` holds for n = lo..hi, checked in order; the first n where it
-    does not is the failure."""
+    """`pred(n)` holds for n = lo..hi, checked in order; the first n where it does not is the
+    failure. A range check passes whole columns at once and calls it only to locate one."""
     for n in range(lo, hi + 1):
         if not pred(n):
             return CheckResult(name, False, first_failure=n)

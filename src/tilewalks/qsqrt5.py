@@ -29,6 +29,8 @@ class QSqrt5:
     b = property(lambda self: Fraction(self.r, self.q), doc="The coefficient of sqrt(5).")
 
     def __eq__(self, other):
+        if type(other) is int:  # not a bool, as in __new__
+            return self.r == 0 and self.q == 1 and self.p == other
         if isinstance(other, (QSqrt5, int, Fraction)):
             other = _coerce(other)
             return self.p == other.p and self.r == other.r and self.q == other.q
@@ -38,6 +40,8 @@ class QSqrt5:
         return hash(self.a) if self.r == 0 else hash((self.p, self.r, self.q))
 
     def __add__(self, other):
+        if type(other) is int:  # gcd(p + kq, r, q) = gcd(p, r, q) = 1
+            return _new(self.p + other * self.q, self.r, self.q, 1)
         o = _coerce(other)
         return _new(self.p * o.q + o.p * self.q, self.r * o.q + o.r * self.q, self.q * o.q)
 
@@ -51,6 +55,8 @@ class QSqrt5:
         return _new(-self.p, -self.r, self.q)
 
     def __mul__(self, other):
+        if type(other) is int:  # k/g and q/g are coprime for g = gcd(k, q); k = 0 gives (0, 0, 1)
+            return _new(self.p * other, self.r * other, self.q, gcd(other, self.q))
         o = _coerce(other)
         p1, r1, p2, r2 = self.p, self.r, o.p, o.r
         return _new(p1 * p2 + 5 * r1 * r2, p1 * r2 + r1 * p2, self.q * o.q)
@@ -98,11 +104,12 @@ class QSqrt5:
         return f"QSqrt5(a={self.a!r}, b={self.b!r})"
 
 
-def _new(p, r, q, _set_p=QSqrt5.p.__set__, _set_r=QSqrt5.r.__set__,
+def _new(p, r, q, g=None, _set_p=QSqrt5.p.__set__, _set_r=QSqrt5.r.__set__,
          _set_q=QSqrt5.q.__set__):
-    """The canonical triple of (p + r*sqrt5)/q, for any q != 0. The slots are
-    set through their descriptors, past the refusing __setattr__."""
-    g = gcd(p, r, q) if q > 0 else -gcd(p, r, q)
+    """The canonical triple of (p + r*sqrt5)/q, for any q != 0, or q > 0 and g = gcd(p, r, q).
+    The slots are set through their descriptors, past the refusing __setattr__."""
+    if g is None:
+        g = gcd(p, r, q) if q > 0 else -gcd(p, r, q)
     x = object.__new__(QSqrt5)
     _set_p(x, p // g)
     _set_r(x, r // g)

@@ -23,10 +23,10 @@ arithmetic only, on `int` or on integer-valued `Decimal`.
   identities, relations A and B, the v theorem moved to one side) are rows
   that sum to zero, and one `relation_check` applies any row to the
   sequence tables: `theorem_step_check` applies the v theorem's to a v
-  table that no division built.
+  table that no division built. It sums one column per term row by row.
 * Every check returns a `CheckResult` under the name a report shows, and
-  `agreement_check` compares whole tables, reporting the first index where
-  they differ.
+  `agreement_check` compares whole tables. Range checks pass whole columns
+  at once and scan per n only to locate the first failure.
 """
 
 from contextvars import copy_context
@@ -34,9 +34,10 @@ from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZ
                      InvalidOperation, Overflow, Rounded, setcontext)
 from functools import lru_cache, partial
 from itertools import combinations
+from operator import eq
 from typing import NamedTuple
 
-from .errors import NonIntegralStep, UnstratifiableSystem, _check
+from .errors import CheckResult, NonIntegralStep, UnstratifiableSystem, _check
 
 
 class SequenceTable(tuple):
@@ -190,10 +191,7 @@ def _columns(spec, upto, members):
 def eval_system(spec, upto, members=None):
     """The `int` tables of `members` (every member when None) to index `upto`."""
     keep = spec.equations if members is None else members
-    columns = [[] for _ in keep]
-    for row in _columns(spec, upto, members):
-        for column, value in zip(columns, row):
-            column.append(value)
+    columns = list(zip(*_columns(spec, upto, members))) or [()] * len(keep)
     return {s: SequenceTable(column) for s, column in zip(keep, columns)}
 
 
@@ -313,10 +311,15 @@ def domino_only_recurrence():
 
 
 def agreement_check(name, *tables):
-    """The tables agree entry by entry. The first index where two of them
-    differ, or where one of them has ended, is the failure."""
+    """The tables agree entry by entry. Equal tables pass in one pass over
+    each; otherwise the first index where two of them differ, or where one
+    of them has ended, is the failure."""
+    first = tables[0]
+    if all(len(t) == len(first) and all(map(eq, t, first)) for t in tables[1:]):
+        return CheckResult(name, True)
+
     def agree(n):
-        return all(n < len(t) and t[n] == tables[0][n] for t in tables)
+        return all(n < len(t) and t[n] == first[n] for t in tables)
 
     return _check(name, 0, max(len(t) for t in tables) - 1, agree)
 
@@ -364,7 +367,14 @@ def relation_check(name, first, upto, lead, ops, tables):
     reach = max((k for _, k, _, _ in terms), default=0)
     if first + lead < reach:
         raise ValueError(f"{name}: a shift of {reach} at n = {first + lead} reads before index 0")
-    return _check(name, first, upto, lambda n: sum(
+    lo, hi = first + lead, upto + lead + 1
+    stop = max(lo, min([hi, *(len(seq) + k for _, k, _, seq in terms)]))  # rows in the tables
+    cols = [seq[lo - k:stop - k] if (j, a) == (0, 1) else
+            [a * m**j * seq[m - k] for m in range(lo, stop)] for j, k, a, seq in terms]
+    for n, total in enumerate(map(sum, zip(*cols)), first):
+        if total:
+            return CheckResult(name, False, first_failure=n)
+    return _check(name, stop - lead, upto, lambda n: sum(  # past a table's end: IndexError
         a * (n + lead)**j * seq[n + lead - k] for j, k, a, seq in terms) == 0)
 
 

@@ -629,16 +629,19 @@ def test_seq_json_lets_each_row_go_once_its_strings_exist(monkeypatch):
     assert peak < 12.8 * 2**20
 
 
-def _off_by_one(term, at):
-    return lambda n: term(n) + (n == at)
+def _off_by_one(form, at):
+    """The pair form `form`, form(n, f0, f1), one too large at n = at."""
+    return lambda n, *pair: form(n, *pair) + (n == at)
 
 
-@pytest.mark.parametrize("suite, term, at, check", [
-    ("closed-forms", "w_domino_explicit", 7, "domino-explicit-vs-recurrence"),
-    ("theorems", "v_fibonacci_form", 100, "v-fibonacci-closed-form"),
+# verify maps the pair forms over closedforms._fib_pairs, as the closed routes do
+@pytest.mark.parametrize("suite, form, at, check", [
+    ("closed-forms", "_explicit_form", 7, "domino-explicit-vs-recurrence"),
+    ("closed-forms", "_ceiling_form", 50, "domino-ceiling-vs-recurrence"),
+    ("theorems", "_v_form", 100, "v-fibonacci-closed-form"),
 ])
-def test_verify_reports_the_first_failing_n(capsys, monkeypatch, suite, term, at, check):
-    monkeypatch.setattr(closedforms, term, _off_by_one(getattr(closedforms, term), at))
+def test_verify_reports_the_first_failing_n(capsys, monkeypatch, suite, form, at, check):
+    monkeypatch.setattr(closedforms, form, _off_by_one(getattr(closedforms, form), at))
     assert main(["verify", suite]) == 1
     failed = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
     assert [(c["name"], c["first_failure"]) for c in failed] == [(check, at)]
@@ -704,10 +707,8 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch, cmd):
     assert exit_code(passing) == 0
     assert exit_code(bad) == 2
     if failing is not None:
-        bad_v = _off_by_one(closedforms.v_fibonacci_form, 2)
-        monkeypatch.setattr(closedforms, "v_fibonacci_form", bad_v)
-        monkeypatch.setitem(SEQUENCES["v"], "closed",
-                            lambda upto, budget: (("",), [(bad_v(n),) for n in range(upto + 1)]))
+        # the closed route of seq v and the closed column of verify theorems read it
+        monkeypatch.setattr(closedforms, "_v_form", _off_by_one(closedforms._v_form, 2))
         assert exit_code(failing) == 1
 
 

@@ -113,8 +113,8 @@ def test_binet_identities_check_the_powers_built_from_fibonacci_numbers(monkeypa
     # negative control: alpha^7 and beta^7 built swapped, each still a unit
     # of the ring with the right trace, fail the comparison with the steps
     powers = closedforms._powers
-    monkeypatch.setattr(closedforms, "_powers",
-                        lambda n: powers(n)[::-1] if n == 7 else powers(n))
+    monkeypatch.setattr(closedforms, "_powers",  # F(7) = 13, and F(n) = 13 for no other n
+                        lambda f0, f1: powers(f0, f1)[::-1] if f0 == 13 else powers(f0, f1))
     assert binet_identity_check(6).passed
     assert not binet_identity_check(100).passed
 
@@ -201,3 +201,15 @@ def test_a_closed_column_makes_one_fast_doubling_per_block(monkeypatch):
     code, rows = closed_rows("v", "closed")
     assert code == 0 and len(rows) == 2001
     assert len(calls) <= ceil(2001 / 64) + 65  # 2001 with one fast doubling per term
+
+
+def test_verify_all_makes_one_fast_doubling_per_block(monkeypatch):
+    # the small table, binet's own fresh _powers for n = 0..100, and one base
+    # per block of each closed column: 176, where one fast doubling for each
+    # term of the six closed columns made 572
+    calls = []
+    monkeypatch.setattr(closedforms, "_fib_pair", lambda n: calls.append(n) or FIB_PAIR(n))
+    closedforms._small_pairs.cache_clear()
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "all"]) == 0
+    assert len(calls) <= 65 + 101 + 14

@@ -136,12 +136,19 @@ def _canonical(x):
 pairs = st.tuples(rationals, rationals)
 
 
-@given(pairs, pairs, st.integers(-6, 6))
-def test_matches_the_fraction_pair_reference(xy, uv, k):
+# int operands, 0 and negatives among them, take the fast paths of +, * and ==
+ints = st.integers(-3, 3) | st.integers(-10**20, 10**20)
+
+
+@given(pairs, pairs, st.integers(-6, 6), ints)
+def test_matches_the_fraction_pair_reference(xy, uv, k, m):
     x, y = QSqrt5(*xy), QSqrt5(*uv)
-    rx, ry = _Pair(*xy), _Pair(*uv)
+    rx, ry, rm = _Pair(*xy), _Pair(*uv), _Pair(m, 0)
     results = [(op(x, y), op(rx, ry))
                for op in (operator.add, operator.sub, operator.mul)]
+    results += [(m + x, rm + rx), (x + m, rx + rm), (m * x, rm * rx), (x * m, rx * rm)]
+    assert (x == m) == (m == x) == (rx.a == m and rx.b == 0)
+    assert QSqrt5(m) == m != QSqrt5(m) + SQRT5 and QSqrt5(Fraction(2 * m + 1, 2)) != m
     if y != 0:
         results.append((x / y, rx / ry))
     if x != 0 or k >= 0:

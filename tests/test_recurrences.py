@@ -7,12 +7,12 @@ import tracemalloc
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tilewalks.closedforms import v_fibonacci_form, w_domino_fibonacci_form
 from tilewalks.elimination import composed_form_check
 
-from tilewalks.errors import NonIntegralStep, UnstratifiableSystem
+from tilewalks.errors import NonIntegralStep, UnstratifiableSystem, _check
 from tilewalks import recurrences
 from tilewalks.recurrences import (
     IDENTITIES,
@@ -510,6 +510,126 @@ def test_agreement_check_reports_the_first_difference():
     # a table that ends early differs where it ends, whichever argument it is
     assert agreement_check("short", (1, 2), (1, 2, 3)).first_failure == 2
     assert agreement_check("short", (1, 2, 3), (1, 2)).first_failure == 2
+
+
+# The per-n range checks that agreement_check and relation_check replaced,
+# kept as the model of what the column checks return or raise.
+def _model_agreement_check(name, *tables):
+    def agree(n):
+        return all(n < len(t) and t[n] == tables[0][n] for t in tables)
+
+    return _check(name, 0, max(len(t) for t in tables) - 1, agree)
+
+
+def _model_relation_check(name, first, upto, lead, ops, tables):
+    terms = [(j, k, a, tables[s]) for s, coeffs in ops.items() for k, c in enumerate(coeffs)
+             for j, a in enumerate(c if isinstance(c, tuple) else (c,)) if a]
+    reach = max((k for _, k, _, _ in terms), default=0)
+    if first + lead < reach:
+        raise ValueError(f"{name}: a shift of {reach} at n = {first + lead} reads before index 0")
+    return _check(name, first, upto, lambda n: sum(
+        a * (n + lead)**j * seq[n + lead - k] for j, k, a, seq in terms) == 0)
+
+
+def _outcome(check, *args):
+    """The check's result, or the type and text of what it raised."""
+    try:
+        return check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _mutated(draw, table):
+    """`table` as it is, with one entry changed (the last as often as any
+    other), with its last entry dropped, or with one entry more."""
+    kind = draw(st.sampled_from(["same", "perturb", "short", "long"] if table else ["same", "long"]))
+    table = list(table)
+    if kind == "perturb":
+        i = draw(st.one_of(st.just(len(table) - 1), st.integers(0, len(table) - 1)))
+        table[i] += draw(st.sampled_from([-1, 1, 7]))
+    elif kind == "short":
+        table.pop()
+    elif kind == "long":
+        table.append(draw(st.integers(-5, 5)))
+    return table
+
+
+@st.composite
+def agreement_cases(draw):
+    base = draw(st.lists(st.integers(-5, 5), max_size=12))
+    tables = [base] * draw(st.integers(1, 3))
+    i = draw(st.integers(0, len(tables) - 1))
+    tables[i] = draw(_mutated(base))
+    return [tuple(t) if j % 2 else t for j, t in enumerate(tables)]
+
+
+@st.composite
+def relation_cases(draw):
+    """A row sum_s P_s(x) s = 0, x's P starting with 1, on an x table that
+    satisfies it for n = first..upto from random y values and random x
+    values before it, unless its shifts read before index 0; then one or
+    both of the tables mutated."""
+    first, lead = draw(st.integers(0, 4)), draw(st.integers(0, 2))
+    upto = draw(st.integers(first - 1, first + 12))
+    coefficient = st.one_of(st.integers(-3, 3), st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    ops = {"x": (1, *draw(st.lists(coefficient, max_size=3))),
+           "y": tuple(draw(st.lists(coefficient, max_size=4)))}
+    lo, hi = first + lead, upto + lead + 1
+    values = st.lists(st.integers(-50, 50), min_size=max(lo, hi), max_size=max(lo, hi))
+    tables = {"x": draw(values), "y": draw(values)}
+    if all(k <= lo for c in ops.values() for k in range(len(c))):
+        for m in range(lo, hi):  # x(m) = -(the rest of the row at m)
+            tables["x"][m] = -sum(a * m**j * tables[s][m - k] for s, coeffs in ops.items()
+                                  for k, c in enumerate(coeffs) if (s, k) != ("x", 0)
+                                  for j, a in enumerate(c if isinstance(c, tuple) else (c,)))
+    for s in draw(st.sampled_from(["x", "y", "xy"])):  # a change in one, or in both
+        tables[s] = draw(_mutated(tables[s]))
+    tables["x"] = recurrences.SequenceTable(tables["x"])
+    return "row", first, upto, lead, ops, tables
+
+
+def _agreement_as_modelled(tables):
+    return _outcome(agreement_check, "t", *tables) == _outcome(_model_agreement_check, "t", *tables)
+
+
+def _relation_as_modelled(case):
+    return _outcome(relation_check, *case) == _outcome(_model_relation_check, *case)
+
+
+# Tables that differ at their last entry only, tried before any random case.
+@example([(1, 2, 3), [1, 2, 4]])
+@settings(max_examples=200, deadline=None)
+@given(agreement_cases())
+def test_agreement_check_matches_the_per_n_model(tables):
+    assert _agreement_as_modelled(tables)
+
+
+@example(("row", 1, 3, 0, {"x": (1, -1)}, {"x": (1, 1, 1, 2)}))  # fails at the last n only
+@settings(max_examples=200, deadline=None)
+@given(relation_cases())
+def test_relation_check_matches_the_per_n_model(case):
+    assert _relation_as_modelled(case)
+
+
+def _lengths_only(monkeypatch):  # the fast path of agreement_check compares lengths only
+    monkeypatch.setattr(recurrences, "eq", lambda a, b: True)
+
+
+def _last_skipped(monkeypatch):  # both fast paths leave the last entry out
+    monkeypatch.setattr(recurrences, "map", lambda f, *its: map(f, *(list(i)[:-1] for i in its)),
+                        raising=False)
+
+
+@pytest.mark.parametrize("mutant, test", [
+    (_lengths_only, test_agreement_check_matches_the_per_n_model),
+    (_last_skipped, test_agreement_check_matches_the_per_n_model),
+    (_last_skipped, test_relation_check_matches_the_per_n_model),
+], ids=["agreement-lengths-only", "agreement-last-skipped", "relation-last-skipped"])
+def test_a_fast_path_that_misses_an_entry_fails_the_model(monkeypatch, mutant, test):
+    mutant(monkeypatch)
+    with pytest.raises(AssertionError):
+        test()
 
 
 def test_ninth_order_initial_values():
